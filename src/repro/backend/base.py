@@ -133,7 +133,11 @@ class KernelBackend(abc.ABC):
     def weak_divergence_many(
         self, fluxes: np.ndarray, geom: ElementGeometry, ref: ReferenceHex
     ) -> np.ndarray:
-        """Weak divergences of stacked fluxes ``(F, E, Q, 3)`` -> ``(F, E, Q)``."""
+        """Weak divergences of stacked fluxes ``(F, E, Q, 3)`` -> ``(F, E, Q)``.
+
+        The result is a fresh array owned by the caller: no later call
+        reads or writes it, so callers may scale it in place.
+        """
         fluxes = np.asarray(fluxes)
         out = np.empty(fluxes.shape[:-1], dtype=fluxes.dtype)
         for f_idx in range(fluxes.shape[0]):

@@ -12,7 +12,6 @@ from .gas import GasProperties
 from .state import FlowState
 from .viscous import stress_tensor, viscous_dissipation
 from .fluxes import convective_fluxes, viscous_fluxes, FluxSet
-from .workspace import WorkspacePool
 from .taylor_green import (
     TGVCase,
     taylor_green_initial,
@@ -28,7 +27,6 @@ from .diagnostics import (
 )
 
 __all__ = [
-    "WorkspacePool",
     "GasProperties",
     "FlowState",
     "stress_tensor",

@@ -28,7 +28,6 @@ import numpy as np
 from ..errors import PhysicsError
 from .gas import GasProperties
 from .viscous import stress_tensor
-from .workspace import WorkspacePool
 
 
 @dataclass
@@ -64,7 +63,6 @@ def convective_fluxes(
     velocity: np.ndarray,
     pressure: np.ndarray,
     total_energy: np.ndarray,
-    pool: WorkspacePool | None = None,
 ) -> FluxSet:
     """Euler fluxes of the conserved variables.
 
@@ -72,10 +70,6 @@ def convective_fluxes(
     :meth:`repro.physics.FlowState.velocity`); the per-node flux arrays put
     the direction axis *last* so they feed
     :func:`repro.fem.operators.weak_divergence` directly.
-
-    ``pool`` routes every temporary (and the returned flux arrays)
-    through reused workspaces; the operations and their association are
-    unchanged, so the values are bitwise those of the unpooled path.
     """
     rho = np.asarray(rho)
     velocity = np.asarray(velocity)
@@ -86,30 +80,11 @@ def convective_fluxes(
 
     u_last = np.moveaxis(velocity, 0, -1)  # (..., 3)
     idx = np.arange(3)
-    if pool is None:
-        mass = rho[..., None] * u_last
-        # momentum[..., i, j] = rho u_i u_j + p delta_ij
-        momentum = (
-            rho[..., None, None] * u_last[..., :, None] * u_last[..., None, :]
-        )
-        momentum[..., idx, idx] += pressure[..., None]
-        energy = (total_energy + pressure)[..., None] * u_last
-        return FluxSet(mass=mass, momentum=momentum, energy=energy)
-
-    dtype = u_last.dtype
-    mass = pool.get("conv.mass", u_last.shape, dtype)
-    np.multiply(rho[..., None], u_last, out=mass)
-    # momentum[..., i, j] = rho u_i u_j + p delta_ij, associated exactly
-    # as the unpooled expression: (rho * u_i) * u_j.
-    rho_u = pool.get("conv.rho_u", u_last.shape + (1,), dtype)
-    np.multiply(rho[..., None, None], u_last[..., :, None], out=rho_u)
-    momentum = pool.get("conv.momentum", u_last.shape + (3,), dtype)
-    np.multiply(rho_u, u_last[..., None, :], out=momentum)
+    mass = rho[..., None] * u_last
+    # momentum[..., i, j] = rho u_i u_j + p delta_ij
+    momentum = rho[..., None, None] * u_last[..., :, None] * u_last[..., None, :]
     momentum[..., idx, idx] += pressure[..., None]
-    e_plus_p = pool.get("conv.e_plus_p", total_energy.shape, dtype)
-    np.add(total_energy, pressure, out=e_plus_p)
-    energy = pool.get("conv.energy", u_last.shape, dtype)
-    np.multiply(e_plus_p[..., None], u_last, out=energy)
+    energy = (total_energy + pressure)[..., None] * u_last
     return FluxSet(mass=mass, momentum=momentum, energy=energy)
 
 
@@ -118,7 +93,6 @@ def viscous_fluxes(
     grad_u: np.ndarray,
     grad_t: np.ndarray,
     gas: GasProperties,
-    pool: WorkspacePool | None = None,
 ) -> FluxSet:
     """Viscous + heat-conduction fluxes.
 
@@ -141,51 +115,24 @@ def viscous_fluxes(
     grad_t = np.asarray(grad_t)
     if velocity.shape[0] != 3:
         raise PhysicsError(f"velocity must be (3, ...), got {velocity.shape}")
-    tau = stress_tensor(grad_u, gas.viscosity, pool)
+    tau = stress_tensor(grad_u, gas.viscosity)
     u_last = np.moveaxis(velocity, 0, -1)
-    if pool is None:
-        energy = (
-            np.einsum("...ij,...j->...i", tau, u_last)
-            + gas.thermal_conductivity * grad_t
-        )
-        mass = np.zeros_like(u_last)
-    else:
-        # energy = einsum(tau, u) + kappa * grad_t with the einsum term
-        # as the in-place left operand — same association as above.
-        energy = pool.get("visc.energy", u_last.shape, u_last.dtype)
-        np.einsum("...ij,...j->...i", tau, u_last, out=energy)
-        kappa_gt = pool.get("visc.kappa_gt", grad_t.shape, grad_t.dtype)
-        np.multiply(gas.thermal_conductivity, grad_t, out=kappa_gt)
-        energy += kappa_gt
-        mass = pool.zeros("visc.mass", u_last.shape, u_last.dtype)
-    return FluxSet(mass=mass, momentum=tau, energy=energy)
+    energy = (
+        np.einsum("...ij,...j->...i", tau, u_last)
+        + gas.thermal_conductivity * grad_t
+    )
+    return FluxSet(mass=np.zeros_like(u_last), momentum=tau, energy=energy)
 
 
-def combined_rhs_fluxes(
-    convective: FluxSet,
-    viscous: FluxSet,
-    pool: WorkspacePool | None = None,
-) -> FluxSet:
+def combined_rhs_fluxes(convective: FluxSet, viscous: FluxSet) -> FluxSet:
     """Net flux whose (weak) divergence is the conservative-form RHS.
 
     Writing each equation as ``dq/dt + div(F_c - F_v) = 0``, the net flux
     is ``F_c - F_v``; the solver takes one weak divergence of this
     combination per conserved field.
     """
-    if pool is None:
-        return FluxSet(
-            mass=convective.mass - viscous.mass,
-            momentum=convective.momentum - viscous.momentum,
-            energy=convective.energy - viscous.energy,
-        )
-    mass = pool.get("comb.mass", convective.mass.shape, convective.mass.dtype)
-    np.subtract(convective.mass, viscous.mass, out=mass)
-    momentum = pool.get(
-        "comb.momentum", convective.momentum.shape, convective.momentum.dtype
+    return FluxSet(
+        mass=convective.mass - viscous.mass,
+        momentum=convective.momentum - viscous.momentum,
+        energy=convective.energy - viscous.energy,
     )
-    np.subtract(convective.momentum, viscous.momentum, out=momentum)
-    energy = pool.get(
-        "comb.energy", convective.energy.shape, convective.energy.dtype
-    )
-    np.subtract(convective.energy, viscous.energy, out=energy)
-    return FluxSet(mass=mass, momentum=momentum, energy=energy)

@@ -10,14 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import PhysicsError
-from .workspace import WorkspacePool
 
 
-def stress_tensor(
-    grad_u: np.ndarray,
-    viscosity: float,
-    pool: WorkspacePool | None = None,
-) -> np.ndarray:
+def stress_tensor(grad_u: np.ndarray, viscosity: float) -> np.ndarray:
     """Viscous stress from the velocity gradient.
 
     Parameters
@@ -26,11 +21,6 @@ def stress_tensor(
         ``(..., 3, 3)`` with ``grad_u[..., i, j] = du_i / dx_j``.
     viscosity:
         Dynamic viscosity ``mu``.
-    pool:
-        Optional workspace pool; when given, the symmetrized gradient
-        and the returned tensor live in reused buffers (same operations,
-        bitwise-identical values — the caller must consume the result
-        before its next same-shape call).
 
     Returns
     -------
@@ -40,14 +30,7 @@ def stress_tensor(
     if grad_u.shape[-2:] != (3, 3):
         raise PhysicsError(f"grad_u must end in (3, 3), got {grad_u.shape}")
     div_u = np.trace(grad_u, axis1=-2, axis2=-1)
-    if pool is None:
-        sym = grad_u + np.swapaxes(grad_u, -1, -2)
-        tau = viscosity * sym
-    else:
-        sym = pool.get("viscous.sym", grad_u.shape, grad_u.dtype)
-        np.add(grad_u, np.swapaxes(grad_u, -1, -2), out=sym)
-        tau = pool.get("viscous.tau", grad_u.shape, grad_u.dtype)
-        np.multiply(viscosity, sym, out=tau)
+    tau = viscosity * (grad_u + np.swapaxes(grad_u, -1, -2))
     idx = np.arange(3)
     tau[..., idx, idx] -= (2.0 / 3.0) * viscosity * div_u[..., None]
     return tau

@@ -16,7 +16,7 @@ the backend is the *how*.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,15 +24,9 @@ from ..backend import KernelBackend
 from ..errors import PipelineError
 from ..fem.geometry import ElementGeometry
 from ..fem.reference import ReferenceHex
-from ..physics.fluxes import (
-    FluxSet,
-    combined_rhs_fluxes,
-    convective_fluxes,
-    viscous_fluxes,
-)
+from ..physics.fluxes import convective_fluxes, viscous_fluxes
 from ..physics.gas import GasProperties
 from ..physics.state import NUM_CONSERVED
-from ..physics.workspace import WorkspacePool
 from .ir import Stage
 
 KernelFn = Callable[..., tuple[np.ndarray, ...]]
@@ -72,11 +66,6 @@ class PipelineContext:
     ref: ReferenceHex
     gas: GasProperties
     backend: KernelBackend
-    #: Scratch buffers for the flux kernels' per-stage temporaries.
-    #: Element/block views share the parent's pool (``replace`` copies
-    #: the reference), so one solve reuses the same workspaces across
-    #: every stage, step and streamed block.
-    workspace: WorkspacePool = field(default_factory=WorkspacePool)
 
     @classmethod
     def from_operator(cls, operator) -> "PipelineContext":
@@ -138,6 +127,33 @@ class PipelineContext:
 # ---------------------------------------------------------------------------
 
 
+def _primitive_fields(
+    state_elem: np.ndarray, gas: GasProperties
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(u, v, w, T)`` in one ``(4, E, Q)`` buffer, and the pressure.
+
+    The buffer is the single input of the gradient call. The kinetic
+    energy ``0.5 * sum_i m_i u_i`` is summed in component order, exactly
+    as ``np.sum`` over the leading axis would.
+    """
+    rho = state_elem[0]
+    momentum = state_elem[1:4]
+    fields = np.empty((4,) + rho.shape, dtype=state_elem.dtype)
+    velocity = fields[:3]
+    np.divide(momentum, rho, out=velocity)
+    internal = momentum[0] * velocity[0]
+    term = np.empty_like(internal)
+    for i in (1, 2):
+        np.multiply(momentum[i], velocity[i], out=term)
+        internal += term
+    internal *= 0.5
+    np.subtract(state_elem[4], internal, out=internal)
+    pressure = (gas.gamma - 1.0) * internal
+    np.multiply(rho, gas.cv, out=term)
+    np.divide(internal, term, out=fields[3])
+    return fields, pressure
+
+
 def element_primitives(
     state_elem: np.ndarray, gas: GasProperties
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -147,38 +163,8 @@ def element_primitives(
     ``(rho, velocity(3, E, Q), pressure, temperature, total_energy)``.
     This is the node-level LOAD stage of the paper's Fig. 1.
     """
-    rho = state_elem[0]
-    momentum = state_elem[1:4]
-    total_energy = state_elem[4]
-    velocity = momentum / rho[None]
-    kinetic = 0.5 * np.sum(momentum * velocity, axis=0)
-    internal = total_energy - kinetic
-    pressure = (gas.gamma - 1.0) * internal
-    temperature = internal / (rho * gas.cv)
-    return rho, velocity, pressure, temperature, total_energy
-
-
-def _viscous_flux_set(
-    ctx: PipelineContext, velocity: np.ndarray, temperature: np.ndarray
-) -> FluxSet:
-    """Viscous/heat :class:`FluxSet` from the batched node gradients.
-
-    Computes the gradients of the three velocity components and the
-    temperature in one backend call (COMPUTE-Gradients of Fig. 1), then
-    the stress tensor and fluxes (stages 2a/2b/2c of Fig. 3).
-    """
-    fields = np.concatenate([velocity, temperature[None]], axis=0)
-    grads = ctx.backend.physical_gradient_many(fields, ctx.geom, ctx.ref)
-    grad_u = np.moveaxis(grads[:3], 0, 2)  # (E, Q, i, j) = du_i/dx_j
-    grad_t = grads[3]
-    return viscous_fluxes(velocity, grad_u, grad_t, ctx.gas, ctx.workspace)
-
-
-def _stack_viscous(fluxes: FluxSet) -> np.ndarray:
-    """``(4, E, Q, 3)`` momentum + energy viscous fluxes (no mass flux)."""
-    return np.stack(
-        [fluxes.momentum[..., i, :] for i in range(3)] + [fluxes.energy]
-    )
+    fields, pressure = _primitive_fields(state_elem, gas)
+    return state_elem[0], fields[:3], pressure, fields[3], state_elem[4]
 
 
 def pad_to_conserved(values: np.ndarray, field_start: int) -> np.ndarray:
@@ -212,11 +198,7 @@ def _convective_flux(ctx: PipelineContext, stage: Stage, state_elem: np.ndarray)
     rho, velocity, pressure, _temperature, total_energy = element_primitives(
         state_elem, ctx.gas
     )
-    return (
-        convective_fluxes(
-            rho, velocity, pressure, total_energy, ctx.workspace
-        ).stacked(),
-    )
+    return (convective_fluxes(rho, velocity, pressure, total_energy).stacked(),)
 
 
 @register_pipeline_kernel("viscous_flux")
@@ -226,28 +208,79 @@ def _viscous_flux(ctx: PipelineContext, stage: Stage, state_elem: np.ndarray):
     The mass equation has no viscous flux, so only the momentum and
     energy rows are produced (``field_start=1`` downstream).
     """
-    _rho, velocity, _pressure, temperature, _total_energy = element_primitives(
-        state_elem, ctx.gas
+    fields, _pressure = _primitive_fields(state_elem, ctx.gas)
+    grads = ctx.backend.physical_gradient_many(fields, ctx.geom, ctx.ref)
+    grad_u = np.moveaxis(grads[:3], 0, 2)  # (E, Q, i, j) = du_i/dx_j
+    fluxes = viscous_fluxes(fields[:3], grad_u, grads[3], ctx.gas)
+    return (
+        np.stack(
+            [fluxes.momentum[..., i, :] for i in range(3)] + [fluxes.energy]
+        ),
     )
-    return (_stack_viscous(_viscous_flux_set(ctx, velocity, temperature)),)
 
 
 @register_pipeline_kernel("combined_flux")
-def _combined_flux(ctx: PipelineContext, stage: Stage, state_elem: np.ndarray):
+def single_pass_net_flux(
+    ctx: PipelineContext, stage: Stage, state_elem: np.ndarray
+):
     """Net flux ``F_c - F_v`` per node, stacked ``(5, E, Q, 3)``.
 
-    One primitive conversion feeds both flux families — the element-level
-    arithmetic sharing of the accelerator's merged diffusion+convection
-    COMPUTE module.
+    The accelerator's merged diffusion+convection COMPUTE module as one
+    pass from the conservatives to the payload: ``(u, v, w, T)`` feed a
+    single gradient call, then each of the 15 flux components is formed
+    on ``(E, Q)`` planes directly in its slot of a freshly allocated
+    payload. The stress ``tau_ij = mu (g_ij + g_ji) + lambda delta_ij
+    div u`` (``lambda = -2 mu / 3``) is built in the momentum rows,
+    contracted with ``u`` into the energy row, and then replaced by the
+    net momentum flux.
+
+    Operations and their association are those of
+    ``combined_rhs_fluxes(convective_fluxes(...), viscous_fluxes(...))``,
+    the reference formulae in :mod:`repro.physics.fluxes`, without their
+    intermediate arrays.
     """
-    rho, velocity, pressure, temperature, total_energy = element_primitives(
-        state_elem, ctx.gas
+    gas = ctx.gas
+    mu = gas.viscosity
+    rho = state_elem[0]
+    fields, pressure = _primitive_fields(state_elem, gas)
+    velocity = fields[:3]
+    grads = ctx.backend.physical_gradient_many(fields, ctx.geom, ctx.ref)
+    grad = np.moveaxis(grads, -1, 1)  # grad[f, j] = d fields[f] / dx_j
+    payload = np.empty(
+        (NUM_CONSERVED,) + rho.shape + (3,), dtype=state_elem.dtype
     )
-    conv = convective_fluxes(
-        rho, velocity, pressure, total_energy, ctx.workspace
-    )
-    visc = _viscous_flux_set(ctx, velocity, temperature)
-    return (combined_rhs_fluxes(conv, visc, ctx.workspace).stacked(),)
+    flux = np.moveaxis(payload, -1, 1)  # flux[f, j]: field f, direction j
+
+    tau = flux[1:4]
+    np.add(grad[:3], np.swapaxes(grad[:3], 0, 1), out=tau)
+    tau *= mu
+    # One scratch plane: (2/3) mu div u here, E + p below.
+    scratch = grad[0, 0] + grad[1, 1]
+    scratch += grad[2, 2]
+    scratch *= (2.0 / 3.0) * mu
+    for i in range(3):
+        tau[i, i] -= scratch
+
+    # energy: (E + p) u_j - (sum_i tau_ji u_i + kappa dT/dx_j)
+    viscous = flux[4]
+    np.multiply(tau[:, 0], velocity[0], out=viscous)
+    term = np.empty_like(velocity)
+    for i in (1, 2):
+        np.multiply(tau[:, i], velocity[i], out=term)
+        viscous += term
+    np.multiply(gas.thermal_conductivity, grad[3], out=term)
+    viscous += term
+    np.add(pressure, state_elem[4], out=scratch)
+    np.multiply(scratch, velocity, out=term)
+    np.subtract(term, viscous, out=viscous)
+
+    # mass rho u_j; momentum i: (rho u_i) u_j + p delta_ij - tau_ij
+    np.multiply(rho, velocity, out=flux[0])
+    for i in range(3):
+        np.multiply(flux[0, i], velocity, out=term)
+        term[i] += pressure
+        np.subtract(term, tau[i], out=tau[i])
+    return (payload,)
 
 
 @register_pipeline_kernel("weak_divergence")
@@ -256,12 +289,13 @@ def _weak_divergence(ctx: PipelineContext, stage: Stage, flux: np.ndarray):
 
     ``sign`` scales the result (-1 for fluxes written on the left-hand
     side, ``dq/dt + div F = 0``; +1 for the diffusion contribution that
-    enters with a plus).
+    enters with a plus). The backend hands over a fresh array, so the
+    scaling happens in place.
     """
     sign = float(stage.param("sign", -1.0))
     div = ctx.backend.weak_divergence_many(flux, ctx.geom, ctx.ref)
     if sign != 1.0:
-        div = sign * div
+        np.multiply(div, sign, out=div)
     return (div,)
 
 

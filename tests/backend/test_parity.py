@@ -208,6 +208,23 @@ class TestKernelParity:
             again = backend.weak_divergence(f1, affine, ref)
             assert np.array_equal(first, again), name
 
+    def test_weak_divergence_many_result_is_caller_owned(self, setup, backends):
+        """``weak_divergence_many`` returns a fresh array: the pipeline
+        scales it in place, so no later call may write into it."""
+        mesh, ref, affine, curved, rng = setup
+        oracle, candidates = backends
+        shape = (5, mesh.num_elements, ref.num_nodes, 3)
+        f1 = rng.standard_normal(shape)
+        f2 = rng.standard_normal(shape)
+        for name, backend in {"reference": oracle, **candidates}.items():
+            for geom in (affine, curved):
+                first = backend.weak_divergence_many(f1, geom, ref)
+                snapshot = first.copy()
+                second = backend.weak_divergence_many(f2, geom, ref)
+                assert not np.shares_memory(first, second), name
+                assert not np.shares_memory(first, f1), name
+                assert np.array_equal(first, snapshot), name
+
 
 class TestFullRHSParity:
     @pytest.mark.parametrize("order", ORDERS)

@@ -122,7 +122,7 @@ def test_architecture_documents_the_execution_caches():
         "Execution caches & the verify switch",
         "planned_einsum",
         "set_einsum_path_cache",
-        "WorkspacePool",
+        "single_pass_net_flux",
         "set_schedule_cache",
         "schedule_cache_stats",
         "CampaignSpec.backend",
