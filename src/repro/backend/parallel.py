@@ -131,18 +131,6 @@ def element_shards(num_elements: int, num_workers: int) -> list[slice]:
     return [slice(int(p[0]), int(p[-1]) + 1) for p in parts if p.size]
 
 
-def _geom_slice(geom: ElementGeometry, sl: slice) -> ElementGeometry:
-    """Element-range view of the metric terms (no copies)."""
-    cached = geom._quad_scale
-    return ElementGeometry(
-        jacobian=geom.jacobian[sl],
-        inverse_jacobian=geom.inverse_jacobian[sl],
-        det_jacobian=geom.det_jacobian[sl],
-        is_affine=geom.is_affine,
-        _quad_scale=None if cached is None else cached[sl],
-    )
-
-
 def _scatter_partial(
     values: np.ndarray, conn_shard: np.ndarray, num_nodes: int, acc_dtype
 ) -> np.ndarray:
@@ -206,16 +194,16 @@ def _apply_shard(
     elif kernel == "reference_gradient":
         out[sl] = local.reference_gradient(inp[sl], ref)
     elif kernel == "physical_gradient":
-        out[sl] = local.physical_gradient(inp[sl], _geom_slice(geom, sl), ref)
+        out[sl] = local.physical_gradient(inp[sl], geom.block_view(sl), ref)
     elif kernel == "physical_gradient_many":
         out[:, sl] = local.physical_gradient_many(
-            inp[:, sl], _geom_slice(geom, sl), ref
+            inp[:, sl], geom.block_view(sl), ref
         )
     elif kernel == "weak_divergence":
-        out[sl] = local.weak_divergence(inp[sl], _geom_slice(geom, sl), ref)
+        out[sl] = local.weak_divergence(inp[sl], geom.block_view(sl), ref)
     elif kernel == "weak_divergence_many":
         out[:, sl] = local.weak_divergence_many(
-            inp[:, sl], _geom_slice(geom, sl), ref
+            inp[:, sl], geom.block_view(sl), ref
         )
     elif kernel == "scatter_add":
         out[partial_row] = _scatter_partial(

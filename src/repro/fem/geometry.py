@@ -141,33 +141,18 @@ class ElementGeometry:
             self._quad_scale = w * np.abs(self.det_jacobian)
         return self._quad_scale
 
-    def element_view(self, index: int) -> "ElementGeometry":
-        """Metric terms of element ``index`` alone, shape ``(1, ...)``.
-
-        Arrays are views, so a per-element slice is cheap; the streaming
-        co-simulation uses this to run the element pipeline one element
-        per pipeline iteration.
-        """
-        sl = slice(index, index + 1)
-        cached = self._quad_scale
-        return ElementGeometry(
-            jacobian=self.jacobian[sl],
-            inverse_jacobian=self.inverse_jacobian[sl],
-            det_jacobian=self.det_jacobian[sl],
-            is_affine=self.is_affine,
-            _quad_scale=None if cached is None else cached[sl],
-        )
-
-    def block_view(self, indices: np.ndarray) -> "ElementGeometry":
+    def block_view(self, indices: np.ndarray | slice) -> "ElementGeometry":
         """Metric terms of an element block, shape ``(B, ...)``.
 
         ``indices`` is a 1-D array of element ids (need not be
         contiguous — a CU's shard may be any subset). Fancy indexing
         copies the block's metric rows, which is what the accelerator's
         batched LOAD does anyway: the block working set is staged into
-        on-chip memory before COMPUTE consumes it.
+        on-chip memory before COMPUTE consumes it. A ``slice`` gives
+        views instead, laid out exactly like the whole-mesh arrays.
         """
-        indices = np.asarray(indices, dtype=np.int64)
+        if not isinstance(indices, slice):
+            indices = np.asarray(indices, dtype=np.int64)
         cached = self._quad_scale
         return ElementGeometry(
             jacobian=self.jacobian[indices],
@@ -175,12 +160,6 @@ class ElementGeometry:
             det_jacobian=self.det_jacobian[indices],
             is_affine=self.is_affine,
             _quad_scale=None if cached is None else cached[indices],
-        )
-
-    def memory_footprint_values(self) -> int:
-        """Number of scalar metric values held (for workload accounting)."""
-        return int(
-            self.jacobian.size + self.inverse_jacobian.size + self.det_jacobian.size
         )
 
 

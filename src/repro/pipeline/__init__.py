@@ -14,8 +14,8 @@ per-stage operation counts from it. Fusion levels are graph rewrites.
   stage-combination axpy + primitive update, streamed per node block;
 - :mod:`repro.pipeline.rewrites` — gather-sharing, flux fusion, and
   preallocated-buffer binding;
-- :mod:`repro.pipeline.executor` — functional, per-branch and
-  (block-)streaming execution;
+- :mod:`repro.pipeline.executor` — functional (whole-mesh and
+  element-blocked), per-branch and (block-)streaming execution;
 - :mod:`repro.pipeline.opcounts` — per-stage operation counts.
 """
 
@@ -31,6 +31,7 @@ from .rewrites import bind_stage_buffers, fuse_flux_divergence, share_loads
 from .executor import (
     assembled_total,
     element_residuals,
+    run_blocked_pipeline,
     run_pipeline,
     streaming_actions,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "rk_update_streaming_actions",
     "assembled_total",
     "element_residuals",
+    "run_blocked_pipeline",
     "run_pipeline",
     "streaming_actions",
     "pipeline_op_counts",

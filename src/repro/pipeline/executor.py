@@ -1,10 +1,14 @@
 """Executing an operator pipeline.
 
-Three execution styles over one IR:
+Four execution styles over one IR:
 
 - :func:`run_pipeline` — whole-mesh functional execution on batched numpy
-  arrays; this is what :meth:`NavierStokesOperator.residual` runs, with
-  each stage attributed to its profiler phase;
+  arrays (the RK-update pipelines, and the whole-mesh oracle the blocked
+  residual is tested against), with each stage attributed to its
+  profiler phase;
+- :func:`run_blocked_pipeline` — the same result, computed one element
+  block at a time and assembled once; this is what
+  :meth:`NavierStokesOperator.residual` runs;
 - :func:`element_residuals` — compute-only execution on an already
   gathered element state (the solver's per-pass diagnostics helpers);
 - :func:`streaming_actions` — payload-carrying actions for the
@@ -42,6 +46,21 @@ def _run_stage(
         )
     for name, value in zip(stage.outputs, outs):
         env[name] = value
+
+
+def _run_stages(
+    ctx: PipelineContext,
+    stages: Sequence[Stage],
+    env: dict[str, np.ndarray],
+    profiler=None,
+) -> None:
+    """Execute ``stages`` in order, each inside its profiler phase."""
+    for stage in stages:
+        if profiler is None:
+            _run_stage(ctx, stage, env)
+        else:
+            with profiler.phase(stage.phase):
+                _run_stage(ctx, stage, env)
 
 
 def run_pipeline(
@@ -82,25 +101,50 @@ def run_pipeline(
             f"{missing}"
         )
     env: dict[str, np.ndarray] = dict(inputs)
-    # Reference counts so intermediates are released as soon as their
-    # last consumer has run — a multi-pass pipeline must not hold both
-    # branches' temporaries alive at once.
-    pending_reads = {
-        name: len(pipeline.consumers_of(name))
-        for stage in pipeline.stages
-        for name in stage.outputs
-    }
-    for stage in pipeline.topological_order():
-        if profiler is None:
-            _run_stage(ctx, stage, env)
-        else:
-            with profiler.phase(stage.phase):
-                _run_stage(ctx, stage, env)
-        for name in stage.inputs:
-            if name in pending_reads:
-                pending_reads[name] -= 1
-                if pending_reads[name] == 0:
-                    del env[name]
+    _run_stages(ctx, pipeline.topological_order(), env, profiler)
+    return {name: env[name] for name in pipeline.output_payloads()}
+
+
+def run_blocked_pipeline(
+    pipeline: OperatorPipeline,
+    ctx: PipelineContext,
+    blocks: Sequence[tuple[slice | np.ndarray, PipelineContext]],
+    inputs: Mapping[str, np.ndarray],
+    profiler=None,
+) -> dict[str, np.ndarray]:
+    """:func:`run_pipeline` of an element pipeline, one block at a time.
+
+    The accelerator's LOAD -> COMPUTE -> STORE schedule on the host:
+    every non-store stage runs on one block's context, so gathered
+    state, gradients, flux payloads and divergences only ever exist at
+    block size. Each store stage's input is written into one whole-mesh
+    ``(F, E, Q)`` array, and after the last block each store stage runs
+    once on ``ctx`` — scatter order, and so every result, is bitwise
+    that of :func:`run_pipeline`, phases included.
+
+    ``blocks`` holds ``(elements, block context)`` pairs covering every
+    element once: ``elements`` (a slice or index array) picks the
+    block's rows of the element axis, and the context is
+    ``ctx.element_block(elements)``. Every pipeline output must come
+    from a store stage.
+    """
+    order = pipeline.topological_order()
+    stores = [stage for stage in order if stage.role == "store"]
+    element_stages = [stage for stage in order if stage.role != "store"]
+    env: dict[str, np.ndarray] = dict(inputs)
+    for elements, block_ctx in blocks:
+        block_env = dict(inputs)
+        _run_stages(block_ctx, element_stages, block_env, profiler)
+        for stage in stores:
+            name = stage.inputs[0]
+            value = block_env[name]
+            if name not in env:
+                env[name] = np.empty(
+                    (value.shape[0], ctx.num_elements) + value.shape[2:],
+                    dtype=value.dtype,
+                )
+            env[name][:, elements] = value
+    _run_stages(ctx, stores, env, profiler)
     return {name: env[name] for name in pipeline.output_payloads()}
 
 
@@ -132,20 +176,20 @@ def element_residuals(
     to one branch (e.g. ``("rk.convection",)``) of a multi-pass pipeline.
     """
     env: dict[str, np.ndarray] = {}
-    total: np.ndarray | None = None
+    compute: list[Stage] = []
+    stores: list[Stage] = []
     for stage in pipeline.topological_order():
         if stage.role == "load":
             env[stage.outputs[0]] = state_elem
-            continue
-        if phases is not None and stage.phase not in phases:
-            continue
-        if stage.role == "store":
-            padded = pad_to_conserved(
-                env[stage.inputs[0]], int(stage.param("field_start", 0))
-            )
-            total = padded if total is None else total + padded
-            continue
-        _run_stage(ctx, stage, env)
+        elif phases is None or stage.phase in phases:
+            (stores if stage.role == "store" else compute).append(stage)
+    _run_stages(ctx, compute, env)
+    total: np.ndarray | None = None
+    for stage in stores:
+        padded = pad_to_conserved(
+            env[stage.inputs[0]], int(stage.param("field_start", 0))
+        )
+        total = padded if total is None else total + padded
     if total is None:
         raise PipelineError(
             f"pipeline {pipeline.name!r}: no store stage matched "

@@ -3,10 +3,9 @@
 Each kernel is a pure function ``fn(ctx, stage, *inputs) -> (outputs,)``
 operating on batched element arrays (``(F, E, Q)`` fields,
 ``(F, E, Q, 3)`` fluxes). They are shape-polymorphic over the element
-axis, so the same kernel serves the solver's whole-mesh evaluation and
-the co-simulator's streaming at any granularity — an element block
-(:meth:`PipelineContext.element_block`) or a single element
-(:meth:`PipelineContext.element`).
+axis, so the same kernel serves whole-mesh evaluation, the solver's
+blocked residual and the co-simulator's streaming at any granularity
+(:meth:`PipelineContext.element_block`).
 
 All array work routes through the context's
 :class:`~repro.backend.KernelBackend` — the pipeline IR is the *what*,
@@ -83,28 +82,17 @@ class PipelineContext:
     def num_elements(self) -> int:
         return int(self.connectivity.shape[0])
 
-    def element(self, index: int) -> "PipelineContext":
-        """Single-element view of the context (streaming co-simulation).
-
-        Connectivity and metric terms are sliced to element ``index``;
-        ``num_nodes`` stays global so the STORE kernel still assembles
-        into the full node space.
-        """
-        return replace(
-            self,
-            connectivity=self.connectivity[index : index + 1],
-            geom=self.geom.element_view(index),
-        )
-
-    def element_block(self, indices: np.ndarray) -> "PipelineContext":
-        """Block view of the context (batched streaming co-simulation).
+    def element_block(self, indices: np.ndarray | slice) -> "PipelineContext":
+        """Block view of the context (blocked residual, streaming cosim).
 
         Parameters
         ----------
         indices:
             1-D array of element ids forming one block token. The ids
             need not be contiguous: a compute unit's shard of the mesh
-            is whatever :func:`repro.mesh.partition` handed it.
+            is whatever :func:`repro.mesh.partition` handed it. A
+            contiguous run may be given as a ``slice``, which views the
+            connectivity and metric terms instead of copying them.
 
         Returns
         -------
@@ -114,7 +102,8 @@ class PipelineContext:
             axis); ``num_nodes`` stays global so STORE still assembles
             into the full node space.
         """
-        indices = np.asarray(indices, dtype=np.int64)
+        if not isinstance(indices, slice):
+            indices = np.asarray(indices, dtype=np.int64)
         return replace(
             self,
             connectivity=self.connectivity[indices],

@@ -5,10 +5,11 @@ as its Fig. 1 dataflow graph — and, since the operator-pipeline IR
 refactor, *declared* as one: the operator builds an
 :class:`~repro.pipeline.ir.OperatorPipeline` instance for its fusion
 level and executes it functionally
-(:func:`~repro.pipeline.executor.run_pipeline`). The same IR instance is
-what the accelerator co-simulator streams real elements through and what
-the workload characterization derives its per-stage operation counts
-from.
+one element block at a time
+(:func:`~repro.pipeline.executor.run_blocked_pipeline`). The same IR
+instance is what the accelerator co-simulator streams real elements
+through and what the workload characterization derives its per-stage
+operation counts from.
 
 Every kernel on this path — gather, gradients, weak divergences,
 scatter-add — routes through a pluggable :class:`~repro.backend.KernelBackend`
@@ -23,8 +24,7 @@ pipeline (:mod:`repro.pipeline.rewrites`), not a separate code path:
 - ``"none"`` — independent gather/scatter per pass, mirroring the
   paper's profiled C++ (whose diffusion and convection functions are
   independent, which is also what lets the accelerator merge them);
-- ``"gather"`` — one shared gather, separate scatters (the historical
-  ``fused=True`` mode);
+- ``"gather"`` — one shared gather, separate scatters;
 - ``"full"`` — one gather, the convective and viscous fluxes combined
   per node, one weak divergence and one scatter-add for the summed
   residual: the software analogue of the accelerator's merged
@@ -33,6 +33,8 @@ pipeline (:mod:`repro.pipeline.rewrites`), not a separate code path:
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from ..precision.modes import PrecisionPolicy
 from ..fem.geometry import compute_geometry
 from ..fem.reference import reference_hex
 from ..mesh.hexmesh import HexMesh
+from ..mesh.partition import element_blocks
 from ..physics.gas import GasProperties
 from ..physics.state import NUM_CONSERVED, FlowState
 from ..pipeline import (
@@ -50,12 +53,25 @@ from ..pipeline import (
     assembled_total,
     element_residuals,
     navier_stokes_pipeline,
-    run_pipeline,
+    run_blocked_pipeline,
 )
 from .profiler import PhaseProfiler
 
 #: Valid values of the ``fusion`` parameter.
 FUSION_MODES = ("none", "gather", "full")
+
+#: Bytes of one residual block's ``(5, B, Q, 3)`` flux payload. Each
+#: stage's working set on a block (state, gradients and payload for the
+#: flux; payload, backend scratch and result for the divergence) is then
+#: ~1.6 MiB, inside a 2 MiB per-core L2, and one residual's transient
+#: memory stays below glibc's dynamic heap-trim threshold, so freed blocks
+#: are reused by the next call instead of being returned to the OS and
+#: faulted back in. Swept from 64 KiB to 4 MiB on ``tgv_p3`` (8^3 p=3
+#: f64, fast backend, 2-core Xeon), 512 KiB (68 elements, 8 blocks) had
+#: the lowest step time: smaller blocks pay per-call overhead (64 KiB is
+#: 2x slower), larger ones fault again (1 MiB: ~3.8k minor faults per
+#: step against ~0.7k; one whole-mesh block: ~9k) and raise peak RSS.
+BLOCK_PAYLOAD_BYTES = 512 * 1024
 
 
 class NavierStokesOperator:
@@ -71,10 +87,8 @@ class NavierStokesOperator:
         Optional :class:`PhaseProfiler`; phases ``rk.diffusion``,
         ``rk.convection`` and ``rk.other`` are attributed per pipeline
         stage as in the paper's Fig. 2.
-    fused:
-        Back-compat alias: ``fused=True`` selects ``fusion="gather"``.
     fusion:
-        One of :data:`FUSION_MODES`; overrides ``fused`` when given.
+        One of :data:`FUSION_MODES`.
     backend:
         Compute backend for the hot kernels: a name (``"reference"``,
         ``"fast"``, ``"threaded"``, ``"procs"``), a
@@ -99,16 +113,13 @@ class NavierStokesOperator:
         mesh: HexMesh,
         gas: GasProperties,
         profiler: PhaseProfiler | None = None,
-        fused: bool = False,
-        fusion: str | None = None,
+        fusion: str = "none",
         backend: str | KernelBackend | None = None,
         num_workers: int | None = None,
         dtype: str | PrecisionPolicy | None = None,
     ) -> None:
         self.mesh = mesh
         self.gas = gas
-        if fusion is None:
-            fusion = "gather" if fused else "none"
         if fusion not in FUSION_MODES:
             raise SolverError(
                 f"fusion must be one of {FUSION_MODES}, got {fusion!r}"
@@ -148,10 +159,20 @@ class NavierStokesOperator:
             tags = tag_box_boundaries(mesh)
             self.wall_nodes = np.nonzero(tags != 0)[0]
 
-    @property
-    def fused(self) -> bool:
-        """Back-compat: whether any gather sharing is active."""
-        return self.fusion != "none"
+    @cached_property
+    def _blocks(self) -> list[tuple[slice, PipelineContext]]:
+        """Contiguous ``(slice, view context)`` residual blocks, each
+        holding :data:`BLOCK_PAYLOAD_BYTES` of flux payload. Built on
+        first use: the co-simulator's per-call ``Simulation`` never
+        evaluates :meth:`residual` and never pays for them."""
+        per_element = (
+            NUM_CONSERVED * 3 * self.mesh.nodes_per_element
+            * np.dtype(self.precision.storage).itemsize
+        )
+        size = max(1, BLOCK_PAYLOAD_BYTES // per_element)
+        blocks = element_blocks(np.arange(self.mesh.num_elements), size)
+        slices = [slice(int(b[0]), int(b[-1]) + 1) for b in blocks]
+        return [(sl, self._ctx.element_block(sl)) for sl in slices]
 
     # -- element-pass diagnostics (compute-only pipeline execution) ----------
 
@@ -225,7 +246,9 @@ class NavierStokesOperator:
     def residual(self, stacked: np.ndarray) -> np.ndarray:
         """Full right-hand side ``dq/dt`` for the stacked state ``(5, N)``.
 
-        Executes the operator's pipeline instance functionally. With
+        Executes the operator's pipeline instance functionally, one
+        element block at a time with one scatter per store at the end
+        (:func:`~repro.pipeline.executor.run_blocked_pipeline`). With
         ``fusion="none"`` / ``"gather"`` the diffusion and convection
         contributions are computed by independent element passes (as
         profiled in the paper) and summed after assembly; with
@@ -237,8 +260,12 @@ class NavierStokesOperator:
             raise SolverError(
                 f"state must be (5, {self.mesh.num_nodes}), got {stacked.shape}"
             )
-        outputs = run_pipeline(
-            self.pipeline, self._ctx, {"state": stacked}, profiler=self.profiler
+        outputs = run_blocked_pipeline(
+            self.pipeline,
+            self._ctx,
+            self._blocks,
+            {"state": stacked},
+            profiler=self.profiler,
         )
         return self.finalize_residual(assembled_total(outputs))
 

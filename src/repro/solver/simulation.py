@@ -146,9 +146,8 @@ class Simulation:
         tableau: ButcherTableau = RK4,
         profiler: PhaseProfiler | None = None,
         initial_state: FlowState | None = None,
-        fused_operator: bool = False,
         cfl: float = 0.5,
-        fusion: str | None = None,
+        fusion: str = "none",
         backend=None,
         num_workers: int | None = None,
         dtype=None,
@@ -163,7 +162,6 @@ class Simulation:
                 mesh,
                 self.gas,
                 profiler=self.profiler,
-                fused=fused_operator,
                 fusion=fusion,
                 backend=backend,
                 num_workers=num_workers,

@@ -1,10 +1,14 @@
 """Functional and streaming execution of the operator pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import repro.solver.navier_stokes as ns_module
 from repro.errors import PipelineError
-from repro.mesh.hexmesh import periodic_box_mesh
+from repro.mesh.hexmesh import channel_mesh, periodic_box_mesh
+from repro.physics.channel import decaying_shear_initial
 from repro.physics.taylor_green import DEFAULT_TGV, taylor_green_initial
 from repro.pipeline import (
     PipelineContext,
@@ -15,6 +19,7 @@ from repro.pipeline import (
     streaming_actions,
 )
 from repro.solver.navier_stokes import NavierStokesOperator
+from repro.solver.profiler import PhaseProfiler
 
 
 @pytest.fixture(scope="module")
@@ -25,20 +30,75 @@ def setup():
     return mesh, op, stacked
 
 
+def _flow_case(geometry):
+    """An 8-element mesh and a smooth state on it."""
+    if geometry == "channel":
+        mesh = channel_mesh(2, 2)
+        return mesh, decaying_shear_initial(mesh.coords, DEFAULT_TGV)
+    mesh = periodic_box_mesh(2, 2)
+    if geometry == "curved":
+        # The cross-coordinate corner perturbation of the backend parity
+        # suite: non-affine metric terms on every element.
+        corners = mesh.corner_coords.copy()
+        x, y, z = (mesh.corner_coords[..., i] for i in range(3))
+        corners[..., 0] += 0.05 * np.sin(y * z / 4.0 + 0.3)
+        corners[..., 1] += 0.05 * np.sin(z * x / 4.0 + 0.7)
+        corners[..., 2] += 0.05 * np.sin(x * y / 4.0 + 1.1)
+        mesh = replace(mesh, corner_coords=corners)
+    return mesh, taylor_green_initial(mesh.coords, DEFAULT_TGV)
+
+
 class TestRunPipeline:
+    @pytest.mark.parametrize(
+        "block", [4, 3, 16], ids=["multiple", "short-last", "under-one"]
+    )
+    @pytest.mark.parametrize("geometry", ["periodic", "curved", "channel"])
+    @pytest.mark.parametrize("backend", ["fast", "reference"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "mixed"])
     @pytest.mark.parametrize("fusion", ["none", "gather", "full"])
-    def test_matches_operator_residual(self, setup, fusion):
-        """Every fusion level of the IR reproduces the operator's RHS
-        (the operator itself executes the same pipeline instance)."""
-        mesh, op, stacked = setup
-        expected = op.residual(stacked)
-        ctx = PipelineContext.from_operator(op)
-        outputs = run_pipeline(
-            navier_stokes_pipeline(fusion), ctx, {"state": stacked}
+    def test_matches_operator_residual(
+        self, monkeypatch, fusion, dtype, backend, geometry, block
+    ):
+        """The operator's blocked residual is bitwise the whole-mesh
+        pipeline run plus ``finalize_residual``, with the same profiler
+        phases — for block sizes dividing the 8 elements, leaving a
+        short last block, and exceeding the mesh."""
+        mesh, state = _flow_case(geometry)
+        gas = DEFAULT_TGV.gas()
+        kwargs = dict(fusion=fusion, backend=backend, dtype=dtype)
+        blocked = NavierStokesOperator(mesh, gas, PhaseProfiler(), **kwargs)
+        whole = NavierStokesOperator(mesh, gas, PhaseProfiler(), **kwargs)
+        # Blocks are sized on the first residual, so the budget can be
+        # set after construction: ``block`` elements of flux payload.
+        itemsize = np.dtype(blocked.precision.storage).itemsize
+        monkeypatch.setattr(
+            ns_module,
+            "BLOCK_PAYLOAD_BYTES",
+            block * 5 * 3 * mesh.nodes_per_element * itemsize,
         )
-        got = op.finalize_residual(assembled_total(outputs))
-        scale = np.abs(expected).max()
-        assert np.abs(got - expected).max() <= 1e-12 * scale
+        stacked = state.as_stacked()
+        got = blocked.residual(stacked)
+        assert len(blocked._blocks) == -(-mesh.num_elements // block)
+
+        outputs = run_pipeline(
+            navier_stokes_pipeline(fusion),
+            PipelineContext.from_operator(whole),
+            {"state": stacked.astype(whole.precision.storage)},
+            profiler=whole.profiler,
+        )
+        expected = whole.finalize_residual(assembled_total(outputs))
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert set(blocked.profiler.totals()) == set(whole.profiler.totals())
+
+    def test_block_contexts_built_on_first_residual(self, setup):
+        """Operators that never evaluate a residual (the co-simulator's
+        per-call Simulation) never build the block contexts."""
+        mesh, _op, stacked = setup
+        op = NavierStokesOperator(mesh, DEFAULT_TGV.gas())
+        assert "_blocks" not in vars(op)
+        op.residual(stacked)
+        assert "_blocks" in vars(op)
 
     def test_unbound_external_rejected(self, setup):
         _mesh, op, _stacked = setup
@@ -47,8 +107,6 @@ class TestRunPipeline:
             run_pipeline(navier_stokes_pipeline("none"), ctx, {})
 
     def test_profiler_phases_attributed_per_stage(self, setup):
-        from repro.solver.profiler import PhaseProfiler
-
         _mesh, op, stacked = setup
         prof = PhaseProfiler()
         ctx = PipelineContext.from_operator(op)

@@ -47,10 +47,36 @@ class TestStructure:
 
         mesh = periodic_box_mesh(3, 2)
         gas = DEFAULT_TGV.gas()
-        plain = NavierStokesOperator(mesh, gas, fused=False)
-        fused = NavierStokesOperator(mesh, gas, fused=True)
+        plain = NavierStokesOperator(mesh, gas, fusion="none")
+        shared = NavierStokesOperator(mesh, gas, fusion="gather")
         stacked = tgv_state.as_stacked()
-        assert np.allclose(plain.residual(stacked), fused.residual(stacked))
+        assert np.allclose(plain.residual(stacked), shared.residual(stacked))
+
+
+    def test_residual_transient_memory_is_block_sized(self):
+        """A warmed residual's transient peak stays under 3x the bytes of
+        the (5, E, Q) element residual: per-element intermediates exist
+        one element block at a time (whole-mesh execution peaks at ~8x)."""
+        import tracemalloc
+
+        from repro.mesh.hexmesh import periodic_box_mesh
+
+        mesh = periodic_box_mesh(8, 3)
+        op = NavierStokesOperator(
+            mesh, DEFAULT_TGV.gas(), fusion="full", backend="fast",
+            dtype="float64",
+        )
+        stacked = taylor_green_initial(mesh.coords, DEFAULT_TGV).as_stacked()
+        op.residual(stacked)  # warm: blocks, workspaces, scatter index
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            op.residual(stacked)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        element_residual_bytes = 5 * mesh.num_elements * 64 * 8
+        assert peak < 3 * element_residual_bytes
 
 
 class TestPhysics:

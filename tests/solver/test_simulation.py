@@ -95,8 +95,8 @@ class TestSchemes:
         from repro.mesh.hexmesh import periodic_box_mesh
 
         mesh = periodic_box_mesh(2, 2)
-        a = Simulation(mesh, DEFAULT_TGV, fused_operator=False).run(3, dt=1e-4)
-        b = Simulation(mesh, DEFAULT_TGV, fused_operator=True).run(3, dt=1e-4)
+        a = Simulation(mesh, DEFAULT_TGV).run(3, dt=1e-4)
+        b = Simulation(mesh, DEFAULT_TGV, fusion="gather").run(3, dt=1e-4)
         assert np.allclose(
             a.final_state.as_stacked(), b.final_state.as_stacked()
         )

@@ -123,6 +123,9 @@ def test_architecture_documents_the_execution_caches():
         "planned_einsum",
         "set_einsum_path_cache",
         "single_pass_net_flux",
+        "Blocked residual",
+        "run_blocked_pipeline",
+        "BLOCK_PAYLOAD_BYTES",
         "set_schedule_cache",
         "schedule_cache_stats",
         "CampaignSpec.backend",
