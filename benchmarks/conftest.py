@@ -6,8 +6,8 @@ in ``benchmark.extra_info`` so the JSON output carries the
 paper-vs-measured comparison.
 
 Every ``BENCH_*.json`` artifact written during a session is additionally
-stamped with a ``"machine"`` record (core count, resolved backend and
-worker count, platform, python) so perf trajectories compared across CI
+stamped with a ``"machine"`` record (core count, resolved backend,
+platform, python) so perf trajectories compared across CI
 runners and local machines carry the context needed to interpret them.
 """
 
@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.accel.designs import proposed_design, vitis_baseline_design
-from repro.backend import resolve_backend_name, resolve_num_workers
+from repro.backend import resolve_backend_name
 
 BENCH_DIR = Path(__file__).resolve().parent
 
@@ -42,7 +42,6 @@ def bench_machine_info() -> dict:
     return {
         "cpu_count": os.cpu_count() or 1,
         "backend": resolve_backend_name(),
-        "num_workers": resolve_num_workers(),
         "platform": platform.platform(),
         "python": platform.python_version(),
     }

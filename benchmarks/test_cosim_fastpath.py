@@ -8,14 +8,13 @@ mesh two ways:
    (reference) backend, contraction plans re-planned per ``einsum``
    call, every schedule solved afresh.
 2. **fast path** — ``verify=False``, payloads routed to the ``fast``
-   backend's batched ``_many`` kernels, einsum-path and
-   compiled-schedule caches warm.
+   backend's batched ``_many`` kernels (with their per-instance
+   contraction plans), compiled-schedule cache warm.
 
 The fast path must clear the **2x floor** while its final state stays
 *bitwise identical* to the verified run — the speedup is bought by
 dropping redundancy, never accuracy. The artifact additionally records
-the ``Simulation.step`` gain from the einsum-path cache alone and the
-full-ladder DSE campaign wall-clock before/after (with zero
+the full-ladder DSE campaign wall-clock before/after (with zero
 tier-agreement violations either way).
 
 Run with ``python -m pytest benchmarks/test_cosim_fastpath.py -v -s``.
@@ -33,10 +32,7 @@ import pytest
 from repro.accel.cosim import cosimulate_rk_stage
 from repro.dataflow import clear_schedule_cache, set_schedule_cache
 from repro.dse import CampaignSpec, run_campaign
-from repro.fem.operators import set_einsum_path_cache
 from repro.mesh.hexmesh import periodic_box_mesh
-from repro.physics.taylor_green import DEFAULT_TGV
-from repro.solver.simulation import Simulation
 
 #: Payload cosim tier workload: 8^3 = 512 elements at p=3, full RK step.
 ELEMENTS_PER_DIRECTION = 8
@@ -58,7 +54,6 @@ ARTIFACT_PATH = Path(__file__).resolve().parent / "BENCH_pr9.json"
 
 
 def _set_caches(enabled: bool) -> None:
-    set_einsum_path_cache(enabled)
     set_schedule_cache(enabled)
     if not enabled:
         clear_schedule_cache()
@@ -69,17 +64,6 @@ def caches_restored():
     """Every test leaves the execution caches in their default state."""
     yield
     _set_caches(True)
-
-
-def _best_of(fn, repeat: int = 3) -> float:
-    """Minimum wall-clock seconds over ``repeat`` calls (after warmup)."""
-    fn()
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _cosim(proposed, *, verify: bool, backend: str | None, caches: bool):
@@ -162,32 +146,6 @@ def test_cosim_fast_path_speedup_at_least_2x(cosim_times):
 
 
 @pytest.fixture(scope="module")
-def step_times():
-    """``Simulation.step`` with and without the einsum-path cache."""
-    mesh = periodic_box_mesh(ELEMENTS_PER_DIRECTION, ORDER)
-    sim = Simulation(mesh, DEFAULT_TGV)
-    dt = sim.compute_dt()
-    set_einsum_path_cache(False)
-    replanned = _best_of(lambda: sim.step(dt))
-    set_einsum_path_cache(True)
-    cached = _best_of(lambda: sim.step(dt))
-    return {"replanned": replanned, "cached": cached}
-
-
-def test_step_einsum_cache_speedup_recorded(step_times):
-    """Cached contraction plans must not slow the solver step down (and
-    typically buy a measurable gain — recorded, not floored, because the
-    planning share shrinks with element count)."""
-    speedup = step_times["replanned"] / step_times["cached"]
-    print(
-        f"\nSimulation.step einsum-path cache: replanned "
-        f"{step_times['replanned'] * 1e3:.2f}ms, cached "
-        f"{step_times['cached'] * 1e3:.2f}ms -> {speedup:.2f}x"
-    )
-    assert speedup > 0.9
-
-
-@pytest.fixture(scope="module")
 def ladder_times():
     """Full-ladder campaign wall-clock, PR-8 style vs fast path."""
     results = {}
@@ -229,7 +187,7 @@ def test_full_ladder_sweep_recorded_with_zero_violations(ladder_times):
     assert before["finalists"] == after["finalists"] > 0
 
 
-def test_artifact_written(cosim_times, step_times, ladder_times):
+def test_artifact_written(cosim_times, ladder_times):
     """Emit the BENCH_pr9.json perf-trajectory artifact for CI upload."""
     payload = {
         "benchmark": "cosim_fastpath",
@@ -241,10 +199,6 @@ def test_artifact_written(cosim_times, step_times, ladder_times):
         "cosim_seconds": cosim_times,
         "cosim_speedup": round(
             cosim_times["pr8_config"] / cosim_times["fast_path"], 4
-        ),
-        "step_einsum_cache_seconds": step_times,
-        "step_einsum_cache_speedup": round(
-            step_times["replanned"] / step_times["cached"], 4
         ),
         "dse_full_ladder": ladder_times,
     }

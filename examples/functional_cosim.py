@@ -34,8 +34,7 @@ drops only the error-report fields (the DSE cosim tier runs this way).
 Usage::
 
     python examples/functional_cosim.py [elements_per_direction] [order] \
-        [--backend reference|fast|threaded|procs] [--num-workers W] \
-        [--case tgv|channel] \
+        [--backend reference|fast] [--case tgv|channel] \
         [--block-size B] [--num-cus N] [--full-step] [--num-steps K] \
         [--engine event|vectorized|auto] [--dtype float64|float32|mixed] \
         [--no-verify]
@@ -47,11 +46,7 @@ import argparse
 
 from repro.accel.cosim import cosimulate_small_mesh
 from repro.accel.designs import proposed_design
-from repro.backend import (
-    add_backend_argument,
-    add_num_workers_argument,
-    resolve_backend_name,
-)
+from repro.backend import add_backend_argument, resolve_backend_name
 from repro.mesh.hexmesh import channel_mesh, periodic_box_mesh
 from repro.pipeline import navier_stokes_pipeline
 from repro.precision import add_dtype_argument, resolve_dtype
@@ -107,7 +102,6 @@ def main() -> None:
         "fields are omitted)",
     )
     add_backend_argument(parser)
-    add_num_workers_argument(parser)
     add_dtype_argument(parser)
     args = parser.parse_args()
     backend = resolve_backend_name(args.backend)
@@ -147,7 +141,6 @@ def main() -> None:
         block_size=args.block_size,
         num_cus=args.num_cus,
         engine=args.engine,
-        num_workers=args.num_workers,
         dtype=dtype,
         verify=verify,
     )
@@ -205,7 +198,6 @@ def main() -> None:
             num_cus=args.num_cus,
             num_steps=args.num_steps,
             engine=args.engine,
-            num_workers=args.num_workers,
             dtype=dtype,
             verify=verify,
         )

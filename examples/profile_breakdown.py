@@ -11,7 +11,7 @@
 Usage::
 
     python examples/profile_breakdown.py [elements_per_direction] [steps] \
-        [--backend reference|fast|threaded|procs] [--num-workers N] \
+        [--backend reference|fast] \
         [--dtype float64|float32|mixed]
 """
 
@@ -19,11 +19,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.backend import (
-    add_backend_argument,
-    add_num_workers_argument,
-    resolve_backend_name,
-)
+from repro.backend import add_backend_argument, resolve_backend_name
 from repro.experiments.fig2_breakdown import render_fig2, run_fig2
 from repro.mesh.hexmesh import periodic_box_mesh
 from repro.precision import add_dtype_argument, resolve_dtype
@@ -36,7 +32,6 @@ def main() -> None:
     parser.add_argument("elements", nargs="?", type=int, default=5)
     parser.add_argument("steps", nargs="?", type=int, default=8)
     add_backend_argument(parser)
-    add_num_workers_argument(parser)
     add_dtype_argument(parser)
     args = parser.parse_args()
     elements, steps = args.elements, args.steps
@@ -52,10 +47,7 @@ def main() -> None:
         f"{steps} steps, backend '{backend}', dtype '{dtype}') =="
     )
     mesh = periodic_box_mesh(elements, 2)
-    sim = Simulation(
-        mesh, DEFAULT_TGV, backend=backend, num_workers=args.num_workers,
-        dtype=dtype,
-    )
+    sim = Simulation(mesh, DEFAULT_TGV, backend=backend, dtype=dtype)
     sim.run(steps)
     print(sim.profiler.report())
 

@@ -8,7 +8,7 @@ same workload on the modeled FPGA accelerator and the Xeon baseline.
 Usage::
 
     python examples/quickstart.py [elements_per_direction] [steps] \
-        [--backend reference|fast|threaded|procs] [--num-workers N] \
+        [--backend reference|fast] \
         [--dtype float64|float32|mixed]
 """
 
@@ -18,11 +18,7 @@ import argparse
 
 from repro.accel.cosim import design_timing
 from repro.accel.designs import proposed_design
-from repro.backend import (
-    add_backend_argument,
-    add_num_workers_argument,
-    resolve_backend_name,
-)
+from repro.backend import add_backend_argument, resolve_backend_name
 from repro.precision import add_dtype_argument, resolve_dtype
 from repro.cpu.xeon import cpu_step_time
 from repro.mesh.hexmesh import periodic_box_mesh
@@ -35,7 +31,6 @@ def main() -> None:
     parser.add_argument("elements", nargs="?", type=int, default=4)
     parser.add_argument("steps", nargs="?", type=int, default=10)
     add_backend_argument(parser)
-    add_num_workers_argument(parser)
     add_dtype_argument(parser)
     args = parser.parse_args()
     elements, steps = args.elements, args.steps
@@ -52,10 +47,7 @@ def main() -> None:
         f"Ma {DEFAULT_TGV.mach}, Re {DEFAULT_TGV.reynolds:.0f}"
     )
 
-    sim = Simulation(
-        mesh, DEFAULT_TGV, backend=backend, num_workers=args.num_workers,
-        dtype=dtype,
-    )
+    sim = Simulation(mesh, DEFAULT_TGV, backend=backend, dtype=dtype)
     result = sim.run(steps)
 
     print("\nstep   time       dt         E_k        max|u|")

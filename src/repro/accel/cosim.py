@@ -691,7 +691,6 @@ def cosimulate_small_mesh(
     block_size: int = 1,
     num_cus: int = 1,
     engine: str = "auto",
-    num_workers: int | None = None,
     dtype: str | None = None,
     verify: bool = True,
 ) -> CosimResult:
@@ -730,9 +729,6 @@ def cosimulate_small_mesh(
     engine:
         Simulation engine, forwarded to :func:`streamed_residual`
         (``"auto"`` resolves to the vectorized schedule engine).
-    num_workers:
-        Worker count when ``backend`` selects a parallel backend
-        (``"threaded"``/``"procs"``); ignored by serial backends.
     dtype:
         Precision mode for both paths (``"float64"``, ``"float32"``,
         ``"mixed"``; ``None`` defers to ``REPRO_DTYPE``). Functional
@@ -763,8 +759,7 @@ def cosimulate_small_mesh(
     if case is None:
         case = DEFAULT_TGV
     sim = Simulation(
-        mesh, case, backend=backend, initial_state=initial_state,
-        num_workers=num_workers, dtype=dtype,
+        mesh, case, backend=backend, initial_state=initial_state, dtype=dtype,
     )
     initial_stacked = sim.state.as_stacked()
     streamed, trace = streamed_residual(
@@ -1031,6 +1026,9 @@ def cosimulate_rk_stage(
         Simulation engine
         (:meth:`~repro.dataflow.simulator.DataflowSimulator.run`);
         ``"auto"`` resolves to the vectorized schedule engine.
+    num_workers:
+        Kept only so existing callers passing ``1`` keep working; any
+        value but ``None``/``1`` raises (see :class:`Simulation`).
     dtype:
         Precision mode (``"float64"``, ``"float32"``, ``"mixed"``;
         ``None`` defers to ``REPRO_DTYPE``): the streamed step's staging

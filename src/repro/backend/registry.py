@@ -20,10 +20,6 @@ from .base import KernelBackend
 #: Environment variable consulted when no backend name is given.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-#: Environment variable consulted when no worker count is given
-#: (parallel backends only).
-WORKERS_ENV_VAR = "REPRO_NUM_WORKERS"
-
 #: The backend used when nothing selects one explicitly.
 DEFAULT_BACKEND = "reference"
 
@@ -70,31 +66,18 @@ def resolve_backend_name(name: str | None = None) -> str:
     return env.lower() if env else DEFAULT_BACKEND
 
 
-def resolve_num_workers(num_workers: int | None = None) -> int:
-    """The worker count a parallel backend will use.
+def require_serial_workers(num_workers: int | None) -> None:
+    """Reject any worker count but ``None`` or ``1``.
 
-    Explicit ``num_workers`` wins; otherwise the ``REPRO_NUM_WORKERS``
-    environment variable; otherwise the machine's CPU count. The result
-    is always >= 1.
+    Both built-in backends run serially, so a larger count would be
+    silently dropped; raising keeps callers from believing they got
+    parallelism they asked for.
     """
-    value = num_workers
-    if value is None:
-        env = os.environ.get(WORKERS_ENV_VAR, "").strip()
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{WORKERS_ENV_VAR} must be an integer, got {env!r}"
-                ) from None
-    if value is None:
-        return max(1, os.cpu_count() or 1)
-    value = int(value)
-    if value < 1:
+    if num_workers is not None and num_workers != 1:
         raise ConfigurationError(
-            f"num_workers must be a positive integer, got {value}"
+            f"num_workers={num_workers!r} is not supported: the compute "
+            "backends are serial; pass None or 1"
         )
-    return value
 
 
 def add_backend_argument(parser) -> None:
@@ -115,24 +98,6 @@ def add_backend_argument(parser) -> None:
     )
 
 
-def add_num_workers_argument(parser) -> None:
-    """Attach the standard ``--num-workers`` flag to an argparse parser.
-
-    Companion of :func:`add_backend_argument` for the parallel backends:
-    ``None`` (the default) defers to ``REPRO_NUM_WORKERS`` and then the
-    CPU count, exactly like :func:`resolve_num_workers`.
-    """
-    parser.add_argument(
-        "--num-workers",
-        type=int,
-        default=None,
-        help=(
-            "worker count for parallel backends (threaded/procs); "
-            f"default: ${WORKERS_ENV_VAR} or the CPU count"
-        ),
-    )
-
-
 def _factory_accepts(factory: Callable, param: str) -> bool:
     try:
         params = inspect.signature(factory).parameters
@@ -148,17 +113,16 @@ def _factory_accepts(factory: Callable, param: str) -> bool:
 def get_backend(
     name: str | KernelBackend | None = None,
     *,
-    num_workers: int | None = None,
     precision=None,
 ) -> KernelBackend:
     """Instantiate the backend selected by ``name`` / env var / default.
 
     Accepts an already-constructed :class:`KernelBackend` and returns it
     unchanged, so call sites can take ``str | KernelBackend | None``
-    uniformly. ``num_workers`` and ``precision`` (a dtype-mode name or
-    :class:`~repro.precision.modes.PrecisionPolicy`) are forwarded to
-    factories that accept them and silently ignored by those that do
-    not, so one call signature serves every backend.
+    uniformly. ``precision`` (a dtype-mode name or
+    :class:`~repro.precision.modes.PrecisionPolicy`) is forwarded to
+    factories that accept it and silently ignored by those that do not,
+    so one call signature serves every backend.
     """
     if isinstance(name, KernelBackend):
         return name
@@ -173,8 +137,6 @@ def get_backend(
             "repro.backend.register_backend()."
         )
     kwargs = {}
-    if num_workers is not None and _factory_accepts(factory, "num_workers"):
-        kwargs["num_workers"] = num_workers
     if precision is not None and _factory_accepts(factory, "precision"):
         kwargs["precision"] = precision
     backend = factory(**kwargs)

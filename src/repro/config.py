@@ -126,11 +126,6 @@ class SolverConfig:
         Resolved lazily — validation of the *name* happens when a solver
         asks the registry for it, so configs can be built before custom
         backends register.
-    num_workers:
-        Worker count for the parallel backends (``"threaded"``,
-        ``"procs"``). ``None`` defers to the ``REPRO_NUM_WORKERS``
-        environment variable, then the machine's CPU count. Ignored by
-        serial backends.
     dtype:
         Precision mode for fields and accumulators (``"float64"``,
         ``"float32"``, or ``"mixed"`` — see
@@ -145,7 +140,6 @@ class SolverConfig:
     gamma: float = 1.4
     gas_constant: float = 287.0
     backend: str | None = None
-    num_workers: int | None = None
     dtype: str | None = None
 
     def __post_init__(self) -> None:
@@ -154,12 +148,6 @@ class SolverConfig:
         ):
             raise ConfigurationError(
                 "backend must be None or a non-empty backend name"
-            )
-        if self.num_workers is not None and (
-            not isinstance(self.num_workers, int) or self.num_workers < 1
-        ):
-            raise ConfigurationError(
-                "num_workers must be None or a positive integer"
             )
         if self.dtype is not None:
             resolve_dtype(self.dtype)  # raises on unknown modes

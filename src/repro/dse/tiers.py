@@ -32,6 +32,7 @@ from ..accel.designs import (
     custom_design,
 )
 from ..accel.multi_cu import multi_cu_floorplan, nodes_per_compute_unit
+from ..backend.registry import require_serial_workers
 from ..errors import DSEError
 from ..fpga.device import device_by_name
 from ..fpga.floorplan import clock_for_floorplan
@@ -303,7 +304,6 @@ def evaluate_cosim(
     point: DesignPoint,
     *,
     backend: str | None = None,
-    num_workers: int | None = None,
     verify: bool = True,
 ) -> PointResult:
     """Tier 3: full payload-carrying co-simulation of the RK step(s).
@@ -343,7 +343,6 @@ def evaluate_cosim(
         block_size=point.block_size,
         partitions=point.element_partitions(),
         num_steps=point.num_steps,
-        num_workers=num_workers,
         dtype=point.precision,
         verify=verify,
     )
@@ -376,13 +375,16 @@ def evaluate_point(
 ) -> PointResult:
     """Price one point at one tier.
 
-    ``backend`` / ``num_workers`` / ``verify`` configure the cosim
-    tier's payload execution (see :func:`evaluate_cosim`); the timing
-    tiers ignore them — cycles price token counts, not kernels.
+    ``backend`` / ``verify`` configure the cosim tier's payload
+    execution (see :func:`evaluate_cosim`); the timing tiers ignore
+    them — cycles price token counts, not kernels. ``num_workers`` is
+    kept only so existing callers passing ``1`` keep working; any value
+    but ``None``/``1`` raises :class:`~repro.errors.ConfigurationError`.
 
     Raises :class:`~repro.errors.DSEError` on an unknown tier or an
     infeasible point.
     """
+    require_serial_workers(num_workers)
     try:
         evaluator = _EVALUATORS[tier]
     except KeyError:
@@ -393,9 +395,7 @@ def evaluate_point(
     if reason is not None:
         raise DSEError(f"cannot evaluate infeasible point: {reason}")
     if tier == "cosim":
-        return evaluator(
-            point, backend=backend, num_workers=num_workers, verify=verify
-        )
+        return evaluator(point, backend=backend, verify=verify)
     return evaluator(point)
 
 

@@ -28,11 +28,6 @@ class FEMError(ReproError):
     """Finite-element machinery (basis, quadrature, assembly) failed."""
 
 
-class BackendError(ReproError):
-    """A kernel backend failed at runtime (e.g. a parallel pool worker
-    died or reported an error)."""
-
-
 class PhysicsError(ReproError):
     """A physical state is invalid (negative density, pressure, ...)."""
 

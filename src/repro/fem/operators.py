@@ -23,53 +23,6 @@ from ..errors import FEMError
 from .geometry import ElementGeometry
 from .reference import ReferenceHex
 
-#: Contraction plans keyed by ``(formula, shape/dtype signature)``.
-#:
-#: ``np.einsum(..., optimize=True)`` re-plans the contraction order on
-#: *every* call (a greedy search over operand shapes). The solver calls
-#: the same handful of contractions with the same shapes millions of
-#: times per run, so the plan is computed once here and replayed. A
-#: cached plan can never change results: for a fixed operand signature
-#: the planner is deterministic, so the replayed path performs exactly
-#: the contraction sequence per-call planning would have chosen —
-#: outputs are bitwise identical, only the planning overhead disappears.
-_EINSUM_PATHS: dict[tuple, list] = {}
-
-_PATH_CACHE_ENABLED = True
-
-
-def set_einsum_path_cache(enabled: bool) -> bool:
-    """Enable/disable the contraction-plan cache; returns the old state.
-
-    Disabling restores per-call ``optimize=True`` planning — only useful
-    for benchmarking the planning overhead itself.
-    """
-    global _PATH_CACHE_ENABLED
-    previous = _PATH_CACHE_ENABLED
-    _PATH_CACHE_ENABLED = bool(enabled)
-    return previous
-
-
-def planned_einsum(formula: str, *operands: np.ndarray) -> np.ndarray:
-    """``np.einsum`` with the contraction plan cached per signature.
-
-    The plan depends only on the formula and the operands' shapes and
-    dtypes, so the cache key is exactly that signature. Greedy planning
-    (what ``optimize=True`` runs per call) is deterministic, making the
-    cached replay bitwise-equivalent to the uncached call.
-    """
-    if not _PATH_CACHE_ENABLED:
-        return np.einsum(formula, *operands, optimize=True)
-    key = (formula,) + tuple(
-        (op.shape, op.dtype.str) for op in operands
-    )
-    path = _EINSUM_PATHS.get(key)
-    if path is None:
-        path = np.einsum_path(formula, *operands, optimize=True)[0]
-        _EINSUM_PATHS[key] = path
-    return np.einsum(formula, *operands, optimize=path)
-
-
 def _as_grid(field: np.ndarray, n1: int) -> np.ndarray:
     """View ``(E, Q)`` as ``(E, n1, n1, n1)`` indexed ``[e, iz, iy, ix]``."""
     e = field.shape[0]
@@ -98,9 +51,9 @@ def reference_gradient(field: np.ndarray, ref: ReferenceHex) -> np.ndarray:
     grid = _as_grid(field, n1)  # (E, z, y, x)
     out = np.empty((field.shape[0], 3) + grid.shape[1:], dtype=field.dtype)
     # d/dxi acts on the x (last) axis: out[e,z,y,a] = sum_b D[a,b] f[e,z,y,b]
-    out[:, 0] = planned_einsum("ab,ezyb->ezya", d, grid)
-    out[:, 1] = planned_einsum("ab,ezby->ezay", d, grid)
-    out[:, 2] = planned_einsum("ab,ebzy->eazy", d, grid)
+    out[:, 0] = np.einsum("ab,ezyb->ezya", d, grid, optimize=True)
+    out[:, 1] = np.einsum("ab,ezby->ezay", d, grid, optimize=True)
+    out[:, 2] = np.einsum("ab,ebzy->eazy", d, grid, optimize=True)
     return out.reshape(field.shape[0], 3, n1**3)
 
 
@@ -114,8 +67,8 @@ def physical_gradient(
     ref_grad = reference_gradient(field, ref)  # (E, 3, Q)
     inv = geom.inverse_jacobian.astype(ref_grad.dtype, copy=False)
     if inv.shape[1] == 1:  # affine: metric constant within the element
-        return planned_einsum("erq,erp->eqp", ref_grad, inv[:, 0])
-    return planned_einsum("erq,eqrp->eqp", ref_grad, inv)
+        return np.einsum("erq,erp->eqp", ref_grad, inv[:, 0], optimize=True)
+    return np.einsum("erq,eqrp->eqp", ref_grad, inv, optimize=True)
 
 
 def physical_gradient_many(
@@ -168,18 +121,18 @@ def weak_divergence(
 
     # G[e, r, q] = scale * sum_p invJ[r, p] * F_p  (contravariant flux)
     if inv.shape[1] == 1:
-        g = planned_einsum("eqp,erp->erq", flux, inv[:, 0])
+        g = np.einsum("eqp,erp->erq", flux, inv[:, 0], optimize=True)
     else:
-        g = planned_einsum("eqp,eqrp->erq", flux, inv)
+        g = np.einsum("eqp,eqrp->erq", flux, inv, optimize=True)
     g *= scale[:, None, :]
 
     d = ref.diff.astype(flux.dtype, copy=False)
     gz = g.reshape(num_elem, 3, n1, n1, n1)
     # R = -(Dx^T Gx + Dy^T Gy + Dz^T Gz), D^T applied along the matching axis:
     # out[a] = sum_q D[q, a] G[q].
-    res = planned_einsum("qa,ezyq->ezya", d, gz[:, 0])
-    res += planned_einsum("qa,ezqy->ezay", d, gz[:, 1])
-    res += planned_einsum("qa,eqzy->eazy", d, gz[:, 2])
+    res = np.einsum("qa,ezyq->ezya", d, gz[:, 0], optimize=True)
+    res += np.einsum("qa,ezqy->ezay", d, gz[:, 1], optimize=True)
+    res += np.einsum("qa,eqzy->eazy", d, gz[:, 2], optimize=True)
     return -res.reshape(num_elem, n1**3)
 
 
@@ -191,7 +144,7 @@ def element_integrals(
     if field.ndim != 2 or field.shape[1] != n1**3:
         raise FEMError(f"field must be (E, {n1 ** 3}), got {field.shape}")
     scale = geom.quadrature_scale(ref)
-    return planned_einsum("eq,eq->e", field, scale)
+    return np.einsum("eq,eq->e", field, scale, optimize=True)
 
 
 def element_mass_matrix_diagonal(

@@ -91,13 +91,9 @@ class NavierStokesOperator:
         One of :data:`FUSION_MODES`.
     backend:
         Compute backend for the hot kernels: a name (``"reference"``,
-        ``"fast"``, ``"threaded"``, ``"procs"``), a
+        ``"fast"``), a
         :class:`~repro.backend.KernelBackend` instance, or ``None`` for
         the environment/default selection.
-    num_workers:
-        Worker count for the parallel backends; ``None`` defers to the
-        ``REPRO_NUM_WORKERS`` environment variable, then the CPU count.
-        Ignored by serial backends.
     dtype:
         Precision mode for the hot path: ``"float64"`` (the oracle),
         ``"float32"`` (device-faithful, including f32 scatter
@@ -115,7 +111,6 @@ class NavierStokesOperator:
         profiler: PhaseProfiler | None = None,
         fusion: str = "none",
         backend: str | KernelBackend | None = None,
-        num_workers: int | None = None,
         dtype: str | PrecisionPolicy | None = None,
     ) -> None:
         self.mesh = mesh
@@ -131,9 +126,7 @@ class NavierStokesOperator:
             self.precision = backend.precision
         else:
             self.precision = PrecisionPolicy.resolve(dtype)
-        self.backend = get_backend(
-            backend, num_workers=num_workers, precision=self.precision
-        )
+        self.backend = get_backend(backend, precision=self.precision)
         self.profiler = profiler if profiler is not None else PhaseProfiler()
         self.ref = reference_hex(mesh.polynomial_order)
         self.geom = compute_geometry(mesh.corner_coords, self.ref)

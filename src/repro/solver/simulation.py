@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..backend.registry import require_serial_workers
 from ..errors import SolverError
 from ..physics.diagnostics import kinetic_energy, total_mass
 from ..physics.gas import GasProperties
@@ -93,7 +94,8 @@ class Simulation:
     ``dtype`` selects the precision mode (``"float64"``, ``"float32"``,
     ``"mixed"``; ``None`` defers to ``REPRO_DTYPE``) — the whole RK step
     (stage states, derivatives, axpy accumulation, primitives) then runs
-    under that policy.
+    under that policy. ``num_workers`` stays only so existing callers
+    passing ``1`` keep working; any value but ``None``/``1`` raises.
     """
 
     @property
@@ -135,7 +137,6 @@ class Simulation:
         )
         kwargs.setdefault("cfl", solver.cfl)
         kwargs.setdefault("backend", solver.backend)
-        kwargs.setdefault("num_workers", solver.num_workers)
         kwargs.setdefault("dtype", solver.dtype)
         return cls(mesh, case, **kwargs)
 
@@ -152,6 +153,7 @@ class Simulation:
         num_workers: int | None = None,
         dtype=None,
     ) -> None:
+        require_serial_workers(num_workers)
         self.case = case
         self.gas = case.gas()
         self.tableau = tableau
@@ -164,7 +166,6 @@ class Simulation:
                 profiler=self.profiler,
                 fusion=fusion,
                 backend=backend,
-                num_workers=num_workers,
                 dtype=dtype,
             )
             self.precision = self.operator.precision

@@ -22,6 +22,16 @@ class TestResolution:
         assert "reference" in available_backends()
         assert "fast" in available_backends()
 
+    def test_only_serial_backends_are_registered(self):
+        assert available_backends() == ("fast", "reference")
+
+    def test_removed_parallel_backend_name_is_unknown(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            get_backend("procs")
+        message = str(excinfo.value)
+        assert "procs" in message
+        assert "fast, reference" in message
+
     def test_default_is_reference(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         assert resolve_backend_name() == "reference"
@@ -127,6 +137,140 @@ class TestErrors:
         monkeypatch.setitem(_REGISTRY, "broken", lambda: object())
         with pytest.raises(ConfigError):
             get_backend("broken")
+
+
+class TestSerialWorkerKeyword:
+    """``Simulation``, ``cosimulate_rk_stage`` and ``evaluate_point``
+    keep ``num_workers`` for callers passing ``1``; every backend is
+    serial, so any other count must raise instead of being dropped."""
+
+    @staticmethod
+    def _simulation(num_workers):
+        from repro.mesh.hexmesh import periodic_box_mesh
+        from repro.physics.taylor_green import DEFAULT_TGV
+        from repro.solver.simulation import Simulation
+
+        return Simulation(
+            periodic_box_mesh(1, 2), DEFAULT_TGV, num_workers=num_workers
+        )
+
+    @staticmethod
+    def _cosim_step(num_workers):
+        from repro.accel.cosim import cosimulate_rk_stage
+        from repro.accel.designs import proposed_design
+        from repro.mesh.hexmesh import periodic_box_mesh
+
+        return cosimulate_rk_stage(
+            proposed_design(),
+            periodic_box_mesh(1, 2),
+            backend="fast",
+            num_workers=num_workers,
+            verify=False,
+        )
+
+    @staticmethod
+    def _evaluate_point(num_workers):
+        from repro.dse.campaign import DesignPoint
+        from repro.dse.tiers import evaluate_point
+
+        return evaluate_point(
+            DesignPoint(polynomial_order=2, elements_per_direction=2),
+            "closed-form",
+            num_workers=num_workers,
+        )
+
+    ENTRY_POINTS = ("_simulation", "_cosim_step", "_evaluate_point")
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_more_than_one_worker_raises(self, entry):
+        with pytest.raises(ConfigurationError, match="num_workers=2"):
+            getattr(self, entry)(2)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_one_worker_is_accepted(self, entry):
+        assert getattr(self, entry)(1) is not None
+
+    @pytest.mark.parametrize("num_workers", [0, -1])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_non_positive_worker_count_raises(self, entry, num_workers):
+        with pytest.raises(
+            ConfigurationError, match=f"num_workers={num_workers}"
+        ):
+            getattr(self, entry)(num_workers)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_no_worker_count_is_accepted(self, entry):
+        assert getattr(self, entry)(None) is not None
+
+
+class TestRemovedWorkerPlumbing:
+    """Entry points that only forwarded ``num_workers`` to the removed
+    parallel backends no longer take it."""
+
+    @staticmethod
+    def _get_backend():
+        get_backend("fast", num_workers=2)
+
+    @staticmethod
+    def _solver_config():
+        from repro.config import SolverConfig
+
+        SolverConfig(num_workers=2)
+
+    @staticmethod
+    def _operator():
+        from repro.mesh.hexmesh import periodic_box_mesh
+        from repro.physics.taylor_green import DEFAULT_TGV
+        from repro.solver.navier_stokes import NavierStokesOperator
+
+        NavierStokesOperator(
+            periodic_box_mesh(1, 2), DEFAULT_TGV.gas(), num_workers=2
+        )
+
+    @staticmethod
+    def _cosim_small_mesh():
+        from repro.accel.cosim import cosimulate_small_mesh
+        from repro.accel.designs import proposed_design
+        from repro.mesh.hexmesh import periodic_box_mesh
+
+        cosimulate_small_mesh(
+            proposed_design(), periodic_box_mesh(1, 2), num_workers=2
+        )
+
+    @staticmethod
+    def _evaluate_cosim():
+        from repro.dse.campaign import DesignPoint
+        from repro.dse.tiers import evaluate_cosim
+
+        evaluate_cosim(
+            DesignPoint(polynomial_order=2, elements_per_direction=2),
+            num_workers=2,
+        )
+
+    @staticmethod
+    def _error_growth_report():
+        from repro.precision.harness import error_growth_report
+
+        error_growth_report(num_workers=2)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "_get_backend",
+            "_solver_config",
+            "_operator",
+            "_cosim_small_mesh",
+            "_evaluate_cosim",
+            "_error_growth_report",
+        ],
+    )
+    def test_num_workers_keyword_rejected(self, entry):
+        with pytest.raises(TypeError, match="num_workers"):
+            getattr(self, entry)()
+
+    def test_parallel_backend_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            import repro.backend.parallel  # noqa: F401
 
 
 class TestExtensibility:

@@ -139,57 +139,105 @@ class TestIntegrals:
         assert (diag > 0).all()
 
 
-class TestEinsumPathCache:
-    """Cached contraction plans: bitwise-identical results, no hot-path
-    planning."""
+@pytest.fixture(scope="module", params=(1, 2, 3))
+def order_geometries(request):
+    """Mesh, reference element, affine + curved geometry at order ``p``."""
+    from repro.fem.reference import reference_hex
 
-    def test_cached_path_matches_per_call_planning(self, mesh_geom_ref):
-        from repro.fem.operators import set_einsum_path_cache
+    p = request.param
+    mesh = periodic_box_mesh(2, p)
+    ref = reference_hex(p)
+    corners = mesh.corner_coords.copy()
+    x, y, z = (mesh.corner_coords[..., i] for i in range(3))
+    corners[..., 0] += 0.05 * np.sin(y * z / 4.0 + 0.3)
+    corners[..., 1] += 0.05 * np.sin(z * x / 4.0 + 0.7)
+    corners[..., 2] += 0.05 * np.sin(x * y / 4.0 + 1.1)
+    geoms = {
+        "affine": compute_geometry(mesh.corner_coords, ref),
+        "curved": compute_geometry(corners, ref),
+    }
+    assert geoms["affine"].is_affine and not geoms["curved"].is_affine
+    return mesh, ref, geoms, np.random.default_rng(4321 + p)
 
-        mesh, geom, ref = mesh_geom_ref
-        rng = np.random.default_rng(7)
+
+def _kron_gradient_matrices(ref) -> np.ndarray:
+    """``(3, Q, Q)`` nodal differentiation matrices along xi, eta, zeta.
+
+    Built from the 1-D matrix by Kronecker products over the lexicographic
+    ``[z, y, x]`` node order — an assembly independent of the tensor
+    contractions the operators use.
+    """
+    eye = np.eye(ref.n1)
+    d = ref.diff
+    return np.stack(
+        [
+            np.kron(eye, np.kron(eye, d)),
+            np.kron(eye, np.kron(d, eye)),
+            np.kron(d, np.kron(eye, eye)),
+        ]
+    )
+
+
+def _per_node_inverse(geom, ref) -> np.ndarray:
+    inv = geom.inverse_jacobian
+    return np.broadcast_to(inv, (inv.shape[0], ref.num_nodes, 3, 3))
+
+
+class TestContractionsMatchKroneckerForm:
+    """The sum-factorised einsum contractions against dense Kronecker
+    operators: same maths, assembled a different way."""
+
+    def test_reference_gradient(self, order_geometries):
+        mesh, ref, _geoms, rng = order_geometries
         field = rng.standard_normal((mesh.num_elements, ref.num_nodes))
-        flux = rng.standard_normal((mesh.num_elements, ref.num_nodes, 3))
-
-        cached_grad = physical_gradient(field, geom, ref)
-        cached_div = weak_divergence(flux, geom, ref)
-        cached_int = element_integrals(field, geom, ref)
-        previous = set_einsum_path_cache(False)
-        try:
-            assert previous is True
-            assert np.array_equal(
-                physical_gradient(field, geom, ref), cached_grad
-            )
-            assert np.array_equal(
-                weak_divergence(flux, geom, ref), cached_div
-            )
-            assert np.array_equal(
-                element_integrals(field, geom, ref), cached_int
-            )
-        finally:
-            set_einsum_path_cache(True)
-
-    def test_hot_step_profile_is_free_of_einsum_planning(self):
-        """A warmed-up solver step must never re-plan a contraction:
-        the numpy path-search frames (the planner behind
-        ``optimize=True``) may not appear in its profile."""
-        import cProfile
-        import pstats
-
-        from repro.physics.taylor_green import DEFAULT_TGV
-        from repro.solver.simulation import Simulation
-
-        sim = Simulation(periodic_box_mesh(2, 3), DEFAULT_TGV)
-        dt = sim.compute_dt()
-        sim.step(dt)  # warm every cached contraction plan
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        sim.step(dt)
-        profiler.disable()
-
-        profiled = {func[2] for func in pstats.Stats(profiler).stats}
-        planner_frames = {"_optimal_path", "_greedy_path", "_flop_count"}
-        assert profiled.isdisjoint(planner_frames), sorted(
-            profiled & planner_frames
+        expected = np.einsum(
+            "rqa,ea->erq", _kron_gradient_matrices(ref), field
         )
+        got = reference_gradient(field, ref)
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("geometry", ["affine", "curved"])
+    def test_physical_gradient(self, order_geometries, geometry):
+        mesh, ref, geoms, rng = order_geometries
+        geom = geoms[geometry]
+        field = rng.standard_normal((mesh.num_elements, ref.num_nodes))
+        ref_grad = _kron_gradient_matrices(ref) @ field.T  # (3, Q, E)
+        inv = _per_node_inverse(geom, ref)
+        expected = np.zeros((mesh.num_elements, ref.num_nodes, 3))
+        for r in range(3):
+            expected += ref_grad[r].T[:, :, None] * inv[:, :, r, :]
+        got = physical_gradient(field, geom, ref)
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("geometry", ["affine", "curved"])
+    def test_weak_divergence(self, order_geometries, geometry):
+        mesh, ref, geoms, rng = order_geometries
+        geom = geoms[geometry]
+        flux = rng.standard_normal((mesh.num_elements, ref.num_nodes, 3))
+        inv = _per_node_inverse(geom, ref)
+        scale = geom.quadrature_scale(ref)
+        contravariant = np.zeros((3, mesh.num_elements, ref.num_nodes))
+        for r in range(3):
+            for p in range(3):
+                contravariant[r] += inv[:, :, r, p] * flux[:, :, p]
+        contravariant *= scale[None]
+        grads = _kron_gradient_matrices(ref)
+        expected = -sum(contravariant[r] @ grads[r] for r in range(3))
+        got = weak_divergence(flux, geom, ref)
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("geometry", ["affine", "curved"])
+    def test_element_integrals(self, order_geometries, geometry):
+        import math
+
+        mesh, ref, geoms, rng = order_geometries
+        geom = geoms[geometry]
+        field = rng.standard_normal((mesh.num_elements, ref.num_nodes))
+        weights = ref.weights_flat() * np.abs(
+            np.broadcast_to(geom.det_jacobian, field.shape)
+        )
+        expected = [
+            math.fsum(field[e] * weights[e]) for e in range(field.shape[0])
+        ]
+        got = element_integrals(field, geom, ref)
+        assert np.allclose(got, expected, rtol=1e-13, atol=1e-14)

@@ -79,17 +79,11 @@ def test_architecture_documents_the_dse_engine():
         assert needle in text, f"ARCHITECTURE.md lost its {needle!r} coverage"
 
 
-def test_architecture_documents_the_parallel_backends():
+def test_architecture_documents_why_kernel_sharding_was_removed():
     text = (REPO_ROOT / "ARCHITECTURE.md").read_text()
-    for needle in (
-        "Parallel kernel backends",
-        "element_shards",
-        "fixed shard order",
-        "REPRO_NUM_WORKERS",
-        "shared_memory",
-        "run_campaign(workers=N)",
-    ):
-        assert needle in text, f"ARCHITECTURE.md lost its {needle!r} coverage"
+    assert "Kernel sharding was removed because it lost" in text, (
+        "ARCHITECTURE.md lost its note on the removed parallel backends"
+    )
 
 
 def test_readme_documents_environment_variables():
@@ -99,7 +93,7 @@ def test_readme_documents_environment_variables():
     assert "## Environment variables" in text, (
         "README.md lost its environment-variable table"
     )
-    for needle in ("REPRO_BACKEND", "REPRO_NUM_WORKERS", "REPRO_DTYPE"):
+    for needle in ("REPRO_BACKEND", "REPRO_DTYPE"):
         assert needle in text, f"README.md env-var table lost {needle!r}"
 
 
@@ -120,8 +114,6 @@ def test_architecture_documents_the_execution_caches():
     text = (REPO_ROOT / "ARCHITECTURE.md").read_text()
     for needle in (
         "Execution caches & the verify switch",
-        "planned_einsum",
-        "set_einsum_path_cache",
         "single_pass_net_flux",
         "Blocked residual",
         "run_blocked_pipeline",
@@ -152,7 +144,6 @@ def test_architecture_documents_fault_tolerance():
         "quarantine",
         "resume=True",
         "CheckpointError",
-        "serial_fallbacks",
         "repro.testing",
         "seeded_contexts",
     ):

@@ -36,24 +36,16 @@ EXAMPLES_DIR = REPO_ROOT / "examples"
 
 #: Smoke-mode argv per example (small meshes, few steps).
 SMOKE_ARGS: dict[str, list[str]] = {
-    "quickstart.py": [
-        "2", "3", "--backend", "procs", "--num-workers", "2",
-        "--dtype", "float32",
-    ],
+    "quickstart.py": ["2", "3", "--backend", "fast", "--dtype", "float32"],
     "taylor_green_validation.py": [],
-    "channel_flow.py": [
-        "2", "4", "--backend", "threaded", "--num-workers", "2",
-        "--dtype", "mixed",
-    ],
-    "profile_breakdown.py": [
-        "3", "2", "--backend", "threaded", "--num-workers", "2",
-    ],
+    "channel_flow.py": ["2", "4", "--backend", "fast", "--dtype", "mixed"],
+    "profile_breakdown.py": ["3", "2", "--backend", "fast"],
     "accelerator_dse.py": [],
     "scaling_study.py": [],
     "functional_cosim.py": [
         "2", "3", "--block-size", "4", "--num-cus", "2", "--full-step",
         "--num-steps", "2", "--engine", "vectorized",
-        "--backend", "threaded", "--num-workers", "2", "--no-verify",
+        "--backend", "fast", "--no-verify",
     ],
     "dse_campaign.py": [
         "--orders", "2", "--meshes", "2,3", "--blocks", "1,2",
@@ -124,9 +116,8 @@ def example_declared_flags(script: Path) -> set[str]:
     """Every ``--flag`` an example's argparser actually accepts.
 
     Static AST walk over ``add_argument`` calls (no execution), plus
-    the shared ``add_backend_argument`` / ``add_num_workers_argument``
-    / ``add_dtype_argument`` helpers, which contribute ``--backend`` /
-    ``--num-workers`` / ``--dtype``.
+    the shared ``add_backend_argument`` / ``add_dtype_argument``
+    helpers, which contribute ``--backend`` / ``--dtype``.
     """
     flags: set[str] = set()
     for node in ast.walk(ast.parse(script.read_text())):
@@ -146,8 +137,6 @@ def example_declared_flags(script: Path) -> set[str]:
                     flags.add(arg.value)
         elif name == "add_backend_argument":
             flags.add("--backend")
-        elif name == "add_num_workers_argument":
-            flags.add("--num-workers")
         elif name == "add_dtype_argument":
             flags.add("--dtype")
     return flags
