@@ -2,28 +2,39 @@
 
 This is the software analogue of the paper's dataflow restructuring: the
 math is unchanged, but the execution schedule is reorganized around the
-memory system. Four techniques (each maps to an accelerator trick):
+memory system. Each technique maps to an accelerator trick:
 
-- **BLAS-shaped contractions** — the tensor-product derivative cores and
-  the affine metric applications are expressed as (batched) ``matmul``
-  so they run as GEMMs; the irregular non-affine metric contractions use
-  einsum with **contraction paths planned once per (formula, shape)**
-  and cached — the way the accelerator fixes its schedule at synthesis
-  time rather than per element;
+- **fixed-shape per-element GEMMs** — like a COMPUTE module that runs the
+  same tensor-product contraction on every element, each derivative
+  direction is one BLAS call of one fixed shape per (field, element):
+  ``(n1^2, n1) @ (n1, n1)`` along xi, ``(n1, n1) @ (n1, n1^2)`` along
+  zeta, and along eta ``(n1, n1^2) @ (n1^2, n1^2)`` against a Kronecker
+  operator for ``n1 <= KRON_ETA_MAX_N1`` (``n1`` per-slab GEMMs above
+  it, where its extra flops outweigh the saved calls). The affine metric
+  is one ``(3, 3) @ (3, Q)`` GEMM per (field, element); the curved metric
+  is elementwise arithmetic on ``(E, Q)`` planes;
+- **no element folding** — elements are never folded into GEMM rows:
+  with OpenBLAS a row's bits depend on the row count M, so a folded
+  call would tie each element's result to its batch. Fixed shapes keep
+  the blocked residual bitwise equal to the whole-mesh run, event and
+  vectorized co-simulation bitwise equal, and ``verify`` parity exact
+  (``tests/properties/test_backend_block_invariance.py``);
+- **direction-major memory** — behind the unchanged ``(F, E, Q, 3)``
+  shape contracts, ``physical_gradient_many`` returns (and the pipeline's
+  ``single_pass_net_flux`` emits) views of ``(F, 3, E, Q)`` buffers: the
+  pointwise physics streams contiguous planes, as the accelerator's
+  on-chip buffers are laid out for streaming, and the metric GEMMs get
+  row-strided ``(3, Q)`` operands;
 - **preallocated workspaces** — internal temporaries (reference
-  gradients, contravariant fluxes, divergence accumulators) live in
+  gradients, contravariant fluxes, divergence partial sums) live in
   buffers reused across calls — i.e. across RK stages and time steps —
-  like the on-chip scratchpads of the LOAD/COMPUTE/STORE pipeline;
-- **batched many-field kernels** — ``physical_gradient_many`` runs one
-  contraction over a fused ``(F*E)`` batch instead of a Python loop over
-  fields, and ``scatter_add_many`` performs a single ``bincount`` over a
-  fused ``(F*E*Q)`` index (the index itself is precomputed per
-  connectivity, like the accelerator's streamed index arrays);
-- **arithmetic sharing with the fused RHS pass** — the solver's
-  ``fusion="full"`` mode (see :mod:`repro.solver.navier_stokes`) combines
-  the convective and viscous fluxes before a *single* weak divergence and
-  a single scatter, mirroring the paper's merged diffusion+convection
-  COMPUTE module.
+  like the on-chip scratchpads of the LOAD/COMPUTE/STORE pipeline.
+  Results are always freshly allocated and caller-owned;
+- **batched many-field kernels** — ``physical_gradient_many`` runs over
+  a fused ``(F*E)`` batch instead of a Python loop over fields, and
+  ``scatter_add_many`` performs a single ``bincount`` over a fused
+  ``(F*E*Q)`` index (precomputed per connectivity, like the
+  accelerator's streamed index arrays).
 
 Numerics match ``"reference"`` to rounding error: the parity suite
 asserts agreement within 1e-10 relative on every kernel and on a full
@@ -31,6 +42,8 @@ RHS evaluation.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +54,40 @@ from ..fem.reference import ReferenceHex
 from .base import KernelBackend
 
 
+#: Largest ``n1 = p + 1`` whose eta derivative is one GEMM per element
+#: against the ``(n1^2, n1^2)`` Kronecker operator ``kron(D^T, I)``
+#: rather than ``n1`` per-slab ``(n1, n1)`` GEMMs. It does ``n1`` times
+#: the flops in one call, so it pays only while call overhead dominates.
+#: A p=2..7 sweep of block-sized batches (512 KiB of f64 flux payload;
+#: minimum of 300 calls, 2-core Xeon, OpenBLAS 0.3.31), Kronecker vs
+#: per-slab, in microseconds:
+#:
+#: ====  ====  ===============  ===============
+#: p     E     grad, B = 4E     div, B = 5E
+#: ====  ====  ===============  ===============
+#: 2     161   107 vs 152       147 vs 199
+#: 3     68    54 vs 79         79 vs 115
+#: 4     34    65 vs 63         91 vs 89
+#: 5     20    51 vs 45         73 vs 64
+#: 6     12    56 vs 41         82 vs 60
+#: 7     8     49 vs 38         70 vs 53
+#: ====  ====  ===============  ===============
+KRON_ETA_MAX_N1 = 4
+
+
+class _DiffOps(NamedTuple):
+    """Per-(order, dtype) differentiation operators."""
+
+    d: np.ndarray
+    dt: np.ndarray
+    neg_d: np.ndarray
+    neg_dt: np.ndarray
+    #: ``kron(D^T, I)`` (gradient) and ``-kron(D, I)`` (weak divergence)
+    #: for the eta direction; ``None`` above :data:`KRON_ETA_MAX_N1`.
+    kron_grad: np.ndarray | None
+    neg_kron_div: np.ndarray | None
+
+
 class FastBackend(KernelBackend):
     """Optimized numpy execution of the five hot kernels."""
 
@@ -48,28 +95,14 @@ class FastBackend(KernelBackend):
 
     def __init__(self, precision=None) -> None:
         super().__init__(precision)
-        # (formula, operand shapes) -> einsum contraction path.
-        self._paths: dict[tuple, list] = {}
         # (tag, shape, dtype) -> reusable scratch array.
         self._workspace: dict[tuple, np.ndarray] = {}
         # (F, num_nodes, conn shape) -> (connectivity, fused flat index).
         self._scatter_index: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        # (order, dtype)-keyed cache of the differentiation matrix and its
-        # contiguous transpose, cast to the field dtype.
-        self._diff_t: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # (order, dtype) -> (source matrix, differentiation operators).
+        self._diff_cache: dict[tuple, tuple[np.ndarray, _DiffOps]] = {}
 
     # -- plumbing ------------------------------------------------------------
-
-    def _einsum(
-        self, formula: str, *operands: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``np.einsum`` with the contraction path planned once per shape."""
-        key = (formula,) + tuple(op.shape for op in operands)
-        path = self._paths.get(key)
-        if path is None:
-            path = np.einsum_path(formula, *operands, optimize="optimal")[0]
-            self._paths[key] = path
-        return np.einsum(formula, *operands, out=out, optimize=path)
 
     def _ws(self, tag: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """Reusable scratch buffer for *internal* temporaries.
@@ -86,9 +119,8 @@ class FastBackend(KernelBackend):
             self._workspace[key] = buf
         return buf
 
-    def _diff_pair(self, ref: ReferenceHex, dtype) -> tuple[np.ndarray, np.ndarray]:
-        """The 1D differentiation matrix and its contiguous transpose,
-        cast to ``dtype``.
+    def _diff_ops(self, ref: ReferenceHex, dtype) -> _DiffOps:
+        """The 1D differentiation operators of ``ref``, cast to ``dtype``.
 
         Keyed by (polynomial order, dtype) with the source matrix
         identity checked, so a rebuilt ReferenceHex (same order,
@@ -98,13 +130,19 @@ class FastBackend(KernelBackend):
         bandwidth the accelerator's native precision buys.
         """
         key = (ref.order, np.dtype(dtype).str)
-        entry = self._diff_t.get(key)
+        entry = self._diff_cache.get(key)
         if entry is not None and entry[0] is ref.diff:
-            return entry[1], entry[2]
+            return entry[1]
         d = np.ascontiguousarray(ref.diff, dtype=dtype)
         dt = np.ascontiguousarray(ref.diff.T, dtype=dtype)
-        self._diff_t[key] = (ref.diff, d, dt)
-        return d, dt
+        kron_grad = neg_kron_div = None
+        if ref.n1 <= KRON_ETA_MAX_N1:
+            eye = np.eye(ref.n1, dtype=dtype)
+            kron_grad = np.kron(dt, eye)
+            neg_kron_div = -np.kron(d, eye)
+        ops = _DiffOps(d, dt, -d, -dt, kron_grad, neg_kron_div)
+        self._diff_cache[key] = (ref.diff, ops)
+        return ops
 
     # -- assembly (LOAD / STORE) -------------------------------------------
 
@@ -186,53 +224,100 @@ class FastBackend(KernelBackend):
     # -- differentiation ----------------------------------------------------
 
     def _reference_gradient_batch(
-        self, fields: np.ndarray, ref: ReferenceHex, tag: str
+        self, fields: np.ndarray, ref: ReferenceHex
     ) -> np.ndarray:
         """``(B, Q)`` -> ``(B, 3, Q)`` derivative batch in a workspace.
 
-        All three directional derivatives are batched GEMMs against the
-        1D differentiation matrix (sum factorization). The returned array
-        is the ``tag`` workspace buffer: valid until the next call with
-        the same tag and batch shape.
+        One GEMM per element and direction against the 1D
+        differentiation matrix (sum factorization), each of a fixed
+        shape. The returned array is a workspace buffer: valid until the
+        next call with the same batch shape.
         """
         n1 = ref.n1
         batch = fields.shape[0]
-        grid = fields.reshape(batch, n1, n1, n1)
-        out = self._ws(tag, (batch, 3, n1, n1, n1), dtype=fields.dtype)
-        d, dt = self._diff_pair(ref, fields.dtype)
-        # d/dxi:   out[.., z, y, a] = sum_b grid[.., z, y, b] * d[a, b]
-        np.matmul(grid, dt, out=out[:, 0])
-        # d/deta:  out[.., z, a, y] = sum_b d[a, b] * grid[.., z, b, y]
-        np.matmul(d, grid, out=out[:, 1])
-        # d/dzeta: out[.., a, z, y] = sum_b d[a, b] * grid[.., b, z, y]
+        out = self._ws("refgrad", (batch, 3, n1**3), dtype=fields.dtype)
+        ops = self._diff_ops(ref, fields.dtype)
+        # d/dxi:   out[.., zy, a] = sum_b grid[.., zy, b] * d[a, b]
         np.matmul(
-            d,
-            grid.reshape(batch, n1, n1 * n1),
+            fields.reshape(batch, n1 * n1, n1),
+            ops.dt,
+            out=out[:, 0].reshape(batch, n1 * n1, n1),
+        )
+        # d/deta:  out[.., z, a, y] = sum_b d[a, b] * grid[.., z, b, y], as one
+        # GEMM against kron(d^T, I) up to KRON_ETA_MAX_N1, per slab above.
+        if ops.kron_grad is not None:
+            np.matmul(
+                fields.reshape(batch, n1, n1 * n1),
+                ops.kron_grad,
+                out=out[:, 1].reshape(batch, n1, n1 * n1),
+            )
+        else:
+            np.matmul(
+                ops.d,
+                fields.reshape(batch, n1, n1, n1),
+                out=out[:, 1].reshape(batch, n1, n1, n1),
+            )
+        # d/dzeta: out[.., a, zy] = sum_b d[a, b] * grid[.., b, zy]
+        np.matmul(
+            ops.d,
+            fields.reshape(batch, n1, n1 * n1),
             out=out[:, 2].reshape(batch, n1, n1 * n1),
         )
-        return out.reshape(batch, 3, n1**3)
+        return out
 
     def reference_gradient(self, field: np.ndarray, ref: ReferenceHex) -> np.ndarray:
         n1 = ref.n1
         field = np.asarray(field)
         if field.ndim != 2 or field.shape[1] != n1**3:
             raise FEMError(f"field must be (E, {n1 ** 3}), got {field.shape}")
-        return self._reference_gradient_batch(field, ref, "refgrad").copy()
+        return self._reference_gradient_batch(field, ref).copy()
+
+    def _metric_planes(
+        self,
+        coef: np.ndarray,
+        src: tuple[np.ndarray, ...],
+        out: tuple[np.ndarray, ...],
+    ) -> None:
+        """``out[i] = sum_k coef[i, k] * src[k]`` on ``(F, E, Q)`` planes.
+
+        The curved-element metric application: ``coef`` is a
+        direction-major ``(3, 3, E, Q)`` copy of the per-node inverse
+        Jacobian. Elementwise ufuncs in a fixed ``k`` order, so every
+        node's result is independent of the batch it came in.
+        """
+        tmp = self._ws("metric_tmp", src[0].shape, dtype=src[0].dtype)
+        for i, plane in enumerate(out):
+            np.multiply(src[0], coef[i, 0], out=plane)
+            for k in (1, 2):
+                np.multiply(src[k], coef[i, k], out=tmp)
+                plane += tmp
 
     def _apply_metric(
         self, ref_grad: np.ndarray, geom: ElementGeometry
     ) -> np.ndarray:
-        """``(..., E, 3, Q)`` reference gradients -> ``(..., E, Q, 3)``."""
-        inv = geom.inverse_jacobian.astype(ref_grad.dtype, copy=False)
-        rg_t = np.swapaxes(ref_grad, -1, -2)  # (..., E, Q, 3)
-        if inv.shape[1] == 1:  # affine: one metric per element, batched GEMM
-            inv0 = inv[:, 0]
-            if ref_grad.ndim == 4:
-                inv0 = inv0[None]
-            return np.matmul(rg_t, inv0)
-        if ref_grad.ndim == 3:
-            return self._einsum("erq,eqrp->eqp", ref_grad, inv)
-        return self._einsum("ferq,eqrp->feqp", ref_grad, inv)
+        """``(F, E, 3, Q)`` reference gradients -> ``(F, E, Q, 3)``.
+
+        The result is a view of a fresh direction-major ``(F, 3, E, Q)``
+        buffer: ``out[f, j]`` is one contiguous ``(E, Q)`` plane.
+        """
+        num_fields, num_elem, _, nodes = ref_grad.shape
+        dtype = ref_grad.dtype
+        inv = geom.inverse_jacobian
+        buf = np.empty((num_fields, 3, num_elem, nodes), dtype=dtype)
+        if inv.shape[1] == 1:
+            # affine: (inv^T)[j, r] @ ref_grad[r, q], one GEMM per (f, e)
+            # into the row-strided (3, Q) slice of the buffer.
+            inv_t = np.swapaxes(inv[:, 0], -1, -2).astype(dtype, copy=False)
+            np.matmul(inv_t, ref_grad, out=np.moveaxis(buf, 1, 2))
+        else:
+            # out[j] = sum_r invJ[r, j] * ref_grad[r]
+            coef = np.ascontiguousarray(inv.transpose(3, 2, 0, 1), dtype=dtype)
+            self._metric_planes(
+                coef,
+                tuple(ref_grad[:, :, r] for r in range(3)),
+                tuple(buf[:, j] for j in range(3)),
+            )
+        return np.moveaxis(buf, 1, -1)
 
     def physical_gradient(
         self, field: np.ndarray, geom: ElementGeometry, ref: ReferenceHex
@@ -241,8 +326,7 @@ class FastBackend(KernelBackend):
         field = np.asarray(field)
         if field.ndim != 2 or field.shape[1] != n1**3:
             raise FEMError(f"field must be (E, {n1 ** 3}), got {field.shape}")
-        ref_grad = self._reference_gradient_batch(field, ref, "refgrad")
-        return self._apply_metric(ref_grad, geom)
+        return self.physical_gradient_many(field[None], geom, ref)[0]
 
     def physical_gradient_many(
         self, fields: np.ndarray, geom: ElementGeometry, ref: ReferenceHex
@@ -254,64 +338,80 @@ class FastBackend(KernelBackend):
         # One derivative batch over the fused (F*E) axis instead of a
         # Python loop over fields.
         flat = np.ascontiguousarray(fields).reshape(num_fields * num_elem, nodes)
-        ref_grad = self._reference_gradient_batch(flat, ref, "refgrad_many")
+        ref_grad = self._reference_gradient_batch(flat, ref)
         ref_grad = ref_grad.reshape(num_fields, num_elem, 3, nodes)
         return self._apply_metric(ref_grad, geom)
 
     # -- weak divergence -----------------------------------------------------
 
     def _contravariant_flux(
-        self,
-        flux: np.ndarray,
-        geom: ElementGeometry,
-        scale: np.ndarray,
-        tag: str,
+        self, flux: np.ndarray, geom: ElementGeometry, scale: np.ndarray
     ) -> np.ndarray:
-        """``(..., E, Q, 3)`` physical flux -> scaled ``(..., E, 3, Q)``.
+        """``(F, E, Q, 3)`` physical flux -> scaled ``(F, E, 3, Q)``.
 
         ``G[r, q] = scale_q * sum_p invJ[r, p] F_p(q)`` — the quantity the
-        D^T stencils of the weak divergence contract against.
+        D^T stencils of the weak divergence contract against. A
+        direction-major flux (see :meth:`_apply_metric`) hands the affine
+        GEMMs row-strided ``(3, Q)`` operands and the curved branch
+        contiguous planes.
         """
-        inv = geom.inverse_jacobian.astype(flux.dtype, copy=False)
-        scale = scale.astype(flux.dtype, copy=False)
-        g = self._ws(tag, flux.shape[:-2] + (3, flux.shape[-2]), dtype=flux.dtype)
+        dtype = flux.dtype
+        inv = geom.inverse_jacobian
+        g = self._ws("wdiv_g", flux.shape[:-2] + (3, flux.shape[-2]), dtype=dtype)
+        flux_t = np.swapaxes(flux, -1, -2)  # (F, E, 3, Q)
         if inv.shape[1] == 1:
-            inv0 = inv[:, 0]
-            if flux.ndim == 4:
-                inv0 = inv0[None]
-            np.matmul(inv0, np.swapaxes(flux, -1, -2), out=g)
-        elif flux.ndim == 3:
-            self._einsum("eqp,eqrp->erq", flux, inv, out=g)
+            np.matmul(inv[:, 0].astype(dtype, copy=False), flux_t, out=g)
         else:
-            self._einsum("feqp,eqrp->ferq", flux, inv, out=g)
-        if flux.ndim == 3:
-            g *= scale[:, None, :]
-        else:
-            g *= scale[None, :, None, :]
+            coef = np.ascontiguousarray(inv.transpose(2, 3, 0, 1), dtype=dtype)
+            self._metric_planes(
+                coef,
+                tuple(flux_t[:, :, p] for p in range(3)),
+                tuple(g[:, :, r] for r in range(3)),
+            )
+        g *= scale.astype(dtype, copy=False)[:, None, :]
         return g
 
     def _weak_divergence_core(
-        self, contravariant: np.ndarray, ref: ReferenceHex, tag: str
+        self, contravariant: np.ndarray, ref: ReferenceHex
     ) -> np.ndarray:
-        """Apply ``-D^T`` along each direction of ``(B, 3, Q)`` and sum."""
+        """Apply ``-D^T`` along each direction of ``(B, 3, Q)`` and sum.
+
+        Contracts against negated operator copies (negation is exact, so
+        this is bitwise ``-(sum of D^T contractions)``) straight into a
+        freshly allocated, caller-owned ``(B, Q)`` result.
+        """
         n1 = ref.n1
         batch = contravariant.shape[0]
-        gz = contravariant.reshape(batch, 3, n1, n1, n1)
-        d, dt = self._diff_pair(ref, contravariant.dtype)
-        res = self._ws(tag, (batch, n1, n1, n1), dtype=contravariant.dtype)
-        tmp = self._ws(tag + "_tmp", (batch, n1, n1, n1), dtype=contravariant.dtype)
-        # out[a] = sum_q d[q, a] G[q] along the matching axis of each
+        ops = self._diff_ops(ref, contravariant.dtype)
+        res = np.empty((batch, n1**3), dtype=contravariant.dtype)
+        tmp = self._ws("wdiv_tmp", (batch, n1**3), dtype=contravariant.dtype)
+        # out[a] = -sum_q d[q, a] G[q] along the matching axis of each
         # direction (the transposed stencils of the gradient GEMMs).
-        np.matmul(gz[:, 0], d, out=res)
-        np.matmul(dt, gz[:, 1], out=tmp)
+        np.matmul(
+            contravariant[:, 0].reshape(batch, n1 * n1, n1),
+            ops.neg_d,
+            out=res.reshape(batch, n1 * n1, n1),
+        )
+        if ops.neg_kron_div is not None:
+            np.matmul(
+                contravariant[:, 1].reshape(batch, n1, n1 * n1),
+                ops.neg_kron_div,
+                out=tmp.reshape(batch, n1, n1 * n1),
+            )
+        else:
+            np.matmul(
+                ops.neg_dt,
+                contravariant[:, 1].reshape(batch, n1, n1, n1),
+                out=tmp.reshape(batch, n1, n1, n1),
+            )
         res += tmp
         np.matmul(
-            dt,
-            gz[:, 2].reshape(batch, n1, n1 * n1),
+            ops.neg_dt,
+            contravariant[:, 2].reshape(batch, n1, n1 * n1),
             out=tmp.reshape(batch, n1, n1 * n1),
         )
         res += tmp
-        return -res.reshape(batch, n1**3)
+        return res
 
     def weak_divergence(
         self, flux: np.ndarray, geom: ElementGeometry, ref: ReferenceHex
@@ -321,9 +421,7 @@ class FastBackend(KernelBackend):
         num_elem = flux.shape[0]
         if flux.shape != (num_elem, n1**3, 3):
             raise FEMError(f"flux must be (E, {n1 ** 3}, 3), got {flux.shape}")
-        scale = geom.quadrature_scale(ref)
-        g = self._contravariant_flux(flux, geom, scale, "wdiv_g")
-        return self._weak_divergence_core(g, ref, "wdiv_res")
+        return self.weak_divergence_many(flux[None], geom, ref)[0]
 
     def weak_divergence_many(
         self, fluxes: np.ndarray, geom: ElementGeometry, ref: ReferenceHex
@@ -336,8 +434,8 @@ class FastBackend(KernelBackend):
             )
         num_fields, num_elem, nodes, _ = fluxes.shape
         scale = geom.quadrature_scale(ref)
-        g = self._contravariant_flux(fluxes, geom, scale, "wdivm_g")
+        g = self._contravariant_flux(fluxes, geom, scale)
         res = self._weak_divergence_core(
-            g.reshape(num_fields * num_elem, 3, nodes), ref, "wdivm_res"
+            g.reshape(num_fields * num_elem, 3, nodes), ref
         )
         return res.reshape(num_fields, num_elem, nodes)

@@ -218,7 +218,9 @@ def single_pass_net_flux(
     pass from the conservatives to the payload: ``(u, v, w, T)`` feed a
     single gradient call, then each of the 15 flux components is formed
     on ``(E, Q)`` planes directly in its slot of a freshly allocated
-    payload. The stress ``tau_ij = mu (g_ij + g_ji) + lambda delta_ij
+    payload. The payload's memory is direction-major ``(5, 3, E, Q)``
+    behind the ``(5, E, Q, 3)`` view it returns, so every plane is
+    contiguous. The stress ``tau_ij = mu (g_ij + g_ji) + lambda delta_ij
     div u`` (``lambda = -2 mu / 3``) is built in the momentum rows,
     contracted with ``u`` into the energy row, and then replaced by the
     net momentum flux.
@@ -235,10 +237,8 @@ def single_pass_net_flux(
     velocity = fields[:3]
     grads = ctx.backend.physical_gradient_many(fields, ctx.geom, ctx.ref)
     grad = np.moveaxis(grads, -1, 1)  # grad[f, j] = d fields[f] / dx_j
-    payload = np.empty(
-        (NUM_CONSERVED,) + rho.shape + (3,), dtype=state_elem.dtype
-    )
-    flux = np.moveaxis(payload, -1, 1)  # flux[f, j]: field f, direction j
+    # Direction-major memory: flux[f, j] is one contiguous (E, Q) plane.
+    flux = np.empty((NUM_CONSERVED, 3) + rho.shape, dtype=state_elem.dtype)
 
     tau = flux[1:4]
     np.add(grad[:3], np.swapaxes(grad[:3], 0, 1), out=tau)
@@ -269,7 +269,7 @@ def single_pass_net_flux(
         np.multiply(flux[0, i], velocity, out=term)
         term[i] += pressure
         np.subtract(term, tau[i], out=tau[i])
-    return (payload,)
+    return (np.moveaxis(flux, 1, -1),)
 
 
 @register_pipeline_kernel("weak_divergence")

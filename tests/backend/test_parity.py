@@ -1,12 +1,14 @@
 """Backend parity: every registered backend must match ``"reference"``.
 
-Property-style sweep over polynomial orders p in {3, 5, 7} (odd orders,
-distinct from the order-2 default used elsewhere in the suite), affine
+Property-style sweep over polynomial orders p in {2, 3, 4, 5, 7} (both
+sides of the ``fast`` backend's eta-contraction cutoff), affine
 and non-affine geometries, every hot kernel, a full TGV RHS evaluation,
 and a wall-bounded channel-flow RHS. The sweep covers **all registered
 backends** — ``"fast"`` at 1e-10 relative, with bitwise run-to-run
 determinism.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +17,13 @@ from repro.backend import available_backends, get_backend
 from repro.fem.geometry import compute_geometry
 from repro.fem.reference import reference_hex
 from repro.mesh.hexmesh import channel_mesh, periodic_box_mesh
+from repro.pipeline import PipelineContext
+from repro.pipeline.kernels import single_pass_net_flux
 from repro.physics.channel import decaying_shear_initial
 from repro.physics.taylor_green import DEFAULT_TGV, TGVCase, taylor_green_initial
 from repro.solver.navier_stokes import NavierStokesOperator
 
-ORDERS = (3, 5, 7)
+ORDERS = (2, 3, 4, 5, 7)
 RTOL = 1e-10
 #: Every backend checked against the oracle.
 CANDIDATE_BACKENDS = tuple(
@@ -205,6 +209,38 @@ class TestKernelParity:
                 assert not np.shares_memory(first, second), name
                 assert not np.shares_memory(first, f1), name
                 assert np.array_equal(first, snapshot), name
+
+
+class TestMemoryOrder:
+    """``fast`` keeps the ``(F, E, Q, 3)`` shape contracts over
+    direction-major ``(F, 3, E, Q)`` memory, so the pointwise physics and
+    the contravariant GEMMs read whole ``(E, Q)`` planes."""
+
+    @pytest.mark.parametrize("geometry", ["affine", "curved"])
+    def test_physical_gradient_many_is_direction_major(self, setup, geometry):
+        mesh, ref, affine, curved, rng = setup
+        geom = affine if geometry == "affine" else curved
+        fields = rng.standard_normal((4, mesh.num_elements, ref.num_nodes))
+        grads = get_backend("fast").physical_gradient_many(fields, geom, ref)
+        assert grads.shape == fields.shape + (3,)
+        assert np.moveaxis(grads, -1, 1).flags.c_contiguous
+
+    @pytest.mark.parametrize("geometry", ["affine", "curved"])
+    def test_net_flux_payload_is_direction_major(self, geometry):
+        mesh = periodic_box_mesh(2, 3)
+        if geometry == "curved":
+            corners = mesh.corner_coords.copy()
+            x, y, z = (mesh.corner_coords[..., i] for i in range(3))
+            corners[..., 0] += 0.05 * np.sin(y * z / 4.0 + 0.3)
+            mesh = replace(mesh, corner_coords=corners)
+        op = NavierStokesOperator(mesh, DEFAULT_TGV.gas(), backend="fast")
+        assert op.geom.is_affine == (geometry == "affine")
+        stacked = taylor_green_initial(mesh.coords, DEFAULT_TGV).as_stacked()
+        ctx = PipelineContext.from_operator(op)
+        state_elem = ctx.backend.gather(stacked, mesh.connectivity)
+        (payload,) = single_pass_net_flux(ctx, None, state_elem)
+        assert payload.shape == state_elem.shape + (3,)
+        assert np.moveaxis(payload, -1, 1).flags.c_contiguous
 
 
 class TestFullRHSParity:

@@ -1,5 +1,7 @@
 """End-to-end pipeline: functional solve + timing models + experiments."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,10 @@ class TestCrossModelCoherence:
 
         mesh = periodic_box_mesh(4, 2)
         sim = Simulation(mesh, DEFAULT_TGV)
+        # Start the timed run with a fresh collector: a full collection of
+        # the whole suite's live objects takes tens of milliseconds and,
+        # landing inside one phase, would skew the ratio by itself.
+        gc.collect()
         sim.run(8)
         totals = sim.profiler.totals()
         ratio = totals["rk.diffusion"] / totals["rk.convection"]

@@ -110,6 +110,21 @@ def test_architecture_documents_the_precision_modes():
         assert needle in text, f"ARCHITECTURE.md lost its {needle!r} coverage"
 
 
+def test_architecture_documents_the_fast_backend():
+    """The ``"fast"`` paragraph must keep the layout rules its bitwise
+    guarantees rest on."""
+    text = (REPO_ROOT / "ARCHITECTURE.md").read_text()
+    for needle in (
+        "fixed-shape per-element GEMMs",
+        "KRON_ETA_MAX_N1",
+        "η cutoff",
+        "direction-major",
+        "never folded into GEMM rows",
+        "test_backend_block_invariance.py",
+    ):
+        assert needle in text, f"ARCHITECTURE.md lost its {needle!r} coverage"
+
+
 def test_architecture_documents_the_execution_caches():
     text = (REPO_ROOT / "ARCHITECTURE.md").read_text()
     for needle in (
