@@ -56,6 +56,9 @@ CAMPAIGN = CampaignSpec(
     ),
     max_survivors=16,
     max_cosim=8,
+    # The ladder test asserts every cosim finalist reports its streamed
+    # state error, which only the checked co-simulation records.
+    cosim_verify=True,
 )
 
 MIN_GRID_POINTS = 500

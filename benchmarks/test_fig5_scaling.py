@@ -37,11 +37,13 @@ def test_fig5_cycle_level_anchor(benchmark, proposed):
     """Cycle-accurate anchor for the analytic extrapolation: simulate the
     element pipeline for a small mesh and compare against the analytic
     steady-state total used at paper scale."""
-    from repro.accel.cosim import build_rkl_dataflow_graph
+    from repro.accel.cosim import _RKLShards
     from repro.dataflow.simulator import DataflowSimulator
 
-    graph = build_rkl_dataflow_graph(proposed, 275_000)
-    trace = benchmark(lambda: DataflowSimulator(graph).run(500))
+    graph, iterations = _RKLShards(
+        proposed, 275_000, 500, block_size=1, num_cus=1, partitions=None
+    ).graph("rkl")
+    trace = benchmark(lambda: DataflowSimulator(graph).run(iterations))
     analytic = proposed.rkl_fill_cycles(275_000) + (
         proposed.rkl_element_ii(275_000) * 499
     )

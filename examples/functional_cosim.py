@@ -3,24 +3,20 @@
 
 Builds the operator pipeline the solver executes, shows the fusion
 rewrites, lowers the fused pipeline to the accelerator's cycle-accurate
-dataflow graph, and streams every element of a real mesh through it —
-verifying that the cycle simulator computes the exact residual the
-functional solver produces while its cycle count matches the analytic
-``fill + II * (E - 1)`` model.
+dataflow graph, and co-simulates complete RK time steps on a real mesh:
+every stage's RKL element stream chains into the RK-update node stream
+(the ``repro.pipeline.rk_update`` pipeline) under one simulator clock.
+The streamed final state is checked against the functional
+``Simulation.step``, each stage's RKL cycles against the analytic
+``fill + II * (E - 1)`` block law, and the RKU cycles come from the
+trace instead of only the closed form. ``--num-steps`` chains several
+steps under that one clock.
 
 Streaming is batched and shardable: ``--block-size`` sets the elements
 per simulated token (larger blocks co-simulate larger meshes at the
 same wall-clock) and ``--num-cus`` shards the element stream across
 parallel compute-unit task graphs under one simulator clock, deriving
 the multi-CU timing from the same run.
-
-With ``--full-step`` the co-simulation covers a *complete* RK time
-step: every stage's RKL element stream chains into the RK-update node
-stream (the ``repro.pipeline.rk_update`` pipeline) under one simulator
-clock, the streamed final state is checked against the functional
-``Simulation.step``, and the RKU cycles come from the trace instead of
-only the closed form. ``--num-steps`` chains several steps under that
-one clock.
 
 ``--engine`` selects the dataflow simulation engine: the per-token
 ``event`` oracle, the ``vectorized`` schedule engine (array recurrences
@@ -35,7 +31,7 @@ Usage::
 
     python examples/functional_cosim.py [elements_per_direction] [order] \
         [--backend reference|fast] [--case tgv|channel] \
-        [--block-size B] [--num-cus N] [--full-step] [--num-steps K] \
+        [--block-size B] [--num-cus N] [--num-steps K] \
         [--engine event|vectorized|auto] [--dtype float64|float32|mixed] \
         [--no-verify]
 """
@@ -44,10 +40,19 @@ from __future__ import annotations
 
 import argparse
 
-from repro.accel.cosim import cosimulate_small_mesh
+from repro.accel.cosim import (
+    analytic_block_cycles,
+    cosimulate_rk_stage,
+    design_timing_from_rk_cosim,
+)
 from repro.accel.designs import proposed_design
 from repro.backend import add_backend_argument, resolve_backend_name
+from repro.accel.multi_cu import (
+    multi_cu_timing_from_cosim,
+    nodes_per_compute_unit,
+)
 from repro.mesh.hexmesh import channel_mesh, periodic_box_mesh
+from repro.mesh.partition import element_blocks, partition_elements_balanced
 from repro.pipeline import navier_stokes_pipeline
 from repro.precision import add_dtype_argument, resolve_dtype
 
@@ -75,17 +80,10 @@ def main() -> None:
         help="compute units to shard the element stream across",
     )
     parser.add_argument(
-        "--full-step",
-        action="store_true",
-        help="also co-simulate a complete RK time step (RKL chained "
-        "into the RKU node stream under one clock)",
-    )
-    parser.add_argument(
         "--num-steps",
         type=int,
         default=1,
-        help="with --full-step: RK time steps chained under one "
-        "simulator clock",
+        help="RK time steps chained under one simulator clock",
     )
     parser.add_argument(
         "--engine",
@@ -131,99 +129,69 @@ def main() -> None:
         f"block size {args.block_size}, {args.num_cus} CU(s), "
         f"engine '{args.engine}', dtype '{dtype}' =="
     )
-    result = cosimulate_small_mesh(
+    step = cosimulate_rk_stage(
         design,
         mesh,
-        num_steps=2,
         backend=backend,
         case=case,
         initial_state=initial_state,
         block_size=args.block_size,
         num_cus=args.num_cus,
+        num_steps=args.num_steps,
         engine=args.engine,
         dtype=dtype,
         verify=verify,
     )
-    print(result.trace.report())
+    print(step.trace.report())
     print()
-    if args.num_cus > 1:
-        from repro.accel.multi_cu import multi_cu_timing_from_cosim
-
-        print(f"per-CU drain cycles: {result.per_cu_cycles}")
-        timing = multi_cu_timing_from_cosim(
-            result, mesh.num_nodes, base=design
+    if verify:
+        print(
+            f"streamed {step.num_steps} step(s) vs Simulation.step: "
+            f"max rel err {step.state_max_rel_err:.2e} (dt {step.dt:.3e})"
         )
+    else:
+        print(
+            f"streamed {step.num_steps} step(s), verification "
+            f"skipped (dt {step.dt:.3e})"
+        )
+    # The analytic block law of the slowest shard: the RKL stage
+    # completes when the last compute unit drains.
+    nodes_per_cu = nodes_per_compute_unit(mesh.num_nodes, args.num_cus)
+    analytic = max(
+        analytic_block_cycles(
+            design,
+            nodes_per_cu,
+            [block.size for block in element_blocks(part, args.block_size)],
+        )
+        for part in partition_elements_balanced(
+            mesh.num_elements, args.num_cus
+        )
+    )
+    simulated = max(step.per_stage_rkl_cycles)
+    print(
+        f"per-stage RKL cycles {step.per_stage_rkl_cycles} vs analytic "
+        f"{analytic:.0f} (agreement "
+        f"{100 * (1 - abs(simulated - analytic) / analytic):.2f}%)"
+    )
+    print(
+        f"RKU cycles from trace {step.rku_simulated_cycles} vs closed "
+        f"form {step.rku_analytic_cycles:.0f} "
+        f"(agreement {100 * (1 - step.rku_cycle_agreement):.2f}%)"
+    )
+    print(f"whole run on one clock: {step.simulated_cycles} cycles")
+    timing = design_timing_from_rk_cosim(design, step)
+    print(
+        f"trace-derived step timing: RKL "
+        f"{timing.rkl_seconds_per_stage:.3e} s/stage, RKU "
+        f"{timing.rku_seconds_per_step:.3e} s/step, RK step "
+        f"{timing.rk_step_seconds:.3e} s"
+    )
+    if args.num_cus > 1:
+        timing = multi_cu_timing_from_cosim(step, base=design)
         print(
             f"derived multi-CU timing: RKL {timing.rkl_seconds_per_stage:.3e}"
             f" s/stage at {timing.clock_mhz:.0f} MHz "
             f"(RK step {timing.rk_step_seconds:.3e} s)"
-        )
-        print()
-    if verify:
-        print(
-            f"streamed residual vs functional solver: "
-            f"max rel err {result.residual_max_rel_err:.2e}"
-        )
-    else:
-        print("verification skipped (--no-verify)")
-    print(
-        f"simulated cycles {result.simulated_cycles} vs analytic "
-        f"{result.analytic_cycles:.0f} "
-        f"(agreement {100 * (1 - result.cycle_agreement):.2f}%)"
-    )
-    if verify:
-        print(
-            f"functional run: kinetic energy {result.kinetic_energy:.6f}, "
-            f"mass drift {result.mass_drift:.2e}"
-        )
-
-    if args.full_step:
-        from repro.accel.cosim import (
-            cosimulate_rk_stage,
-            design_timing_from_rk_cosim,
-        )
-
-        print()
-        print(
-            f"== full RK step x{args.num_steps}: RKL element streams "
-            "chained into the RKU node stream =="
-        )
-        step = cosimulate_rk_stage(
-            design,
-            mesh,
-            backend=backend,
-            case=case,
-            initial_state=initial_state,
-            block_size=args.block_size,
-            num_cus=args.num_cus,
-            num_steps=args.num_steps,
-            engine=args.engine,
-            dtype=dtype,
-            verify=verify,
-        )
-        if verify:
-            print(
-                f"streamed {step.num_steps} step(s) vs Simulation.step: "
-                f"max rel err {step.state_max_rel_err:.2e} (dt {step.dt:.3e})"
-            )
-        else:
-            print(
-                f"streamed {step.num_steps} step(s), verification "
-                f"skipped (dt {step.dt:.3e})"
-            )
-        print(f"per-stage RKL cycles: {step.per_stage_rkl_cycles}")
-        print(
-            f"RKU cycles from trace {step.rku_simulated_cycles} vs closed "
-            f"form {step.rku_analytic_cycles:.0f} "
-            f"(agreement {100 * (1 - step.rku_cycle_agreement):.2f}%)"
-        )
-        print(f"whole step on one clock: {step.simulated_cycles} cycles")
-        timing = design_timing_from_rk_cosim(design, step)
-        print(
-            f"trace-derived step timing: RKL "
-            f"{timing.rkl_seconds_per_stage:.3e} s/stage, RKU "
-            f"{timing.rku_seconds_per_step:.3e} s/step, RK step "
-            f"{timing.rk_step_seconds:.3e} s"
         )
 
 

@@ -13,8 +13,9 @@ Builds both evaluated designs from the *same* solver workload:
   minimization (directive DSE under resource constraints);
 - :mod:`repro.accel.designs` — the proposed design and the Vitis-HLS
   auto-optimized baseline;
-- :mod:`repro.accel.cosim` — end-to-end timing (and functional
-  co-simulation against the numpy solver);
+- :mod:`repro.accel.cosim` — end-to-end timing, the exact schedule
+  tier, and functional co-simulation of a full RK step against the
+  numpy solver;
 - :mod:`repro.accel.ablations` — single-optimization ablation variants;
 - :mod:`repro.accel.reports` — resource/timing/power report rendering.
 """
@@ -25,19 +26,12 @@ from .kernels import RKLKernelModel, RKUKernelModel, build_rkl_kernel, build_rku
 from .designs import (
     AcceleratorDesign,
     DesignOptions,
+    DesignTiming,
     proposed_design,
     vitis_baseline_design,
 )
 from .optimizer import IIOptimizer, OptimizationStep
-from .cosim import (
-    CosimResult,
-    DesignTiming,
-    rk_step_seconds,
-    rk_method_seconds,
-    end_to_end_step_seconds,
-    cosimulate_small_mesh,
-    streamed_residual,
-)
+from .cosim import rk_step_seconds, streamed_residual
 
 __all__ = [
     "AcceleratorCalibration",
@@ -54,11 +48,7 @@ __all__ = [
     "vitis_baseline_design",
     "IIOptimizer",
     "OptimizationStep",
-    "CosimResult",
     "DesignTiming",
     "rk_step_seconds",
-    "rk_method_seconds",
-    "end_to_end_step_seconds",
-    "cosimulate_small_mesh",
     "streamed_residual",
 ]

@@ -1,44 +1,39 @@
 """Timing evaluation and functional co-simulation of a design.
 
-Two granularities:
+Three granularities, one lowering:
 
-- **analytic** (:func:`rk_step_seconds` and friends): steady-state
-  extrapolation used at paper-scale mesh sizes — verified against the
-  cycle-level dataflow simulation by the test suite;
-- **cycle-level** (:func:`cosimulate_small_mesh`): lowers the operator
-  pipeline IR (:func:`repro.pipeline.element_pipeline`) to a
-  :class:`~repro.dataflow.graph.DataflowGraph` whose tasks carry
-  payload actions, then streams every element of a real (small) mesh
-  through it — the run prices the pipeline *and* computes it. The
-  streamed residual must reproduce
-  :meth:`~repro.solver.navier_stokes.NavierStokesOperator.residual` to
-  rounding error while the cycle count still matches the analytic
-  ``fill + II * (E - 1)`` model: the accelerator computes the *same
-  physics* the timing model prices, by construction from one IR.
+- **analytic** (:func:`design_timing`, :func:`analytic_block_cycles`,
+  :func:`analytic_rku_step_cycles`): closed forms used at paper-scale
+  mesh sizes;
+- **exact** (:func:`exact_rkl_stage_cycles`,
+  :func:`exact_rku_step_cycles`): the schedule engine's exact solve of
+  the lowered graphs, with no payloads;
+- **co-simulated** (:func:`cosimulate_rk_stage`): the operator pipeline
+  IR (:func:`repro.pipeline.element_pipeline`) lowered to a
+  :class:`~repro.dataflow.graph.DataflowGraph` whose tasks carry payload
+  actions, so the run prices the pipeline *and* computes it. Every RK
+  stage's RKL element stream chains into the RK-update node stream (the
+  :func:`~repro.pipeline.rk_update.rk_update_pipeline` lowering) under
+  one simulator clock, sequenced by kernel dependencies
+  (:attr:`~repro.dataflow.task.Task.depends_on`); the streamed final
+  state must match :meth:`repro.solver.simulation.Simulation.step` to
+  rounding error. :func:`streamed_residual` runs the RKL stream alone —
+  one right-hand side, checked against
+  :meth:`~repro.solver.navier_stokes.NavierStokesOperator.residual`.
 
-Streaming is *batched* and *shardable*: tokens carry element blocks
-(``block_size`` elements per simulated pipeline iteration, latencies
-scaled per block — see :func:`analytic_block_cycles`), and the element
-stream can be split across ``num_cus`` parallel task-graph instances
-merged under one simulator clock
+Every RKL graph — exact tier, residual and each stage of the step — is
+built by one sharded lowering (:class:`_RKLShards`): tokens carry
+element blocks (``block_size`` elements per simulated pipeline
+iteration, latencies scaled per block — see
+:func:`analytic_block_cycles`), and the element stream is split across
+``num_cus`` parallel chains merged under one simulator clock
 (:func:`~repro.mesh.partition.partition_elements_balanced` semantics,
-per-CU partial residuals reduced before finalization). The multi-CU
-timing extension (:mod:`repro.accel.multi_cu`) derives its
-:class:`~repro.accel.multi_cu.MultiCUTiming` from the same co-simulated
-graphs via
-:func:`~repro.accel.multi_cu.multi_cu_timing_from_cosim`, so timing,
-op-counts, and functional execution share one source of truth.
-
-Co-simulation also covers the *whole* RK time step
-(:func:`cosimulate_rk_stage`): every stage's RKL element stream chains
-into the RK-update node stream (the
-:func:`~repro.pipeline.rk_update.rk_update_pipeline` lowering) under one
-simulator clock, sequenced by kernel dependencies
-(:attr:`~repro.dataflow.task.Task.depends_on`); the streamed final
-state must match :meth:`repro.solver.simulation.Simulation.step` to
-rounding error, and :func:`design_timing_from_rk_cosim` turns the trace
-into a :class:`DesignTiming` whose RKU seconds are simulated rather than
-modeled.
+per-CU partial residuals reduced before finalization). The exact tier
+therefore prices the very graphs the co-simulation runs, and
+:func:`design_timing_from_rk_cosim` /
+:func:`~repro.accel.multi_cu.multi_cu_timing_from_cosim` turn the
+co-simulated trace into a :class:`DesignTiming` whose stage times are
+simulated rather than modeled.
 """
 
 from __future__ import annotations
@@ -68,28 +63,8 @@ from ..pipeline import (
     streaming_actions,
 )
 from ..timeint.butcher import RK4, ButcherTableau
-from .designs import AcceleratorDesign
+from .designs import AcceleratorDesign, DesignTiming
 from .multi_cu import nodes_per_compute_unit
-
-
-@dataclass(frozen=True)
-class DesignTiming:
-    """Seconds per time step of one design on one mesh size."""
-
-    design_name: str
-    num_nodes: int
-    num_elements: int
-    clock_mhz: float
-    rkl_seconds_per_stage: float
-    rku_seconds_per_step: float
-    num_stages: int
-
-    @property
-    def rk_step_seconds(self) -> float:
-        """RKL (all stages) + RKU for one time step."""
-        return self.rkl_seconds_per_stage * self.num_stages + (
-            self.rku_seconds_per_step
-        )
 
 
 def design_timing(
@@ -144,143 +119,9 @@ def rk_step_seconds(
     return design_timing(design, num_nodes, tableau=tableau).rk_step_seconds
 
 
-def rk_method_seconds(
-    design: AcceleratorDesign,
-    num_nodes: int,
-    num_steps: int,
-    tableau: ButcherTableau = RK4,
-) -> float:
-    """Seconds for the RK method over a whole run (Fig. 5's metric).
-
-    Raises :class:`~repro.errors.ExperimentError` if ``num_steps < 1``.
-    """
-    if num_steps < 1:
-        raise ExperimentError("num_steps must be >= 1")
-    return rk_step_seconds(design, num_nodes, tableau) * num_steps
-
-
-def end_to_end_step_seconds(
-    design: AcceleratorDesign,
-    num_nodes: int,
-    host_non_rk_seconds: float,
-    pcie_seconds: float = 0.0,
-    tableau: ButcherTableau = RK4,
-) -> float:
-    """End-to-end step: host non-RK work + accelerator RK + PCIe sync.
-
-    This is the Section IV-B comparison: the host retains the non-RK
-    phases ("The remaining computations are handled by the host CPU")
-    while the accelerator executes the RK method.
-    """
-    if host_non_rk_seconds < 0 or pcie_seconds < 0:
-        raise ExperimentError("times must be >= 0")
-    return (
-        host_non_rk_seconds
-        + rk_step_seconds(design, num_nodes, tableau)
-        + pcie_seconds
-    )
-
-
 # ---------------------------------------------------------------------------
-# Cycle-level co-simulation
+# Closed-form cycle laws
 # ---------------------------------------------------------------------------
-
-
-def build_rkl_dataflow_graph(
-    design: AcceleratorDesign,
-    num_nodes: int,
-    pipeline: OperatorPipeline | None = None,
-    actions=None,
-    *,
-    block_sizes=None,
-    task_names=None,
-    name: str | None = None,
-) -> DataflowGraph:
-    """The element pipeline as an explicit dataflow graph.
-
-    The graph structure is *lowered from the operator pipeline IR* (the
-    fused pipeline — the hardware always runs the merged
-    diffusion+convection COMPUTE module), with per-stage latencies from
-    :meth:`AcceleratorDesign.pipeline_stage_cycles`.
-
-    Parameters
-    ----------
-    design:
-        The design point supplying per-stage latencies and clocking.
-    num_nodes:
-        Gather footprint priced by the LOAD/STORE memory models — the
-        whole mesh for one CU, a CU's share of it under sharding.
-    pipeline:
-        Operator pipeline to lower (defaults to the fused
-        :func:`~repro.pipeline.navier_stokes.element_pipeline`).
-    actions:
-        Optional per-role payload execution (see
-        :func:`repro.pipeline.streaming_actions`) to co-simulate
-        functionally.
-    block_sizes:
-        Elements per token when tokens carry element blocks; task
-        latencies scale with each iteration's block size (see
-        :meth:`~repro.pipeline.ir.OperatorPipeline.to_task_graph`).
-    task_names / name:
-        Task renaming and graph name, used by the multi-CU lowering to
-        keep per-CU shards distinct inside one merged graph.
-
-    Returns
-    -------
-    DataflowGraph
-        The LOAD -> COMPUTE -> STORE chain. Group sums equal the
-        analytic role latencies, so a cycle-level run must agree with
-        ``fill + II * (tokens - 1)`` at the token granularity — asserted
-        by the integration tests.
-    """
-    if pipeline is None:
-        pipeline = element_pipeline()
-    stage_cycles = design.pipeline_stage_cycles(pipeline, num_nodes)
-    return pipeline.to_task_graph(
-        stage_cycles,
-        task_names=task_names,
-        actions=actions,
-        name=name or f"rkl-{design.options.name}",
-        block_sizes=block_sizes,
-    )
-
-
-def _cu_task_names(cu: int) -> dict[str, str]:
-    """Role -> task-name mapping of one compute unit's shard."""
-    return {
-        role: f"cu{cu}.{base}" for role, base in DEFAULT_TASK_NAMES.items()
-    }
-
-
-def _element_partitions(
-    num_elements: int, num_cus: int, partitions
-) -> list[np.ndarray]:
-    """Validated element shards, one per compute unit.
-
-    ``partitions=None`` balances ``num_elements`` over ``num_cus``;
-    explicit shards must be non-empty and cover the mesh exactly once.
-    """
-    if partitions is None:
-        if num_cus < 1:
-            raise ExperimentError("num_cus must be >= 1")
-        partitions = partition_elements_balanced(num_elements, num_cus)
-    else:
-        partitions = [np.asarray(part, dtype=np.int64) for part in partitions]
-    if any(part.size == 0 for part in partitions):
-        raise ExperimentError(
-            "every compute unit needs at least one element; fewer CUs "
-            "than elements required"
-        )
-    covered = np.sort(np.concatenate(partitions))
-    if covered.size != num_elements or not np.array_equal(
-        covered, np.arange(num_elements)
-    ):
-        raise ExperimentError(
-            "partitions must cover every mesh element exactly once"
-        )
-    return partitions
-
-
 
 
 def analytic_block_cycles(
@@ -363,6 +204,247 @@ def analytic_rku_step_cycles(
     return design.rku_fill_cycles() + finish[-1]
 
 
+# ---------------------------------------------------------------------------
+# The sharded RKL lowering, shared by the exact tier and the co-simulation
+# ---------------------------------------------------------------------------
+
+
+def _element_partitions(
+    num_elements: int, num_cus: int, partitions
+) -> list[np.ndarray]:
+    """Validated element shards, one per compute unit.
+
+    ``partitions=None`` balances ``num_elements`` over ``num_cus``;
+    explicit shards must be non-empty and cover the mesh exactly once.
+    """
+    if partitions is None:
+        if num_cus < 1:
+            raise ExperimentError("num_cus must be >= 1")
+        partitions = partition_elements_balanced(num_elements, num_cus)
+    else:
+        partitions = [np.asarray(part, dtype=np.int64) for part in partitions]
+    if any(part.size == 0 for part in partitions):
+        raise ExperimentError(
+            "every compute unit needs at least one element; fewer CUs "
+            "than elements required"
+        )
+    covered = np.sort(np.concatenate(partitions))
+    if covered.size != num_elements or not np.array_equal(
+        covered, np.arange(num_elements)
+    ):
+        raise ExperimentError(
+            "partitions must cover every mesh element exactly once"
+        )
+    return partitions
+
+
+def _latency_with_fill(base, fill: float):
+    """A task latency with a kernel-launch fill on iteration 0.
+
+    The RKU closed form charges the five update loops' pipeline depths
+    (plus SLL crossings) once per launch; the streamed chain pays the
+    same constant on its first token. The result stays a
+    :class:`~repro.dataflow.task.BlockLatency` so the vectorized
+    schedule engine can still evaluate it in bulk.
+    """
+    extra = max(0, round(fill))
+    if extra == 0:
+        return base
+    if isinstance(base, BlockLatency):
+        return BlockLatency(
+            base.cycles_per_unit, base.sizes, base.first_extra + extra
+        )
+    return BlockLatency(int(base), None, extra)
+
+
+class _ChainTemplate:
+    """One streamed task chain, lowered once and instantiated cheaply.
+
+    The co-simulation runs the *same* chain structure many times — one
+    RKL chain per compute unit per RK stage (per step), one combination
+    chain per stage — differing only in task names, payload actions and
+    sequencing. Lowering the operator pipeline once per distinct
+    structure (per-CU block sizes, node block sizes) and rebinding per
+    instance removes the per-stage ``to_task_graph`` / role-grouping
+    cost from the hot path. Every lowering in this module goes through
+    it.
+    """
+
+    def __init__(
+        self,
+        pipeline: OperatorPipeline,
+        stage_cycles,
+        block_sizes=None,
+    ) -> None:
+        lowered = pipeline.to_task_graph(
+            stage_cycles, name="template", block_sizes=block_sizes
+        )
+        self.spec = [
+            (lowered.tasks[name].kind, lowered.tasks[name].latency)
+            for name in lowered.topological_order()
+        ]
+
+    def instantiate(
+        self,
+        task_names,
+        actions,
+        name: str,
+        depends_on: tuple[str, ...] = (),
+        fill_cycles: float = 0.0,
+    ) -> DataflowGraph:
+        """A fresh graph with this chain's structure and latencies."""
+        tasks = [
+            Task(
+                task_names[role],
+                (
+                    _latency_with_fill(latency, fill_cycles)
+                    if index == 0
+                    else latency
+                ),
+                kind=role,
+                action=None if actions is None else actions.get(role),
+                depends_on=depends_on if index == 0 else (),
+            )
+            for index, (role, latency) in enumerate(self.spec)
+        ]
+        graph = DataflowGraph(name=name)
+        graph.chain(tasks)
+        return graph
+
+
+def _rku_task_names(prefix: str) -> dict[str, str]:
+    """Role -> task-name mapping of one RKU chain instance."""
+    return {
+        role: f"{prefix}.{base}"
+        for role, base in RK_UPDATE_TASK_NAMES.items()
+    }
+
+
+class _RKLShards:
+    """The RKL element stream sharded over compute units, lowered once.
+
+    The one RKL lowering every cycle-level view shares: validated element
+    shards (:func:`_element_partitions`), each CU's LOAD/STORE priced at
+    its node share
+    (:func:`~repro.accel.multi_cu.nodes_per_compute_unit`), its shard cut
+    into ``block_size`` element tokens, and one :class:`_ChainTemplate`
+    per CU. :func:`exact_rkl_stage_cycles` instantiates it without
+    payloads; :func:`streamed_residual` and every stage of
+    :func:`cosimulate_rk_stage` instantiate it with streaming actions.
+    """
+
+    def __init__(
+        self,
+        design: AcceleratorDesign,
+        num_nodes: int,
+        num_elements: int,
+        *,
+        block_size: int,
+        num_cus: int,
+        partitions,
+        pipeline: OperatorPipeline | None = None,
+    ) -> None:
+        if block_size < 1:
+            raise ExperimentError("block_size must be >= 1")
+        self.pipeline = element_pipeline() if pipeline is None else pipeline
+        partitions = _element_partitions(num_elements, num_cus, partitions)
+        stage_cycles = design.pipeline_stage_cycles(
+            self.pipeline, nodes_per_compute_unit(num_nodes, len(partitions))
+        )
+        self.blocks = [element_blocks(part, block_size) for part in partitions]
+        self.templates = [
+            _ChainTemplate(
+                self.pipeline,
+                stage_cycles,
+                None if block_size == 1 else [block.size for block in blocks],
+            )
+            for blocks in self.blocks
+        ]
+
+    @property
+    def num_cus(self) -> int:
+        return len(self.blocks)
+
+    def task_names(self, prefix: str, cu: int) -> dict[str, str]:
+        """Role -> task name of CU ``cu``'s chain: bare role names for an
+        unprefixed single-CU stream, ``<prefix>cu<k>.<role task>``
+        otherwise."""
+        stem = "" if not prefix and self.num_cus == 1 else f"{prefix}cu{cu}."
+        return {
+            role: stem + base for role, base in DEFAULT_TASK_NAMES.items()
+        }
+
+    def instantiate(
+        self,
+        graphs: list[DataflowGraph],
+        iterations: dict[str, int],
+        prefix: str = "",
+        *,
+        ctx: PipelineContext | None = None,
+        state: np.ndarray | None = None,
+        accumulators=None,
+        depends_on: tuple[str, ...] = (),
+    ) -> tuple[str, ...]:
+        """Append one chain per CU to ``graphs`` and its token count per
+        task to ``iterations``; returns the chains' STORE (drain) tasks.
+
+        With ``ctx`` the chains carry streaming actions: every CU reads
+        ``state`` and assembles into its own ``accumulators[cu]``.
+        """
+        drains = []
+        chains = zip(self.templates, self.blocks)
+        for cu, (template, blocks) in enumerate(chains):
+            names = self.task_names(prefix, cu)
+            actions = None
+            if ctx is not None:
+                actions = streaming_actions(
+                    self.pipeline, ctx, state, accumulators[cu], blocks=blocks
+                )
+            graph = template.instantiate(
+                names, actions, name=f"rkl-{prefix}cu{cu}",
+                depends_on=depends_on,
+            )
+            for task_name in graph.tasks:
+                iterations[task_name] = len(blocks)
+            graphs.append(graph)
+            drains.append(names["store"])
+        return tuple(drains)
+
+    def graph(
+        self, name: str, **payload
+    ) -> tuple[DataflowGraph, dict[str, int]]:
+        """The unprefixed CU chains merged into one graph, with their
+        iteration counts (``payload`` as in :meth:`instantiate`)."""
+        graphs: list[DataflowGraph] = []
+        iterations: dict[str, int] = {}
+        self.instantiate(graphs, iterations, **payload)
+        return merge_graphs(name, graphs), iterations
+
+    def window(self, trace: SimulationTrace, prefix: str) -> int:
+        """Cycles the prefixed CU chains occupied on the shared clock."""
+        return _window_cycles(
+            trace, [self.task_names(prefix, cu) for cu in range(self.num_cus)]
+        )
+
+
+def _reduce_partials(accumulators, dtype) -> np.ndarray:
+    """Sum the per-CU partial residuals, rounding to ``dtype`` exactly
+    once (the mixed-mode semantics of the backends' scatter-add)."""
+    total = accumulators[0]
+    for accumulator in accumulators[1:]:
+        total = total + accumulator
+    return total if total.dtype == dtype else total.astype(dtype)
+
+
+def _window_cycles(trace: SimulationTrace, chains) -> int:
+    """Cycles a set of task chains occupied (each given by its role ->
+    task-name map): first LOAD start to last STORE finish, on the shared
+    simulator clock."""
+    first = min(trace.stats(n["load"]).first_start or 0 for n in chains)
+    last = max(trace.stats(n["store"]).last_finish or 0 for n in chains)
+    return last - first
+
+
 def exact_rkl_stage_cycles(
     design: AcceleratorDesign,
     num_nodes: int,
@@ -376,13 +458,14 @@ def exact_rkl_stage_cycles(
     """Exact RKL stage cycles from the schedule engine, *without* payloads.
 
     The middle rung of the design-space exploration's evaluation ladder:
-    the same lowered graphs a payload-carrying co-simulation would run
-    (per-CU chains from :func:`build_rkl_dataflow_graph`, merged under
-    one clock) priced by :func:`repro.dataflow.analysis.exact_cycles`
-    alone — an exact schedule solve at array-recurrence cost, with no
-    mesh, state, or actions built. Agreement with both the closed form
-    (:func:`analytic_block_cycles`) and the full co-simulation is
-    asserted by the tier-agreement tests.
+    the very graphs every stage of :func:`cosimulate_rk_stage` runs (the
+    shared sharded lowering, per-CU chains merged under one clock)
+    priced by :func:`repro.dataflow.analysis.exact_cycles` alone — an
+    exact schedule solve at array-recurrence cost, with no mesh, state,
+    or actions built. It equals each entry of the co-simulation's
+    ``per_stage_rkl_cycles`` exactly; agreement with the closed form
+    (:func:`analytic_block_cycles`) is asserted by the tier-agreement
+    tests.
 
     Parameters
     ----------
@@ -406,42 +489,16 @@ def exact_rkl_stage_cycles(
     """
     from ..dataflow.analysis import exact_cycles
 
-    if block_size < 1:
-        raise ExperimentError("block_size must be >= 1")
-    if pipeline is None:
-        pipeline = element_pipeline()
-    partitions = _element_partitions(num_elements, num_cus, partitions)
-    num_cus = len(partitions)
-    nodes_per_cu = nodes_per_compute_unit(num_nodes, num_cus)
-
-    subgraphs: list[DataflowGraph] = []
-    iterations: dict[str, int] = {}
-    for cu, part in enumerate(partitions):
-        blocks = element_blocks(part, block_size)
-        graph = build_rkl_dataflow_graph(
-            design,
-            nodes_per_cu,
-            pipeline=pipeline,
-            block_sizes=(
-                None if block_size == 1 else [block.size for block in blocks]
-            ),
-            task_names=None if num_cus == 1 else _cu_task_names(cu),
-            name=(
-                f"rkl-exact-{design.options.name}"
-                if num_cus == 1
-                else f"rkl-exact-{design.options.name}-cu{cu}"
-            ),
-        )
-        for task_name in graph.tasks:
-            iterations[task_name] = len(blocks)
-        subgraphs.append(graph)
-    if num_cus == 1:
-        graph = subgraphs[0]
-    else:
-        graph = merge_graphs(
-            f"rkl-exact-{design.options.name}-{num_cus}cu", subgraphs
-        )
-    return exact_cycles(graph, iterations)
+    shards = _RKLShards(
+        design,
+        num_nodes,
+        num_elements,
+        block_size=block_size,
+        num_cus=num_cus,
+        partitions=partitions,
+        pipeline=pipeline,
+    )
+    return exact_cycles(*shards.graph(f"rkl-exact-{design.options.name}"))
 
 
 def exact_rku_step_cycles(
@@ -481,40 +538,6 @@ def exact_rku_step_cycles(
     return exact_cycles(graph, len(blocks))
 
 
-def per_cu_simulated_cycles(
-    trace: SimulationTrace, num_cus: int
-) -> tuple[int, ...]:
-    """Per-CU drain cycle extracted from a (possibly merged) trace.
-
-    For a single CU this is the trace total; for a merged multi-CU run
-    it is, per compute unit, the last finish time among that CU's
-    ``cu<k>.``-prefixed tasks — all measured against the one shared
-    simulator clock, so ``max()`` over the result is the RKL stage time.
-
-    Raises
-    ------
-    ExperimentError
-        If the trace has no tasks for one of the requested CUs.
-    """
-    if num_cus == 1:
-        return (trace.total_cycles,)
-    cycles: list[int] = []
-    for cu in range(num_cus):
-        prefix = f"cu{cu}."
-        finishes = [
-            stats.last_finish or 0
-            for name, stats in trace.task_stats.items()
-            if name.startswith(prefix)
-        ]
-        if not finishes:
-            raise ExperimentError(
-                f"trace {trace.graph_name!r} has no tasks for compute "
-                f"unit {cu}"
-            )
-        cycles.append(max(finishes))
-    return tuple(cycles)
-
-
 def streamed_residual(
     design: AcceleratorDesign,
     operator,
@@ -532,7 +555,8 @@ def streamed_residual(
     each simulated LOAD gathers a real element block, COMPUTE runs the
     fused flux/divergence kernels on it, STORE assembles its
     contribution — then applies the operator's mass inversion and wall
-    conditions.
+    conditions. This is one RK stage of :func:`cosimulate_rk_stage` on
+    its own.
 
     With ``num_cus > 1`` (or explicit ``partitions``) the element stream
     is sharded across parallel task-graph instances — one per compute
@@ -584,18 +608,16 @@ def streamed_residual(
         If ``block_size < 1``, a shard is empty, or the partitions do
         not cover the mesh exactly.
     """
-    if pipeline is None:
-        pipeline = element_pipeline()
-    if block_size < 1:
-        raise ExperimentError("block_size must be >= 1")
-    num_nodes = operator.mesh.num_nodes
-    partitions = _element_partitions(
-        operator.mesh.num_elements, num_cus, partitions
+    mesh = operator.mesh
+    shards = _RKLShards(
+        design,
+        mesh.num_nodes,
+        mesh.num_elements,
+        block_size=block_size,
+        num_cus=num_cus,
+        partitions=partitions,
+        pipeline=pipeline,
     )
-    num_cus = len(partitions)
-
-    ctx = PipelineContext.from_operator(operator)
-    nodes_per_cu = nodes_per_compute_unit(num_nodes, num_cus)
     # Stream the state in the operator's storage dtype and assemble in
     # its accumulation dtype — the same precision policy the functional
     # residual's backend applies, so the two paths stay comparable in
@@ -604,295 +626,23 @@ def streamed_residual(
     stacked = np.asarray(stacked, dtype=precision.storage)
     acc_dtype = precision.accumulate_for(stacked.dtype)
     accumulators = [
-        np.zeros((NUM_CONSERVED, num_nodes), dtype=acc_dtype)
-        for _ in partitions
+        np.zeros((NUM_CONSERVED, mesh.num_nodes), dtype=acc_dtype)
+        for _ in range(shards.num_cus)
     ]
-    subgraphs: list[DataflowGraph] = []
-    iterations: dict[str, int] = {}
-    for cu, (part, accumulator) in enumerate(zip(partitions, accumulators)):
-        blocks = element_blocks(part, block_size)
-        actions = streaming_actions(
-            pipeline, ctx, stacked, accumulator, blocks=blocks
-        )
-        graph = build_rkl_dataflow_graph(
-            design,
-            nodes_per_cu,
-            pipeline=pipeline,
-            actions=actions,
-            block_sizes=(
-                None if block_size == 1 else [block.size for block in blocks]
-            ),
-            task_names=None if num_cus == 1 else _cu_task_names(cu),
-            name=(
-                f"rkl-{design.options.name}"
-                if num_cus == 1
-                else f"rkl-{design.options.name}-cu{cu}"
-            ),
-        )
-        for task_name in graph.tasks:
-            iterations[task_name] = len(blocks)
-        subgraphs.append(graph)
-    if num_cus == 1:
-        graph = subgraphs[0]
-    else:
-        graph = merge_graphs(
-            f"rkl-{design.options.name}-{num_cus}cu", subgraphs
-        )
+    graph, iterations = shards.graph(
+        f"rkl-{design.options.name}",
+        ctx=PipelineContext.from_operator(operator),
+        state=stacked,
+        accumulators=accumulators,
+    )
     trace = DataflowSimulator(graph).run(iterations, engine=engine)
-    # Reduce the per-CU partial residuals before finalization, rounding
-    # to the storage dtype exactly once (the mixed-mode semantics of the
-    # backends' scatter-add).
-    total = accumulators[0]
-    for accumulator in accumulators[1:]:
-        total = total + accumulator
-    if total.dtype != stacked.dtype:
-        total = total.astype(stacked.dtype)
+    total = _reduce_partials(accumulators, stacked.dtype)
     return operator.finalize_residual(total), trace
-
-
-@dataclass
-class CosimResult:
-    """Functional + timing co-simulation outcome on a small mesh."""
-
-    trace: SimulationTrace
-    analytic_cycles: float
-    simulated_cycles: int
-    #: Functional-run diagnostics; ``None`` when the co-simulation ran
-    #: with ``verify=False`` (the checking solve was skipped).
-    kinetic_energy: float | None
-    mass_drift: float | None
-    #: Max-norm relative error of the streamed residual against the
-    #: functional operator's, over all five conserved fields; ``None``
-    #: under ``verify=False``.
-    residual_max_rel_err: float | None
-    #: Number of RKL compute units the element stream was sharded over.
-    num_compute_units: int = 1
-    #: Elements per simulated token (1 = element-at-a-time streaming).
-    block_size: int = 1
-    #: Per-CU drain cycles on the shared simulator clock; ``max()`` of
-    #: these is the RKL stage time of the sharded configuration.
-    per_cu_cycles: tuple[int, ...] = ()
-
-    @property
-    def cycle_agreement(self) -> float:
-        """|simulated - analytic| / analytic."""
-        return abs(self.simulated_cycles - self.analytic_cycles) / (
-            self.analytic_cycles
-        )
-
-
-def cosimulate_small_mesh(
-    design: AcceleratorDesign,
-    mesh: HexMesh,
-    num_steps: int = 2,
-    backend: str | None = None,
-    case=None,
-    initial_state: FlowState | None = None,
-    block_size: int = 1,
-    num_cus: int = 1,
-    engine: str = "auto",
-    dtype: str | None = None,
-    verify: bool = True,
-) -> CosimResult:
-    """Run functional solve + payload-carrying cycle simulation on one mesh.
-
-    The functional result (from :class:`repro.solver.Simulation`) proves
-    the workload is real physics; the cycle-level trace validates the
-    analytic extrapolation the experiments rely on; and the streamed
-    residual (:func:`streamed_residual`, computed on the initial state)
-    proves both executions agree to rounding error.
-
-    Parameters
-    ----------
-    design:
-        Accelerator design point to co-simulate.
-    mesh:
-        The (small) mesh to stream; with ``block_size > 1`` meshes an
-        order of magnitude beyond the single-element streaming limit
-        stay tractable, because each simulated token computes a batched
-        element block instead of one element.
-    num_steps:
-        Time steps of the functional solve.
-    backend:
-        Compute backend for both paths (``None`` defers to the
-        ``REPRO_BACKEND`` environment variable, then ``"reference"``).
-    case / initial_state:
-        The physics (defaults: the TGV case on its standard initial
-        condition), so wall-bounded workloads such as the channel shear
-        flow co-simulate too.
-    block_size:
-        Elements per simulated token (see :func:`streamed_residual`).
-    num_cus:
-        Compute units the element stream is sharded over; the analytic
-        reference becomes the max over CUs of the per-CU block law, and
-        ``per_cu_cycles`` records each CU's drain cycle.
-    engine:
-        Simulation engine, forwarded to :func:`streamed_residual`
-        (``"auto"`` resolves to the vectorized schedule engine).
-    dtype:
-        Precision mode for both paths (``"float64"``, ``"float32"``,
-        ``"mixed"``; ``None`` defers to ``REPRO_DTYPE``). Functional
-        solve and streamed residual run under the same policy.
-    verify:
-        ``True`` (default) also runs the functional reference — the
-        operator residual the streamed result is checked against and the
-        ``num_steps`` solver run behind ``kinetic_energy`` /
-        ``mass_drift``. ``False`` skips that duplicate solve (the
-        streamed payloads compute identical values either way) and
-        leaves the three report fields ``None``.
-
-    Returns
-    -------
-    CosimResult
-        Functional + timing outcome; ``residual_max_rel_err`` must sit
-        at rounding error for the co-simulation to be trusted.
-
-    Raises
-    ------
-    ExperimentError
-        On invalid ``block_size``/``num_cus`` (including more CUs than
-        elements).
-    """
-    from ..physics.taylor_green import DEFAULT_TGV
-    from ..solver.simulation import Simulation
-
-    if case is None:
-        case = DEFAULT_TGV
-    sim = Simulation(
-        mesh, case, backend=backend, initial_state=initial_state, dtype=dtype,
-    )
-    initial_stacked = sim.state.as_stacked()
-    streamed, trace = streamed_residual(
-        design,
-        sim.operator,
-        initial_stacked,
-        block_size=block_size,
-        num_cus=num_cus,
-        engine=engine,
-    )
-    residual_err = kinetic = drift = None
-    if verify:
-        expected = sim.operator.residual(initial_stacked)
-        scale = float(np.abs(expected).max())
-        residual_err = float(np.abs(streamed - expected).max()) / (
-            scale if scale > 0.0 else 1.0
-        )
-        result = sim.run(num_steps)
-        kinetic = result.records[-1].kinetic_energy
-        drift = result.mass_drift()
-
-    nodes_per_cu = nodes_per_compute_unit(mesh.num_nodes, num_cus)
-    analytic = max(
-        analytic_block_cycles(
-            design,
-            nodes_per_cu,
-            [block.size for block in element_blocks(part, block_size)],
-        )
-        for part in partition_elements_balanced(mesh.num_elements, num_cus)
-    )
-    return CosimResult(
-        trace=trace,
-        analytic_cycles=analytic,
-        simulated_cycles=trace.total_cycles,
-        kinetic_energy=kinetic,
-        mass_drift=drift,
-        residual_max_rel_err=residual_err,
-        num_compute_units=num_cus,
-        block_size=block_size,
-        per_cu_cycles=per_cu_simulated_cycles(trace, num_cus),
-    )
 
 
 # ---------------------------------------------------------------------------
 # Full RK-step co-simulation: RKL element streams chained into RKU
 # ---------------------------------------------------------------------------
-
-
-def _latency_with_fill(base, fill: float):
-    """A task latency with a kernel-launch fill on iteration 0.
-
-    The RKU closed form charges the five update loops' pipeline depths
-    (plus SLL crossings) once per launch; the streamed chain pays the
-    same constant on its first token. Constant and block-scaled models
-    stay :class:`~repro.dataflow.task.BlockLatency` instances so the
-    vectorized schedule engine can still evaluate them in bulk.
-    """
-    extra = max(0, round(fill))
-    if extra == 0:
-        return base
-    if isinstance(base, BlockLatency):
-        return BlockLatency(
-            base.cycles_per_unit, base.sizes, base.first_extra + extra
-        )
-    if callable(base):
-
-        def latency(iteration: int, base=base, extra=extra) -> int:
-            return int(base(iteration)) + (extra if iteration == 0 else 0)
-
-        return latency
-    return BlockLatency(int(base), None, extra)
-
-
-class _ChainTemplate:
-    """One streamed task chain, lowered once and instantiated cheaply.
-
-    The full-step co-simulation runs the *same* chain structure many
-    times — one RKL chain per compute unit per RK stage (per step), one
-    combination chain per stage — differing only in task names, payload
-    actions and sequencing. Lowering the operator pipeline once per
-    distinct structure (per-CU block sizes, node block sizes) and
-    rebinding per instance removes the per-stage ``to_task_graph`` /
-    role-grouping cost from the hot path.
-    """
-
-    def __init__(
-        self,
-        pipeline: OperatorPipeline,
-        stage_cycles,
-        block_sizes=None,
-    ) -> None:
-        lowered = pipeline.to_task_graph(
-            stage_cycles, name="template", block_sizes=block_sizes
-        )
-        self.spec = [
-            (lowered.tasks[name].kind, lowered.tasks[name].latency)
-            for name in lowered.topological_order()
-        ]
-
-    def instantiate(
-        self,
-        task_names,
-        actions,
-        name: str,
-        depends_on: tuple[str, ...] = (),
-        fill_cycles: float = 0.0,
-    ) -> DataflowGraph:
-        """A fresh graph with this chain's structure and latencies."""
-        tasks = [
-            Task(
-                task_names[role],
-                (
-                    _latency_with_fill(latency, fill_cycles)
-                    if index == 0
-                    else latency
-                ),
-                kind=role,
-                action=None if actions is None else actions.get(role),
-                depends_on=depends_on if index == 0 else (),
-            )
-            for index, (role, latency) in enumerate(self.spec)
-        ]
-        graph = DataflowGraph(name=name)
-        graph.chain(tasks)
-        return graph
-
-
-def _rku_task_names(prefix: str) -> dict[str, str]:
-    """Role -> task-name mapping of one RKU chain instance."""
-    return {
-        role: f"{prefix}.{base}"
-        for role, base in RK_UPDATE_TASK_NAMES.items()
-    }
 
 
 @dataclass
@@ -949,16 +699,6 @@ class RKStepCosimResult:
         )
 
 
-def _chain_window_cycles(
-    trace: SimulationTrace, load_names: list[str], store_names: list[str]
-) -> int:
-    """Cycles one task chain occupied: first LOAD start to last STORE
-    finish, on the shared simulator clock."""
-    first = min(trace.stats(name).first_start or 0 for name in load_names)
-    last = max(trace.stats(name).last_finish or 0 for name in store_names)
-    return last - first
-
-
 def cosimulate_rk_stage(
     design: AcceleratorDesign,
     mesh: HexMesh,
@@ -977,13 +717,13 @@ def cosimulate_rk_stage(
     dtype: str | None = None,
     verify: bool = True,
 ) -> RKStepCosimResult:
-    """Co-simulate one complete RK time step: RKL streamed into RKU.
+    """Co-simulate complete RK time steps: RKL streamed into RKU.
 
-    Every RK stage's element stream (the RKL pipeline, sharded over
-    ``num_cus`` like :func:`streamed_residual`) and every stage
-    combination's node stream (the
-    :func:`~repro.pipeline.rk_update.rk_update_pipeline` lowering) run
-    as task chains of ONE merged dataflow graph under ONE simulator
+    The one payload-carrying co-simulation entry point. Every RK stage's
+    element stream (the shared sharded RKL lowering, as in
+    :func:`streamed_residual`) and every stage combination's node stream
+    (the :func:`~repro.pipeline.rk_update.rk_update_pipeline` lowering)
+    run as task chains of ONE merged dataflow graph under ONE simulator
     clock, sequenced the way the host runtime sequences the kernels:
     each chain's entry task carries a
     :attr:`~repro.dataflow.task.Task.depends_on` dependency on the
@@ -993,9 +733,10 @@ def cosimulate_rk_stage(
     — waits for the last stage). The payload-carrying tokens compute the
     *actual* step: the result must match the functional
     :meth:`repro.solver.simulation.Simulation.step` to rounding error,
-    and the RKU chain's trace cycles must agree with the
+    each stage's RKL window equals :func:`exact_rkl_stage_cycles`, and
+    the RKU chain's trace cycles must agree with the
     :meth:`~repro.accel.designs.AcceleratorDesign.rku_step_cycles`
-    closed form — both asserted by the test suite.
+    closed form — all asserted by the test suite.
 
     Parameters
     ----------
@@ -1005,8 +746,13 @@ def cosimulate_rk_stage(
         The (small) mesh whose step is co-simulated.
     dt:
         Step size (``None`` uses the CFL controller's stable step).
-    backend / case / initial_state:
-        As in :func:`cosimulate_small_mesh`.
+    backend:
+        Compute backend of the payloads and of the checking solve
+        (``None`` defers to ``REPRO_BACKEND``, then ``"reference"``).
+    case / initial_state:
+        The physics (defaults: the TGV case on its standard initial
+        condition), so wall-bounded workloads such as the channel shear
+        flow co-simulate too.
     block_size:
         Elements per RKL token.
     num_cus / partitions:
@@ -1054,19 +800,30 @@ def cosimulate_rk_stage(
     ------
     ExperimentError
         On invalid ``block_size``/``num_cus``/``partitions``, as in
-        :func:`streamed_residual`, or ``num_steps < 1``.
+        :func:`streamed_residual`, or on ``node_block_size < 1`` or
+        ``num_steps < 1``.
     """
     from ..physics.taylor_green import DEFAULT_TGV
     from ..solver.simulation import Simulation
 
     if case is None:
         case = DEFAULT_TGV
-    if block_size < 1:
-        raise ExperimentError("block_size must be >= 1")
     if node_block_size < 1:
         raise ExperimentError("node_block_size must be >= 1")
     if num_steps < 1:
         raise ExperimentError("num_steps must be >= 1")
+    num_nodes = mesh.num_nodes
+    # The streaming lowerings, built ONCE: the task-chain structure and
+    # latencies are identical across RK stages (and steps) — only names,
+    # actions and sequencing differ per instance.
+    rkl = _RKLShards(
+        design,
+        num_nodes,
+        mesh.num_elements,
+        block_size=block_size,
+        num_cus=num_cus,
+        partitions=partitions,
+    )
     sim = Simulation(
         mesh, case, tableau=tableau, backend=backend,
         initial_state=initial_state, num_workers=num_workers, dtype=dtype,
@@ -1078,11 +835,7 @@ def cosimulate_rk_stage(
     y0 = sim.state.as_stacked().astype(storage, copy=False)
     if dt is None:
         dt = sim.compute_dt()
-    num_nodes = mesh.num_nodes
     num_stages = tableau.num_stages
-    partitions = _element_partitions(mesh.num_elements, num_cus, partitions)
-    num_cus = len(partitions)
-    nodes_per_cu = nodes_per_compute_unit(num_nodes, num_cus)
     blocks = node_blocks(num_nodes, node_block_size)
     node_sizes = [block.size for block in blocks]
 
@@ -1090,47 +843,42 @@ def cosimulate_rk_stage(
     rku_ctx = RKUpdateContext(
         gas=operator.gas, num_nodes=num_nodes, precision=precision
     )
-    rkl_pipeline = element_pipeline()
     combine_pipeline = rk_update_pipeline(primitives=False)
     update_pipeline = rk_update_pipeline(primitives=True)
-    rku_fill = design.rku_fill_cycles()
-
-    # The streaming lowerings, built ONCE: the task-chain structure and
-    # latencies are identical across RK stages (and steps) — only names,
-    # actions and sequencing differ per instance.
-    rkl_stage_cycles = design.pipeline_stage_cycles(rkl_pipeline, nodes_per_cu)
-    element_tokens = [element_blocks(part, block_size) for part in partitions]
-    rkl_templates = [
+    combine_template, update_template = (
         _ChainTemplate(
-            rkl_pipeline,
-            rkl_stage_cycles,
-            block_sizes=(
-                None
-                if block_size == 1
-                else [block.size for block in tokens]
-            ),
+            pipeline,
+            design.rku_pipeline_stage_cycles(pipeline, num_nodes),
+            node_sizes,
         )
-        for tokens in element_tokens
-    ]
-    combine_template = _ChainTemplate(
-        combine_pipeline,
-        design.rku_pipeline_stage_cycles(combine_pipeline, num_nodes),
-        block_sizes=node_sizes,
-    )
-    update_template = _ChainTemplate(
-        update_pipeline,
-        design.rku_pipeline_stage_cycles(update_pipeline, num_nodes),
-        block_sizes=node_sizes,
+        for pipeline in (combine_pipeline, update_pipeline)
     )
 
     subgraphs: list[DataflowGraph] = []
     iterations: dict[str, int] = {}
+
+    def add_rku_chain(template, prefix, actions, depends_on):
+        """Append one node-stream chain; returns its drain task."""
+        names = _rku_task_names(prefix)
+        graph = template.instantiate(
+            names,
+            actions,
+            name=f"rkstep-{design.options.name}-{prefix}",
+            depends_on=depends_on,
+            fill_cycles=design.rku_fill_cycles(),
+        )
+        for task_name in graph.tasks:
+            iterations[task_name] = len(blocks)
+        subgraphs.append(graph)
+        return (names["store"],)
+
+    step_prefixes = (
+        [""] if num_steps == 1 else [f"k{step}." for step in range(num_steps)]
+    )
     previous_drain: tuple[str, ...] = ()
     out_state = y0
-    out_primitives = np.empty((NUM_CONSERVED, num_nodes))
     shape = (NUM_CONSERVED, num_nodes)
-    for step in range(num_steps):
-        prefix = "" if num_steps == 1 else f"k{step}."
+    for prefix in step_prefixes:
         # Whole-mesh staging arrays this step's chains hand to one
         # another: the finalized stage derivatives, the combined stage
         # states the RKL streams read, and the step's outputs. The
@@ -1142,7 +890,7 @@ def cosimulate_rk_stage(
             np.empty(shape, dtype=storage) for _ in range(num_stages - 1)
         ]
         accumulators = [
-            [np.zeros(shape, dtype=acc_dtype) for _ in partitions]
+            [np.zeros(shape, dtype=acc_dtype) for _ in range(rkl.num_cus)]
             for _ in range(num_stages)
         ]
         out_state = np.empty(shape, dtype=storage)
@@ -1155,12 +903,9 @@ def cosimulate_rk_stage(
             starts, after the dependency guaranteed the RKL drain."""
 
             def prepare() -> None:
-                total = accumulators[stage][0]
-                for accumulator in accumulators[stage][1:]:
-                    total = total + accumulator
-                if total.dtype != storage:
-                    total = total.astype(storage)
-                derivs[stage][:] = operator.finalize_residual(total)
+                derivs[stage][:] = operator.finalize_residual(
+                    _reduce_partials(accumulators[stage], storage)
+                )
 
             return prepare
 
@@ -1168,7 +913,6 @@ def cosimulate_rk_stage(
             if stage > 0:
                 # Stage-combination node stream:
                 # y_s = y + dt * sum(a_sk d_k).
-                names = _rku_task_names(f"{prefix}s{stage}.update")
                 actions = rk_update_streaming_actions(
                     combine_pipeline,
                     rku_ctx,
@@ -1180,45 +924,24 @@ def cosimulate_rk_stage(
                     blocks=blocks,
                     prepare=finalizer(stage - 1),
                 )
-                graph = combine_template.instantiate(
-                    names,
+                previous_drain = add_rku_chain(
+                    combine_template,
+                    f"{prefix}s{stage}.update",
                     actions,
-                    name=f"rkstep-{design.options.name}-{prefix}s{stage}-update",
-                    depends_on=previous_drain,
-                    fill_cycles=rku_fill,
+                    previous_drain,
                 )
-                for task_name in graph.tasks:
-                    iterations[task_name] = len(blocks)
-                subgraphs.append(graph)
-                previous_drain = (names["store"],)
             # RKL element streams of this stage, one chain per CU.
-            drains: list[str] = []
-            for cu in range(num_cus):
-                names = {
-                    role: f"{prefix}s{stage}.cu{cu}.{base}"
-                    for role, base in DEFAULT_TASK_NAMES.items()
-                }
-                actions = streaming_actions(
-                    rkl_pipeline,
-                    ctx,
-                    stage_states[stage],
-                    accumulators[stage][cu],
-                    blocks=element_tokens[cu],
-                )
-                graph = rkl_templates[cu].instantiate(
-                    names,
-                    actions,
-                    name=f"rkstep-{design.options.name}-{prefix}s{stage}-cu{cu}",
-                    depends_on=previous_drain,
-                )
-                for task_name in graph.tasks:
-                    iterations[task_name] = len(element_tokens[cu])
-                drains.append(names["store"])
-                subgraphs.append(graph)
-            previous_drain = tuple(drains)
+            previous_drain = rkl.instantiate(
+                subgraphs,
+                iterations,
+                f"{prefix}s{stage}.",
+                ctx=ctx,
+                state=stage_states[stage],
+                accumulators=accumulators[stage],
+                depends_on=previous_drain,
+            )
         # The step's final RKU chain: b-row combination + primitive
         # update.
-        names = _rku_task_names(f"{prefix}rku")
         actions = rk_update_streaming_actions(
             update_pipeline,
             rku_ctx,
@@ -1231,20 +954,12 @@ def cosimulate_rk_stage(
             blocks=blocks,
             prepare=finalizer(num_stages - 1),
         )
-        graph = update_template.instantiate(
-            names,
-            actions,
-            name=f"rkstep-{design.options.name}-{prefix}rku",
-            depends_on=previous_drain,
-            fill_cycles=rku_fill,
+        previous_drain = add_rku_chain(
+            update_template, f"{prefix}rku", actions, previous_drain
         )
-        for task_name in graph.tasks:
-            iterations[task_name] = len(blocks)
-        subgraphs.append(graph)
-        previous_drain = (names["store"],)
 
     merged = merge_graphs(
-        f"rkstep-{design.options.name}-{num_cus}cu", subgraphs
+        f"rkstep-{design.options.name}-{rkl.num_cus}cu", subgraphs
     )
     trace = DataflowSimulator(merged).run(iterations, engine=engine)
 
@@ -1260,27 +975,12 @@ def cosimulate_rk_stage(
         )
 
     per_stage = tuple(
-        _chain_window_cycles(
-            trace,
-            [
-                f"{prefix}s{stage}.cu{cu}.{DEFAULT_TASK_NAMES['load']}"
-                for cu in range(num_cus)
-            ],
-            [
-                f"{prefix}s{stage}.cu{cu}.{DEFAULT_TASK_NAMES['store']}"
-                for cu in range(num_cus)
-            ],
-        )
-        for prefix in (
-            [""] if num_steps == 1 else [f"k{k}." for k in range(num_steps)]
-        )
+        rkl.window(trace, f"{prefix}s{stage}.")
+        for prefix in step_prefixes
         for stage in range(num_stages)
     )
-    last_prefix = "" if num_steps == 1 else f"k{num_steps - 1}."
-    rku_cycles = _chain_window_cycles(
-        trace,
-        [f"{last_prefix}rku.{RK_UPDATE_TASK_NAMES['load']}"],
-        [f"{last_prefix}rku.{RK_UPDATE_TASK_NAMES['store']}"],
+    rku_cycles = _window_cycles(
+        trace, [_rku_task_names(f"{step_prefixes[-1]}rku")]
     )
     return RKStepCosimResult(
         trace=trace,
@@ -1292,7 +992,7 @@ def cosimulate_rk_stage(
         per_stage_rkl_cycles=per_stage,
         rku_simulated_cycles=rku_cycles,
         rku_analytic_cycles=design.rku_step_cycles(num_nodes),
-        num_compute_units=num_cus,
+        num_compute_units=rkl.num_cus,
         block_size=block_size,
         node_block_size=node_block_size,
         num_elements=mesh.num_elements,

@@ -159,6 +159,39 @@ def _merge_node_loops(rkl: RKLKernelModel) -> LoopNest:
     )
 
 
+@dataclass(frozen=True)
+class DesignTiming:
+    """Seconds per time step of one design on one mesh size.
+
+    One type for every timing route: the closed form
+    (:func:`repro.accel.cosim.design_timing`), the N-CU closed form
+    (:func:`repro.accel.multi_cu.multi_cu_timing`) and the co-simulated
+    step (:func:`repro.accel.cosim.design_timing_from_rk_cosim`,
+    :func:`repro.accel.multi_cu.multi_cu_timing_from_cosim`).
+    """
+
+    design_name: str
+    num_nodes: int
+    num_elements: int
+    clock_mhz: float
+    #: One RK stage of the spatial operator; with several compute units
+    #: the *max* over CUs (the stage completes when the slowest shard
+    #: drains).
+    rkl_seconds_per_stage: float
+    #: The whole-mesh RKU update — unsharded, the Amdahl term.
+    rku_seconds_per_step: float
+    num_stages: int
+    #: RKL compute units the element stream is sharded over.
+    num_compute_units: int = 1
+
+    @property
+    def rk_step_seconds(self) -> float:
+        """RKL (all stages) + RKU for one time step."""
+        return self.rkl_seconds_per_stage * self.num_stages + (
+            self.rku_seconds_per_step
+        )
+
+
 @dataclass
 class AcceleratorDesign:
     """A fully elaborated design point: structure, schedules, placement."""

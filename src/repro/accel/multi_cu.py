@@ -21,14 +21,15 @@ change:
 - RKU (whole-mesh update) is unchanged and grows in relative weight —
   the emerging Amdahl bottleneck the analysis surfaces.
 
-Two routes produce a :class:`MultiCUTiming`:
+Two routes produce a :class:`~repro.accel.designs.DesignTiming` with
+``num_compute_units`` set:
 
 - :func:`multi_cu_timing` — the closed-form model above;
 - :func:`multi_cu_timing_from_cosim` — the same quantity derived from a
   *functional* multi-CU co-simulation
-  (:func:`repro.accel.cosim.cosimulate_small_mesh` with ``num_cus``):
-  the RKL stage time is the max drain cycle over the sharded task
-  graphs that computed a real residual, so the timing extension and the
+  (:func:`repro.accel.cosim.cosimulate_rk_stage` with ``num_cus``): the
+  RKL stage time is the simulated stage window — max over the sharded
+  chains that streamed the real step — so the timing extension and the
   physics share one execution. The co-simulation runs on the vectorized
   schedule engine by default (``engine="auto"``, exact trace parity
   with the event oracle), which is what makes deriving this timing
@@ -38,14 +39,18 @@ Two routes produce a :class:`MultiCUTiming`:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..config import seconds_from_cycles
 from ..errors import ExperimentError
 from ..fpga.device import ALVEO_U200, FPGADevice
 from ..fpga.floorplan import KernelPlacement, clock_for_floorplan, plan_floorplan
 from ..timeint.butcher import RK4, ButcherTableau
-from .designs import AcceleratorDesign, proposed_design
+from .designs import AcceleratorDesign, DesignTiming, proposed_design
+
+if TYPE_CHECKING:
+    from .cosim import RKStepCosimResult
+
 
 def max_compute_units(device: FPGADevice = ALVEO_U200) -> int:
     """Compute-unit ceiling of a device: its memory-attached SLR count.
@@ -75,43 +80,6 @@ def nodes_per_compute_unit(num_nodes: int, num_compute_units: int) -> int:
     cannot silently diverge.
     """
     return max(1, round(num_nodes / num_compute_units))
-
-
-@dataclass(frozen=True)
-class MultiCUTiming:
-    """Per-step timing of an N-CU configuration.
-
-    Attributes
-    ----------
-    num_compute_units:
-        RKL compute units the element stream is sharded over.
-    num_nodes:
-        Mesh size the timing was evaluated at.
-    clock_mhz:
-        Achieved clock of the multi-CU floorplan.
-    rkl_seconds_per_stage:
-        One RK stage of the spatial operator: the *max* over CUs (the
-        stage completes when the slowest shard drains).
-    rku_seconds_per_step:
-        The whole-mesh RKU update — unsharded, the Amdahl term.
-    num_stages:
-        RK stages per time step (the Butcher tableau's count).
-    """
-
-    num_compute_units: int
-    num_nodes: int
-    clock_mhz: float
-    rkl_seconds_per_stage: float
-    rku_seconds_per_step: float
-    num_stages: int
-
-    @property
-    def rk_step_seconds(self) -> float:
-        """RKL (all stages) + RKU for one time step."""
-        return (
-            self.rkl_seconds_per_stage * self.num_stages
-            + self.rku_seconds_per_step
-        )
 
 
 def multi_cu_floorplan(
@@ -173,7 +141,7 @@ def multi_cu_timing(
     base: AcceleratorDesign | None = None,
     device: FPGADevice = ALVEO_U200,
     tableau: ButcherTableau = RK4,
-) -> MultiCUTiming:
+) -> DesignTiming:
     """Closed-form timing of the N-CU configuration at one mesh size.
 
     Parameters
@@ -192,7 +160,7 @@ def multi_cu_timing(
 
     Returns
     -------
-    MultiCUTiming
+    DesignTiming
         Per-step timing with RKL as the max over CUs and unsharded RKU.
 
     Raises
@@ -214,83 +182,63 @@ def multi_cu_timing(
         base.rkl_element_ii(nodes_per_cu) * (per_cu - 1)
     )
     rku_cycles = base.rku_step_cycles(num_nodes)
-    return MultiCUTiming(
-        num_compute_units=num_compute_units,
+    return DesignTiming(
+        design_name=base.options.name,
         num_nodes=num_nodes,
+        num_elements=num_elements,
         clock_mhz=clock,
         rkl_seconds_per_stage=seconds_from_cycles(stage_cycles, hz),
         rku_seconds_per_step=seconds_from_cycles(rku_cycles, hz),
         num_stages=tableau.num_stages,
+        num_compute_units=num_compute_units,
     )
 
 
 def multi_cu_timing_from_cosim(
-    result,
-    num_nodes: int,
+    result: RKStepCosimResult,
     base: AcceleratorDesign | None = None,
     device: FPGADevice = ALVEO_U200,
-    tableau: ButcherTableau = RK4,
-) -> MultiCUTiming:
-    """Derive :class:`MultiCUTiming` from a multi-CU co-simulation.
+) -> DesignTiming:
+    """Derive the N-CU :class:`DesignTiming` from a co-simulated step.
 
     This is the unification of the timing extension with the functional
     co-simulator: instead of the closed-form element-II model, the RKL
-    stage time comes from the *simulated* task graphs that streamed real
-    element blocks — the max drain cycle over compute units on the
-    shared simulator clock (``result.per_cu_cycles``). Clock and RKU are
-    shared with :func:`multi_cu_timing` (the RKU update is not part of
-    the streamed RKL graph), so the two routes are directly comparable
+    stage time comes from the *simulated* chains that streamed the real
+    step — the slowest stage window of ``result.per_stage_rkl_cycles``
+    (each window is already the max over compute units on the shared
+    simulator clock). Clock and RKU are shared with
+    :func:`multi_cu_timing`, so the two routes are directly comparable
     and must agree at block size 1 — asserted by the test suite.
 
     Parameters
     ----------
     result:
-        A :class:`repro.accel.cosim.CosimResult` from
-        :func:`repro.accel.cosim.cosimulate_small_mesh` run with
-        ``num_cus`` — anything exposing ``num_compute_units`` and
-        non-empty ``per_cu_cycles`` works.
-    num_nodes:
-        Mesh nodes of the co-simulated mesh (for the RKU term).
+        The :func:`repro.accel.cosim.cosimulate_rk_stage` outcome; it
+        supplies the CU count, mesh size and stage count.
     base:
         Base design point (defaults to the paper's proposed design);
         must be the design the co-simulation ran.
     device:
         Target FPGA for the floorplan/clock.
-    tableau:
-        RK tableau supplying the per-step stage count.
-
-    Returns
-    -------
-    MultiCUTiming
-        Timing whose RKL stage seconds are simulated, not modeled.
-
-    Raises
-    ------
-    ExperimentError
-        If ``result`` carries no per-CU cycles or ``num_nodes < 1``.
     """
-    if num_nodes < 1:
-        raise ExperimentError("num_nodes must be >= 1")
-    if not result.per_cu_cycles:
-        raise ExperimentError(
-            "result carries no per-CU cycles; run cosimulate_small_mesh "
-            "with num_cus set"
-        )
     base = base if base is not None else proposed_design()
-    num_compute_units = result.num_compute_units
-    plan = multi_cu_floorplan(base, num_compute_units, device)
+    num_nodes = result.final_state.num_nodes
+    plan = multi_cu_floorplan(base, result.num_compute_units, device)
     clock = clock_for_floorplan(plan)
     hz = clock * 1e6
-    stage_cycles = max(result.per_cu_cycles)
-    return MultiCUTiming(
-        num_compute_units=num_compute_units,
+    return DesignTiming(
+        design_name=base.options.name,
         num_nodes=num_nodes,
+        num_elements=result.num_elements,
         clock_mhz=clock,
-        rkl_seconds_per_stage=seconds_from_cycles(stage_cycles, hz),
+        rkl_seconds_per_stage=seconds_from_cycles(
+            max(result.per_stage_rkl_cycles), hz
+        ),
         rku_seconds_per_step=seconds_from_cycles(
             base.rku_step_cycles(num_nodes), hz
         ),
-        num_stages=tableau.num_stages,
+        num_stages=result.num_stages,
+        num_compute_units=result.num_compute_units,
     )
 
 
@@ -298,7 +246,7 @@ def scaling_table(
     num_nodes: int,
     base: AcceleratorDesign | None = None,
     device: FPGADevice = ALVEO_U200,
-) -> list[MultiCUTiming]:
+) -> list[DesignTiming]:
     """Closed-form timing at 1..max CUs for one mesh size.
 
     Returns one :func:`multi_cu_timing` row per CU count the device
@@ -312,7 +260,7 @@ def scaling_table(
     ]
 
 
-def render_scaling_table(timings: list[MultiCUTiming]) -> str:
+def render_scaling_table(timings: list[DesignTiming]) -> str:
     """Readable CU-scaling table with the Amdahl split.
 
     ``timings`` must be non-empty; the first row is the speedup

@@ -20,7 +20,6 @@ from .precision.modes import resolve_dtype
 
 KILO = 1_000
 MEGA = 1_000_000
-GIGA = 1_000_000_000
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -35,19 +34,9 @@ def mhz(value: float) -> float:
     return float(value) * MEGA
 
 
-def ghz(value: float) -> float:
-    """Convert a frequency expressed in GHz to Hz."""
-    return float(value) * GIGA
-
-
 def gib_per_s(value: float) -> float:
     """Convert a bandwidth expressed in GiB/s to bytes/s."""
     return float(value) * GIB
-
-
-def gb_per_s(value: float) -> float:
-    """Convert a bandwidth expressed in GB/s (decimal) to bytes/s."""
-    return float(value) * GIGA
 
 
 def seconds_from_cycles(cycles: float, frequency_hz: float) -> float:

@@ -10,7 +10,7 @@ multi-step chains. Only the error-report fields become ``None``.
 import numpy as np
 import pytest
 
-from repro.accel.cosim import cosimulate_rk_stage, cosimulate_small_mesh
+from repro.accel.cosim import cosimulate_rk_stage
 from repro.mesh.hexmesh import periodic_box_mesh
 
 
@@ -69,17 +69,3 @@ class TestRKStepVerifySwitch:
         checked = cosimulate_rk_stage(proposed, mesh, verify=True)
         assert checked.state_max_rel_err <= 1e-12
 
-
-class TestSmallMeshVerifySwitch:
-    def test_fields_none_and_trace_identical(self, proposed):
-        mesh = periodic_box_mesh(2, 3)
-        checked = cosimulate_small_mesh(proposed, mesh, verify=True)
-        fast = cosimulate_small_mesh(proposed, mesh, verify=False)
-        assert fast.simulated_cycles == checked.simulated_cycles
-        assert fast.analytic_cycles == checked.analytic_cycles
-        assert fast.per_cu_cycles == checked.per_cu_cycles
-        assert fast.residual_max_rel_err is None
-        assert fast.kinetic_energy is None
-        assert fast.mass_drift is None
-        assert checked.residual_max_rel_err is not None
-        assert checked.residual_max_rel_err <= 1e-12

@@ -228,16 +228,6 @@ class TestRemovedWorkerPlumbing:
         )
 
     @staticmethod
-    def _cosim_small_mesh():
-        from repro.accel.cosim import cosimulate_small_mesh
-        from repro.accel.designs import proposed_design
-        from repro.mesh.hexmesh import periodic_box_mesh
-
-        cosimulate_small_mesh(
-            proposed_design(), periodic_box_mesh(1, 2), num_workers=2
-        )
-
-    @staticmethod
     def _evaluate_cosim():
         from repro.dse.campaign import DesignPoint
         from repro.dse.tiers import evaluate_cosim
@@ -259,7 +249,6 @@ class TestRemovedWorkerPlumbing:
             "_get_backend",
             "_solver_config",
             "_operator",
-            "_cosim_small_mesh",
             "_evaluate_cosim",
             "_error_growth_report",
         ],

@@ -5,9 +5,22 @@ import gc
 import numpy as np
 import pytest
 
-from repro.accel.cosim import cosimulate_small_mesh, design_timing
+from repro.accel.cosim import (
+    _RKLShards,
+    analytic_block_cycles,
+    cosimulate_rk_stage,
+    design_timing,
+)
 from repro.dataflow.simulator import DataflowSimulator
-from repro.accel.cosim import build_rkl_dataflow_graph
+
+
+def rkl_graph(design, num_nodes, num_elements):
+    """The shared RKL lowering of one CU streaming ``num_elements``
+    one-element tokens, its LOAD/STORE priced at ``num_nodes``."""
+    return _RKLShards(
+        design, num_nodes, num_elements,
+        block_size=1, num_cus=1, partitions=None,
+    ).graph("rkl")
 
 
 class TestCosimConsistency:
@@ -16,22 +29,26 @@ class TestCosimConsistency:
         from repro.mesh.hexmesh import periodic_box_mesh
 
         mesh = periodic_box_mesh(mesh_k, 2)
-        result = cosimulate_small_mesh(proposed, mesh, num_steps=1)
-        assert result.cycle_agreement < 0.02
+        result = cosimulate_rk_stage(proposed, mesh, verify=False)
+        analytic = analytic_block_cycles(
+            proposed, mesh.num_nodes, [1] * mesh.num_elements
+        )
+        for window in result.per_stage_rkl_cycles:
+            assert abs(window - analytic) / analytic < 0.02
 
     def test_dataflow_graph_ii_matches_design_model(self, proposed):
         """The cycle simulator's steady-state II must equal the design
         model's element II (the quantity used for paper-scale numbers)."""
         n = 50_000
-        graph = build_rkl_dataflow_graph(proposed, n)
-        trace = DataflowSimulator(graph).run(200)
+        graph, iterations = rkl_graph(proposed, n, 200)
+        trace = DataflowSimulator(graph).run(iterations)
         measured = trace.achieved_initiation_interval()
         analytic = proposed.rkl_element_ii(n)
         assert measured == pytest.approx(analytic, rel=0.02)
 
     def test_bottleneck_is_load_at_scale(self, proposed):
-        graph = build_rkl_dataflow_graph(proposed, 4_200_000)
-        trace = DataflowSimulator(graph).run(100)
+        graph, iterations = rkl_graph(proposed, 4_200_000, 100)
+        trace = DataflowSimulator(graph).run(iterations)
         assert trace.bottleneck_task() == "load_element"
 
 

@@ -43,7 +43,7 @@ SMOKE_ARGS: dict[str, list[str]] = {
     "accelerator_dse.py": [],
     "scaling_study.py": [],
     "functional_cosim.py": [
-        "2", "3", "--block-size", "4", "--num-cus", "2", "--full-step",
+        "2", "3", "--block-size", "4", "--num-cus", "2",
         "--num-steps", "2", "--engine", "vectorized",
         "--backend", "fast", "--no-verify",
     ],
