@@ -52,7 +52,7 @@ from repro.accel.multi_cu import (
     nodes_per_compute_unit,
 )
 from repro.mesh.hexmesh import channel_mesh, periodic_box_mesh
-from repro.mesh.partition import element_blocks, partition_elements_balanced
+from repro.mesh.partition import partition_elements_balanced
 from repro.pipeline import navier_stokes_pipeline
 from repro.precision import add_dtype_argument, resolve_dtype
 
@@ -158,11 +158,7 @@ def main() -> None:
     # completes when the last compute unit drains.
     nodes_per_cu = nodes_per_compute_unit(mesh.num_nodes, args.num_cus)
     analytic = max(
-        analytic_block_cycles(
-            design,
-            nodes_per_cu,
-            [block.size for block in element_blocks(part, args.block_size)],
-        )
+        analytic_block_cycles(design, nodes_per_cu, part.size, args.block_size)
         for part in partition_elements_balanced(
             mesh.num_elements, args.num_cus
         )

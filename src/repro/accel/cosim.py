@@ -124,23 +124,54 @@ def rk_step_seconds(
 # ---------------------------------------------------------------------------
 
 
+def _tandem_cycles(role_cycles, count: int, block_size: int) -> float:
+    """Closed form of the tandem-pipeline recurrence over uniform blocks.
+
+    ``count`` items stream through the task chain in tokens of
+    ``block_size`` (the last token holds the ``r`` left over), and task
+    ``t`` spends ``c_t * b_i`` cycles on token ``i``. The recurrence
+    ``finish(t, i) = max(finish(t, i-1), finish(t-1, i)) + c_t * b_i``
+    is the longest monotone path through the (task x token) grid; with
+    ``n`` tokens its last-token turn at task ``k`` weighs
+    ``B * (P_k + (n - 2) * M_k) + r * S_k`` (prefix sum, prefix max and
+    suffix sum of ``c``), so the total is the max of that over ``k`` —
+    O(tasks), whatever the item count. One token is ``r * sum(c)``.
+    """
+    tokens = -(-count // block_size)
+    if tokens == 1:
+        return float(count * sum(role_cycles))
+    tail = count - (tokens - 1) * block_size
+    prefix = peak = finish = 0.0
+    suffix = sum(role_cycles)
+    for cycles in role_cycles:
+        prefix += cycles
+        peak = max(peak, cycles)
+        finish = max(
+            finish,
+            block_size * (prefix + (tokens - 2) * peak) + tail * suffix,
+        )
+        suffix -= cycles
+    return float(finish)
+
+
 def analytic_block_cycles(
-    design: AcceleratorDesign, num_nodes: int, block_sizes
+    design: AcceleratorDesign,
+    num_nodes: int,
+    num_elements: int,
+    block_size: int = 1,
 ) -> float:
-    """Analytic RKL cycles for one CU streaming the given block tokens.
+    """Analytic RKL cycles for one CU streaming its elements in blocks.
 
     The block pipeline keeps the element pipeline's cycle law at token
     granularity: task latencies are the per-element role latencies
     scaled by each token's block size (the II scales per block), and the
-    total follows the tandem-pipeline recurrence
-    ``finish(t, i) = max(finish(t, i-1), finish(t-1, i)) + c_t * b_i``.
-    For uniform blocks this closes to the familiar
+    total is the tandem-pipeline recurrence in closed form
+    (:func:`_tandem_cycles`). For uniform blocks this is the familiar
     ``fill_B + II_B * (tokens - 1)``, and one-element blocks recover the
     paper's ``fill + II * (E - 1)``; the short tail block of a
-    non-divisor split only perturbs the drain term, which the recurrence
-    prices exactly. The baseline without element-level dataflow stays on
-    its serial ``II_serial * E`` regardless of blocking (tasks run
-    back-to-back either way).
+    non-divisor split only perturbs the drain term. The baseline without
+    element-level dataflow stays on its serial ``II_serial * E``
+    regardless of blocking (tasks run back-to-back either way).
 
     Parameters
     ----------
@@ -148,27 +179,27 @@ def analytic_block_cycles(
         Design point (role latencies, dataflow on/off).
     num_nodes:
         Gather footprint the LOAD/STORE latencies are priced at.
-    block_sizes:
-        Elements per token, in stream order.
+    num_elements:
+        Elements the CU streams.
+    block_size:
+        Elements per token; the last token may be short.
 
     Raises
     ------
     ExperimentError
-        If ``block_sizes`` is empty.
+        If ``num_elements`` or ``block_size`` is below 1.
     """
-    sizes = [int(size) for size in block_sizes]
-    if not sizes:
-        raise ExperimentError("block_sizes must be non-empty")
+    if num_elements < 1:
+        raise ExperimentError("num_elements must be >= 1")
+    if block_size < 1:
+        raise ExperimentError("block_size must be >= 1")
     if not design.options.element_dataflow:
-        return design.rkl_element_ii(num_nodes) * sum(sizes)
-    role_cycles = list(design.rkl_element_cycles(num_nodes).values())
-    finish = [0.0] * len(role_cycles)
-    for size in sizes:
-        upstream = 0.0
-        for task, cycles in enumerate(role_cycles):
-            finish[task] = max(finish[task], upstream) + cycles * size
-            upstream = finish[task]
-    return finish[-1]
+        return design.rkl_element_ii(num_nodes) * num_elements
+    return _tandem_cycles(
+        design.rkl_element_cycles(num_nodes).values(),
+        num_elements,
+        block_size,
+    )
 
 
 def analytic_rku_step_cycles(
@@ -181,7 +212,7 @@ def analytic_rku_step_cycles(
     :meth:`AcceleratorDesign.rku_step_cycles` prices the update loops
     alone; the streamed chain the co-simulation (and the exact schedule
     solve) runs also carries the LOAD/STORE streaming interfaces around
-    them. This is the chain's tandem-pipeline recurrence — the RKU
+    them. This is the chain's tandem-pipeline closed form — the RKU
     analogue of :func:`analytic_block_cycles` — with the kernel-launch
     fill charged to the first token: the closed form the design-space
     exploration's cheap tier uses so its promoted points agree with the
@@ -194,14 +225,11 @@ def analytic_rku_step_cycles(
         raise ExperimentError("num_nodes must be >= 1")
     if node_block_size < 1:
         raise ExperimentError("node_block_size must be >= 1")
-    role_cycles = list(design.rku_node_cycles(num_nodes).values())
-    finish = [0.0] * len(role_cycles)
-    for block in node_blocks(num_nodes, node_block_size):
-        upstream = 0.0
-        for task, cycles in enumerate(role_cycles):
-            finish[task] = max(finish[task], upstream) + cycles * block.size
-            upstream = finish[task]
-    return design.rku_fill_cycles() + finish[-1]
+    return design.rku_fill_cycles() + _tandem_cycles(
+        design.rku_node_cycles(num_nodes).values(),
+        num_nodes,
+        node_block_size,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,15 @@
 """Campaign checkpoint journal: resume a killed sweep where it died.
 
 The content-addressed :class:`~repro.dse.cache.ResultCache` already
-persists every *successful* evaluation the moment a worker prices it —
-a resumed campaign re-prices none of them. What the cache cannot
-record is the rest of a campaign's progress: which batches and tiers
-finished, and which points were **quarantined** as failures (a failure
-is deliberately never cached — a crashed worker may price the same
-point fine after a respawn on the next run). The journal fills that
-gap: an append-only JSONL file next to the cache entries, one event
-per line, flushed line-by-line so a SIGKILL loses at most the line in
-flight.
+records a campaign's progress: a pool batch is persisted as one segment
+file the moment its worker prices it, so a segment on disk is a
+finished batch and a resumed campaign re-prices none of its points.
+What the cache cannot record is which points were **quarantined** as
+failures (a failure is deliberately never cached — a crashed worker may
+price the same point fine after a respawn on the next run). The journal
+fills that gap: an append-only JSONL file next to the segments, one
+event per line, flushed line-by-line so a SIGKILL loses at most the line
+in flight.
 
 Events (each a one-line JSON object with an ``"event"`` tag):
 
@@ -17,16 +17,9 @@ Events (each a one-line JSON object with an ``"event"`` tag):
     Opens a run; carries the campaign fingerprint
     (:meth:`~repro.dse.campaign.CampaignSpec.fingerprint`) so
     ``resume=True`` refuses a journal written by a different sweep.
-``batch``
-    A supervised-pool batch completed (its results are in the cache).
 ``failure``
     A point was quarantined; carries the point spec, tier, and error,
     so the resumed campaign's casualty list matches the killed one's.
-``tier``
-    A whole tier completed.
-``end``
-    The campaign completed; a resume of a completed campaign is a pure
-    cache replay.
 
 Loading is tolerant by construction: a truncated final line (the
 SIGKILL case) or trailing garbage is ignored, and everything before it
@@ -64,14 +57,8 @@ class JournalState:
 
     #: Campaign fingerprint of the ``begin`` event ("" for no journal).
     fingerprint: str = ""
-    #: Batch ids journaled complete, per tier.
-    batches: dict = field(default_factory=dict)
-    #: Tiers journaled complete.
-    tiers_done: list = field(default_factory=list)
     #: Quarantined points: ``(tier, index) -> (DesignPoint, error)``.
     failures: dict = field(default_factory=dict)
-    #: True when an ``end`` event was journaled (campaign completed).
-    ended: bool = False
 
     @property
     def exists(self) -> bool:
@@ -79,7 +66,7 @@ class JournalState:
 
 
 class CampaignJournal:
-    """Append-only JSONL progress journal of one campaign run."""
+    """Append-only JSONL journal of one campaign run."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
@@ -99,9 +86,6 @@ class CampaignJournal:
     def begin(self, campaign_fingerprint: str) -> None:
         self._record("begin", fingerprint=campaign_fingerprint)
 
-    def batch_done(self, tier: str, batch_id: int) -> None:
-        self._record("batch", tier=tier, batch=batch_id)
-
     def failure(
         self, tier: str, index: int, point: DesignPoint, error: str
     ) -> None:
@@ -112,12 +96,6 @@ class CampaignJournal:
             point=point.spec(),
             error=error,
         )
-
-    def tier_done(self, tier: str) -> None:
-        self._record("tier", tier=tier)
-
-    def end(self) -> None:
-        self._record("end")
 
     def close(self) -> None:
         if self._handle is not None:
@@ -132,12 +110,6 @@ class CampaignJournal:
             os.unlink(self.path)
         except OSError:
             pass
-
-    def __enter__(self) -> "CampaignJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- loading -------------------------------------------------------------
 
@@ -169,10 +141,6 @@ class CampaignJournal:
             tag = event.get("event")
             if tag == "begin":
                 state.fingerprint = event.get("fingerprint", "")
-            elif tag == "batch":
-                state.batches.setdefault(event["tier"], set()).add(
-                    event["batch"]
-                )
             elif tag == "failure":
                 try:
                     point = DesignPoint(**event["point"])
@@ -182,10 +150,6 @@ class CampaignJournal:
                     point,
                     event.get("error", "journaled failure"),
                 )
-            elif tag == "tier":
-                state.tiers_done.append(event["tier"])
-            elif tag == "end":
-                state.ended = True
         if (
             expected_fingerprint is not None
             and state.exists

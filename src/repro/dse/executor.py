@@ -26,11 +26,12 @@ rule: a raising point becomes a ``status="failed"`` casualty, not a
 dead campaign.
 
 **Checkpoint/resume** — with a disk-backed cache, every completed
-batch and every quarantined failure is journaled
-(:mod:`repro.dse.checkpoint`) next to the content-addressed cache
-entries. ``run_campaign(..., resume=True)`` replays a killed
-campaign: cached points are served without recomputation (100% hits
-on completed batches), journaled quarantines are restored without
+pool batch is one segment file of the content-addressed cache
+(:mod:`repro.dse.cache`), written by its worker before it replies, and
+every quarantined failure is journaled (:mod:`repro.dse.checkpoint`)
+next to the segments. ``run_campaign(..., resume=True)`` replays a
+killed campaign: cached points are served without recomputation (100%
+hits on completed batches), journaled quarantines are restored without
 re-failing, and only genuinely unpriced points are dispatched.
 
 :class:`CampaignExecutor` is the asynchronous front-end: ``submit`` a
@@ -44,11 +45,10 @@ keep several sweeps in flight.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..backend import resolve_backend_name
 from ..errors import CampaignCancelled, DSEError
-from ..testing import faults
 from .cache import CacheStats, ResultCache, cache_key
 from .campaign import CampaignSpec, DesignPoint
 from .checkpoint import CampaignJournal, JournalState, journal_path
@@ -151,14 +151,7 @@ class CampaignResult:
             else self.supervision.to_dict(),
             "cache": None
             if stats is None
-            else {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "writes": stats.writes,
-                "corrupt": stats.corrupt,
-                "write_errors": stats.write_errors,
-                "hit_rate": stats.hit_rate,
-            },
+            else {**asdict(stats), "hit_rate": stats.hit_rate},
         }
 
 
@@ -225,39 +218,28 @@ def _evaluate_tier(
             missing[start : start + chunk_size]
             for start in range(0, len(missing), chunk_size)
         ]
-        completed_batches = 0
-
-        def on_batch(batch_id: int, entries) -> None:
-            nonlocal completed_batches
-            if journal is not None:
-                journal.batch_done(tier, batch_id)
-            completed_batches += 1
-            # Parent-side crash seam: the SIGKILL-resume tests kill the
-            # *campaign* after N completed batches, with every
-            # completed batch already persisted by the workers.
-            faults.trip("dse.batch", context=completed_batches)
-
         pool = SupervisedPool(
             max(1, workers), cache_dir=cache_dir, retry=retry
         )
         try:
             priced, quarantined = pool.run(
-                tier, batches, options, on_batch=on_batch, cancel=cancel
+                tier, batches, options, cancel=cancel
             )
         finally:
             pool.close()
             if supervision is not None:
                 supervision.merge(pool.stats)
+        if cache is not None:
+            # Workers already persisted to the shared directory; fill
+            # the parent's memory layer only.
+            cache.put_many(
+                (
+                    (cache_key(points[index], tier), result)
+                    for index, result in priced.items()
+                ),
+                persist=False,
+            )
         for index, result in priced.items():
-            if cache is not None:
-                # Workers already persisted to the shared directory;
-                # fill the parent's memory layer only.
-                point = points[index]
-                cache.put(
-                    cache_key(point, tier),
-                    result,
-                    persist=cache.directory is None,
-                )
             results[index] = result
         for index, (point, error) in quarantined.items():
             results[index] = PointResult.failed(point, tier, error)
@@ -282,8 +264,6 @@ def _evaluate_tier(
             if cache is not None:
                 cache.store(point, tier, result)
             results[index] = result
-    if journal is not None:
-        journal.tier_done(tier)
     return results  # type: ignore[return-value]
 
 
@@ -401,8 +381,6 @@ def run_campaign(
             resumed=resumed,
         )
         if highest_tier == "closed-form":
-            if journal is not None:
-                journal.end()
             return result
 
         by_point = {r.point: r for r in ok_closed}
@@ -425,8 +403,6 @@ def run_campaign(
                 )
             )
         if highest_tier == "exact":
-            if journal is not None:
-                journal.end()
             return result
 
         ok_exact = [r for r in result.survivors if r.ok]
@@ -460,8 +436,6 @@ def run_campaign(
                     bound=TIER_AGREEMENT_BOUNDS["cosim"],
                 )
             )
-        if journal is not None:
-            journal.end()
         return result
     finally:
         if journal is not None:

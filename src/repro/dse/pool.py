@@ -36,7 +36,10 @@ bisection re-chunked it.
 Fault seams (no-ops unless a :mod:`repro.testing.faults` plan is
 installed): ``"dse.worker"`` fires in a worker as it picks up a batch
 (context = batch id; crash / hang / poison), ``"dse.point"`` fires
-before each point evaluation (context = point index; error / crash).
+before each point evaluation (context = point index; error / crash),
+and ``"dse.batch"`` fires in the parent after each completed batch
+(context = completed-batch count; the kill-then-resume tests crash the
+*campaign* there, with every completed batch already persisted).
 """
 
 from __future__ import annotations
@@ -44,12 +47,12 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from multiprocessing import connection
 
 from ..errors import CampaignCancelled, DSEError
 from ..testing import faults
-from .cache import ResultCache
+from .cache import ResultCache, cache_key
 from .tiers import evaluate_point
 
 #: Graceful close: seconds a worker gets to acknowledge ``("close",)``
@@ -113,20 +116,7 @@ class PoolStats:
     quarantined: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            name: getattr(self, name)
-            for name in (
-                "dispatched",
-                "completed",
-                "retries",
-                "respawns",
-                "timeouts",
-                "crashes",
-                "poisoned",
-                "splits",
-                "quarantined",
-            )
-        }
+        return asdict(self)
 
     def merge(self, other: "PoolStats") -> None:
         for name in self.to_dict():
@@ -156,9 +146,10 @@ def _pool_worker(channel, cache_dir, inherited_fds=()) -> None:
     Every point is priced under ``try/except``: a deterministic
     evaluation error becomes a structured ``("error", message)`` entry
     instead of killing the worker, so only genuine process faults
-    (crash, hang, kill) ever cost the supervisor a retry. Successful
-    results are persisted to the shared cache directory before the
-    reply, so a parent crash after this batch loses nothing.
+    (crash, hang, kill) ever cost the supervisor a retry. The batch's
+    successful results are persisted to the shared cache directory as
+    one segment before the reply, so a parent crash after this batch
+    loses nothing.
 
     ``inherited_fds`` are the parent-side pipe ends this fork-started
     worker inherited copies of — its own channel's parent end and those
@@ -193,6 +184,7 @@ def _pool_worker(channel, cache_dir, inherited_fds=()) -> None:
             channel.send(["poisoned-pipe-message", batch_id])
             continue
         entries = []
+        priced = []
         for index, point in items:
             try:
                 result = evaluate_one(index, point, tier, options)
@@ -201,9 +193,10 @@ def _pool_worker(channel, cache_dir, inherited_fds=()) -> None:
                     (index, "error", f"{type(exc).__name__}: {exc}")
                 )
             else:
-                if cache is not None:
-                    cache.store(point, tier, result)
+                priced.append((cache_key(point, tier), result))
                 entries.append((index, "ok", result))
+        if cache is not None and priced:
+            cache.put_many(priced)
         try:
             channel.send(("done", batch_id, entries))
         except (BrokenPipeError, OSError):
@@ -350,7 +343,6 @@ class SupervisedPool:
         batches: list[list],
         options: dict | None = None,
         *,
-        on_batch=None,
         cancel=None,
     ):
         """Price every ``(index, point)`` item of every batch.
@@ -358,10 +350,9 @@ class SupervisedPool:
         Returns ``(results, failures)``: ``results`` maps point index to
         its :class:`~repro.dse.tiers.PointResult`; ``failures`` maps
         point index to ``(point, error_message)`` for quarantined
-        points. ``on_batch(batch_id, entries)`` runs in the parent after
-        each batch completes (the checkpoint-journal hook). ``cancel``
-        is a ``threading.Event``; once set the pool is force-closed and
-        :class:`~repro.errors.CampaignCancelled` is raised.
+        points. ``cancel`` is a ``threading.Event``; once set the pool
+        is force-closed and :class:`~repro.errors.CampaignCancelled` is
+        raised.
         """
         options = options or {}
         self._ensure()
@@ -507,8 +498,7 @@ class SupervisedPool:
                     else:
                         failures[index] = (points_by_index[index], payload)
                         self.stats.quarantined += 1
-                if on_batch is not None:
-                    on_batch(att.batch_id, entries)
+                faults.trip("dse.batch", context=self.stats.completed)
             # Deadline enforcement on whoever is still out.
             now = time.monotonic()
             for slot in list(busy):

@@ -36,7 +36,6 @@ from ..backend.registry import require_serial_workers
 from ..errors import DSEError
 from ..fpga.device import device_by_name
 from ..fpga.floorplan import clock_for_floorplan
-from ..mesh.partition import element_blocks
 from ..pipeline.navier_stokes import navier_stokes_pipeline
 from ..timeint.butcher import RK4
 from .campaign import DesignPoint
@@ -250,22 +249,23 @@ def _result(
 def evaluate_closed_form(point: DesignPoint) -> PointResult:
     """Tier 1: the analytic block-token law, microseconds per point.
 
-    RKL stage cycles are the max over compute units of
-    :func:`~repro.accel.cosim.analytic_block_cycles` on the point's
-    element shards; RKU is the streamed chain's closed form
+    RKL stage cycles are
+    :func:`~repro.accel.cosim.analytic_block_cycles` of the point's
+    largest element shard (priced from counts, no block arrays); RKU is
+    the streamed chain's closed form
     (:func:`~repro.accel.cosim.analytic_rku_step_cycles`). The fusion
     axis does not move this tier (role-group sums are fusion-invariant
     by construction) — asserted as a property by the tier tests.
     """
     design = design_for(point)
     nodes_per_cu = nodes_per_compute_unit(point.num_nodes, point.num_cus)
-    rkl_stage = max(
-        analytic_block_cycles(
-            design,
-            nodes_per_cu,
-            [block.size for block in element_blocks(part, point.block_size)],
-        )
-        for part in point.element_partitions()
+    # The law grows with the element count, so the largest shard is
+    # the slowest compute unit.
+    rkl_stage = analytic_block_cycles(
+        design,
+        nodes_per_cu,
+        max(part.size for part in point.element_partitions()),
+        point.block_size,
     )
     return _result(
         point,

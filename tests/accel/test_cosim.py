@@ -14,7 +14,7 @@ from repro.accel.cosim import (
 from repro.accel.multi_cu import nodes_per_compute_unit
 from repro.errors import ExperimentError
 from repro.mesh.hexmesh import channel_mesh, periodic_box_mesh
-from repro.mesh.partition import element_blocks, partition_elements_balanced
+from repro.mesh.partition import partition_elements_balanced
 from repro.physics.diagnostics import kinetic_energy, total_mass
 from repro.physics.taylor_green import DEFAULT_TGV, taylor_green_initial
 from repro.solver.navier_stokes import NavierStokesOperator
@@ -39,11 +39,7 @@ def analytic_stage_cycles(design, mesh, block_size=1, num_cus=1):
     """The block cycle law of the slowest balanced shard."""
     nodes_per_cu = nodes_per_compute_unit(mesh.num_nodes, num_cus)
     return max(
-        analytic_block_cycles(
-            design,
-            nodes_per_cu,
-            [block.size for block in element_blocks(part, block_size)],
-        )
+        analytic_block_cycles(design, nodes_per_cu, part.size, block_size)
         for part in partition_elements_balanced(mesh.num_elements, num_cus)
     )
 
@@ -255,7 +251,7 @@ class TestFunctionalCosim:
 
     def test_block_law_reduces_to_element_law(self, proposed):
         """Uniform one-element blocks recover fill + II * (E - 1)."""
-        law = analytic_block_cycles(proposed, 1000, [1] * 64)
+        law = analytic_block_cycles(proposed, 1000, 64)
         classic = proposed.rkl_fill_cycles(1000) + (
             proposed.rkl_element_ii(1000) * 63
         )

@@ -153,7 +153,7 @@ class TestChainSequencing:
         mesh = periodic_box_mesh(2, 3)
         result = cosimulate_rk_stage(proposed, mesh, block_size=2)
         expected = analytic_block_cycles(
-            proposed, mesh.num_nodes, [2, 2, 2, 2]
+            proposed, mesh.num_nodes, mesh.num_elements, 2
         )
         for window in result.per_stage_rkl_cycles:
             assert window == pytest.approx(expected, rel=0.02)
@@ -190,7 +190,9 @@ class TestRKUTrace:
         from repro.accel.cosim import analytic_block_cycles
         from repro.config import seconds_from_cycles
 
-        law = analytic_block_cycles(proposed, mesh.num_nodes, [2, 2, 2, 2])
+        law = analytic_block_cycles(
+            proposed, mesh.num_nodes, mesh.num_elements, 2
+        )
         assert timing.rkl_seconds_per_stage == pytest.approx(
             seconds_from_cycles(law, proposed.clock_mhz * 1e6), rel=0.02
         )

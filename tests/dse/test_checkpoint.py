@@ -38,17 +38,13 @@ RETRY = RetryPolicy(max_retries=2, batch_timeout=10.0, backoff_base=0.01)
 def test_journal_roundtrip(tmp_path):
     journal = CampaignJournal(tmp_path / "j.jsonl")
     journal.begin("fp-abc")
-    journal.batch_done("closed-form", 0)
-    journal.batch_done("closed-form", 2)
     journal.failure("closed-form", 5, BASE, "worker died")
-    journal.tier_done("closed-form")
-    journal.end()
+    journal.failure("exact", 0, BASE, "evaluation raised")
     journal.close()
     state = journal.load("fp-abc")
-    assert state.exists and state.ended
+    assert state.exists
     assert state.fingerprint == "fp-abc"
-    assert state.batches["closed-form"] == {0, 2}
-    assert state.tiers_done == ["closed-form"]
+    assert set(state.failures) == {("closed-form", 5), ("exact", 0)}
     point, error = state.failures[("closed-form", 5)]
     assert point == BASE and error == "worker died"
 
@@ -59,17 +55,18 @@ def test_journal_tolerates_torn_tail(tmp_path):
     path = tmp_path / "j.jsonl"
     journal = CampaignJournal(path)
     journal.begin("fp")
-    journal.batch_done("closed-form", 0)
+    journal.failure("closed-form", 0, BASE, "worker died")
     journal.close()
     with open(path, "a") as handle:
-        handle.write('{"event": "batch", "tier": "closed-fo')  # torn
+        handle.write('{"event": "failure", "tier": "closed-fo')  # torn
     state = CampaignJournal(path).load("fp")
-    assert state.batches["closed-form"] == {0}
+    assert state.fingerprint == "fp"
+    assert list(state.failures) == [("closed-form", 0)]
 
 
 def test_journal_missing_file_is_empty_state(tmp_path):
     state = CampaignJournal(tmp_path / "missing.jsonl").load()
-    assert not state.exists and not state.ended
+    assert not state.exists and not state.failures
 
 
 def test_journal_fingerprint_mismatch_raises(tmp_path):
@@ -138,7 +135,8 @@ def test_sigkilled_campaign_resumes_with_pure_cache_hits(tmp_path):
     child.join(120)
     assert child.exitcode == 17, "the campaign must actually die"
 
-    completed = len(list(tmp_path.glob("*.json")))
+    # Records, not files: a segment holds a whole batch.
+    completed = len(ResultCache(tmp_path))
     assert completed >= crash_after, "completed batches must be cached"
     jpath = journal_path(tmp_path, SPEC.fingerprint())
     assert jpath.exists(), "the journal must survive the kill"
@@ -229,12 +227,20 @@ def test_resume_restores_journaled_quarantines_without_refailing(tmp_path):
 
 def test_fresh_run_discards_stale_journal(tmp_path):
     """resume=False must not inherit a previous run's journal: the old
-    file is discarded and a new begin event written."""
+    file (and its quarantines) is discarded and a new begin event
+    written."""
+    from repro.testing import FaultSpec, injected_faults
+
     cache = ResultCache(tmp_path)
-    run_campaign(SPEC, cache=cache, highest_tier="closed-form", retry=RETRY)
+    with injected_faults(
+        FaultSpec(site="dse.point", kind="error", at=(0,), times=0)
+    ):
+        run_campaign(
+            SPEC, cache=cache, highest_tier="closed-form", retry=RETRY
+        )
     jpath = journal_path(tmp_path, SPEC.fingerprint())
-    before = jpath.read_text()
-    assert '"end"' in before
+    before = [json.loads(line) for line in jpath.read_text().splitlines()]
+    assert [e["event"] for e in before] == ["begin", "failure"]
     run_campaign(
         SPEC,
         cache=ResultCache(tmp_path),
@@ -242,5 +248,4 @@ def test_fresh_run_discards_stale_journal(tmp_path):
         retry=RETRY,
     )
     after = [json.loads(line) for line in jpath.read_text().splitlines()]
-    assert after[0]["event"] == "begin"
-    assert sum(1 for e in after if e["event"] == "begin") == 1
+    assert [e["event"] for e in after] == ["begin"]

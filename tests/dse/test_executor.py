@@ -102,6 +102,21 @@ def test_pool_workers_persist_to_shared_cache(tmp_path):
     ]
 
 
+def test_one_segment_per_pool_batch(tmp_path):
+    """A pool batch is the unit of persistence: one segment file per
+    batch, one record per priced point."""
+    chunk = 5
+    result = run_campaign(
+        SPEC, workers=2, cache=ResultCache(tmp_path),
+        highest_tier="closed-form", chunk_size=chunk,
+    )
+    segments = list(tmp_path.glob("*.seg"))
+    assert len(segments) == -(-len(result.results) // chunk)
+    assert sum(
+        len(seg.read_text().splitlines()) for seg in segments
+    ) == len(result.results)
+
+
 def test_campaign_result_to_dict_is_json_ready(tmp_path):
     import json
 

@@ -151,8 +151,9 @@ def test_combined_crash_hang_and_corrupt_cache(tmp_path, fault_free):
         SPEC, cache=cache, highest_tier="closed-form", chunk_size=CHUNK,
         retry=RETRY,
     )
-    # Corrupt one persisted entry, then re-run with injected faults.
-    entry = sorted(tmp_path.glob("*.json"))[0]
+    # Corrupt one persisted segment (one batch, one record at CHUNK=1),
+    # then re-run with injected faults.
+    entry = sorted(tmp_path.glob("*.seg"))[0]
     entry.write_text("{torn")
     plan = FaultPlan(
         FaultSpec(site="dse.worker", kind="crash", at=(0,)),

@@ -31,7 +31,7 @@ class TestCosimConsistency:
         mesh = periodic_box_mesh(mesh_k, 2)
         result = cosimulate_rk_stage(proposed, mesh, verify=False)
         analytic = analytic_block_cycles(
-            proposed, mesh.num_nodes, [1] * mesh.num_elements
+            proposed, mesh.num_nodes, mesh.num_elements
         )
         for window in result.per_stage_rkl_cycles:
             assert abs(window - analytic) / analytic < 0.02
