@@ -28,9 +28,13 @@ iteration, latencies scaled per block — see
 :func:`analytic_block_cycles`), and the element stream is split across
 ``num_cus`` parallel chains merged under one simulator clock
 (:func:`~repro.mesh.partition.partition_elements_balanced` semantics,
-per-CU partial residuals reduced before finalization). The exact tier
-therefore prices the very graphs the co-simulation runs, and
-:func:`design_timing_from_rk_cosim` /
+per-CU partial residuals reduced before finalization); every RKU graph
+— exact tier, each stage combination and final update — by its analogue
+(:class:`_RKUChain`) over node blocks. Both stream payloads through the
+one :func:`~repro.pipeline.executor.streaming_actions` lowering, with
+the data bindings (:func:`_rkl_actions`, :func:`_rku_actions`) kept
+here. The exact tier therefore prices the very graphs the co-simulation
+runs, and :func:`design_timing_from_rk_cosim` /
 :func:`~repro.accel.multi_cu.multi_cu_timing_from_cosim` turn the
 co-simulated trace into a :class:`DesignTiming` whose stage times are
 simulated rather than modeled.
@@ -46,7 +50,7 @@ from ..config import seconds_from_cycles
 from ..dataflow.graph import DataflowGraph, merge_graphs
 from ..dataflow.simulator import DataflowSimulator, SimulationTrace
 from ..dataflow.task import BlockLatency, Task
-from ..errors import ExperimentError
+from ..errors import ExperimentError, PipelineError
 from ..mesh.hexmesh import HexMesh, elements_for_node_count
 from ..mesh.partition import element_blocks, partition_elements_balanced
 from ..physics.state import NUM_CONSERVED, FlowState
@@ -57,9 +61,7 @@ from ..pipeline import (
     PipelineContext,
     RKUpdateContext,
     element_pipeline,
-    node_blocks,
     rk_update_pipeline,
-    rk_update_streaming_actions,
     streaming_actions,
 )
 from ..timeint.butcher import RK4, ButcherTableau
@@ -99,7 +101,7 @@ def design_timing(
             num_nodes, design.rkl.polynomial_order
         )
     hz = design.clock_mhz * 1e6
-    rkl_cycles = design.rkl_stage_cycles(num_nodes, num_elements)
+    rkl_cycles = analytic_block_cycles(design, num_nodes, num_elements)
     rku_cycles = design.rku_step_cycles(num_nodes)
     return DesignTiming(
         design_name=design.options.name,
@@ -266,25 +268,6 @@ def _element_partitions(
     return partitions
 
 
-def _latency_with_fill(base, fill: float):
-    """A task latency with a kernel-launch fill on iteration 0.
-
-    The RKU closed form charges the five update loops' pipeline depths
-    (plus SLL crossings) once per launch; the streamed chain pays the
-    same constant on its first token. The result stays a
-    :class:`~repro.dataflow.task.BlockLatency` so the vectorized
-    schedule engine can still evaluate it in bulk.
-    """
-    extra = max(0, round(fill))
-    if extra == 0:
-        return base
-    if isinstance(base, BlockLatency):
-        return BlockLatency(
-            base.cycles_per_unit, base.sizes, base.first_extra + extra
-        )
-    return BlockLatency(int(base), None, extra)
-
-
 class _ChainTemplate:
     """One streamed task chain, lowered once and instantiated cheaply.
 
@@ -303,6 +286,7 @@ class _ChainTemplate:
         pipeline: OperatorPipeline,
         stage_cycles,
         block_sizes=None,
+        fill_cycles: float = 0.0,
     ) -> None:
         lowered = pipeline.to_task_graph(
             stage_cycles, name="template", block_sizes=block_sizes
@@ -311,41 +295,112 @@ class _ChainTemplate:
             (lowered.tasks[name].kind, lowered.tasks[name].latency)
             for name in lowered.topological_order()
         ]
+        if fill_cycles:
+            # The RKU closed form charges the update loops' pipeline
+            # depths (plus SLL crossings) once per launch; the streamed
+            # chain pays them on its first token. Only block-token
+            # chains carry a fill, so the entry latency is a BlockLatency
+            # the vectorized schedule engine still evaluates in bulk.
+            role, latency = self.spec[0]
+            self.spec[0] = (
+                role,
+                BlockLatency(
+                    latency.cycles_per_unit, latency.sizes, round(fill_cycles)
+                ),
+            )
 
     def instantiate(
         self,
+        graphs: list[DataflowGraph],
+        iterations: dict[str, int],
         task_names,
-        actions,
-        name: str,
+        tokens: int,
+        actions=None,
         depends_on: tuple[str, ...] = (),
-        fill_cycles: float = 0.0,
-    ) -> DataflowGraph:
-        """A fresh graph with this chain's structure and latencies."""
+    ) -> str:
+        """Append a fresh chain with this structure and latencies to
+        ``graphs``, and its ``tokens`` per task to ``iterations``;
+        returns the chain's STORE (drain) task."""
         tasks = [
             Task(
                 task_names[role],
-                (
-                    _latency_with_fill(latency, fill_cycles)
-                    if index == 0
-                    else latency
-                ),
+                latency,
                 kind=role,
                 action=None if actions is None else actions.get(role),
                 depends_on=depends_on if index == 0 else (),
             )
             for index, (role, latency) in enumerate(self.spec)
         ]
-        graph = DataflowGraph(name=name)
+        graph = DataflowGraph(name=task_names["store"])
         graph.chain(tasks)
-        return graph
+        graphs.append(graph)
+        iterations.update(dict.fromkeys(graph.tasks, tokens))
+        return task_names["store"]
 
 
-def _rku_task_names(prefix: str) -> dict[str, str]:
-    """Role -> task-name mapping of one RKU chain instance."""
-    return {
-        role: f"{prefix}.{base}"
-        for role, base in RK_UPDATE_TASK_NAMES.items()
-    }
+def _rkl_actions(pipeline, blocks, ctx, state, accumulator):
+    """The RKL binding of :func:`~repro.pipeline.executor.streaming_actions`.
+
+    A block runs on its element view of ``ctx`` and gathers from the
+    global ``state`` ``(5, N)``; STORE scatter-adds each field into the
+    CU's ``accumulator`` ``(5, N)`` at the block's nodes only (the dense
+    scatter of the batched store kernel would make streaming quadratic
+    in mesh size). The state's dtype streams unchanged and the
+    accumulator's dtype picks the reduction precision, as in the
+    backends. Raises :class:`~repro.errors.PipelineError` unless the
+    pipeline's one external payload is the global state.
+    """
+    externals = pipeline.external_inputs()
+    if len(externals) != 1:
+        raise PipelineError(
+            f"pipeline {pipeline.name!r}: streaming execution expects one "
+            f"external payload (the global state), found {externals}"
+        )
+    (payload,) = externals
+
+    def store(stage, value, block_ctx, block):
+        start = int(stage.param("field_start", 0))
+        for field in range(value.shape[0]):
+            np.add.at(
+                accumulator[start + field],
+                block_ctx.connectivity,
+                value[field],
+            )
+
+    return streaming_actions(
+        pipeline, blocks, ctx.element_block,
+        lambda block, names: {payload: state}, store,
+    )
+
+
+def _rku_actions(
+    pipeline, blocks, ctx, state, derivs, coeffs, dt, targets, prepare=None
+):
+    """The RK-update binding of
+    :func:`~repro.pipeline.executor.streaming_actions`.
+
+    Every block runs on the one :class:`RKUpdateContext` ``ctx``. A task
+    slices the ``state`` ``(5, N)`` and ``derivs`` node blocks its stages
+    read when it starts, so it sees what a chain sequenced before it
+    wrote in the same simulation; STORE writes each store stage's block
+    into ``targets[stage.kernel]``. The node stream runs in the state's
+    dtype.
+    """
+
+    def load(block, names):
+        env = {"coeffs": coeffs, "dt": dt}
+        if "state" in names:
+            env["state"] = state[:, block]
+        if "derivs" in names:
+            env["derivs"] = [deriv[:, block] for deriv in derivs]
+        return env
+
+    def store(stage, value, context, block):
+        targets[stage.kernel][:, block] = value
+
+    return streaming_actions(
+        pipeline, blocks, lambda block: ctx, load, store, prepare
+    )
 
 
 class _RKLShards:
@@ -422,20 +477,17 @@ class _RKLShards:
         drains = []
         chains = zip(self.templates, self.blocks)
         for cu, (template, blocks) in enumerate(chains):
-            names = self.task_names(prefix, cu)
             actions = None
             if ctx is not None:
-                actions = streaming_actions(
-                    self.pipeline, ctx, state, accumulators[cu], blocks=blocks
+                actions = _rkl_actions(
+                    self.pipeline, blocks, ctx, state, accumulators[cu]
                 )
-            graph = template.instantiate(
-                names, actions, name=f"rkl-{prefix}cu{cu}",
-                depends_on=depends_on,
+            drains.append(
+                template.instantiate(
+                    graphs, iterations, self.task_names(prefix, cu),
+                    len(blocks), actions, depends_on,
+                )
             )
-            for task_name in graph.tasks:
-                iterations[task_name] = len(blocks)
-            graphs.append(graph)
-            drains.append(names["store"])
         return tuple(drains)
 
     def graph(
@@ -453,6 +505,66 @@ class _RKLShards:
         return _window_cycles(
             trace, [self.task_names(prefix, cu) for cu in range(self.num_cus)]
         )
+
+
+class _RKUChain:
+    """The RK-update node stream, lowered once — the RKU analogue of
+    :class:`_RKLShards`: the node range cut into ``node_block_size``
+    tokens and one :class:`_ChainTemplate` priced at the whole mesh, the
+    kernel-launch fill charged on the first token.
+    :func:`exact_rku_step_cycles` instantiates it without payloads, and
+    every RKU chain of :func:`cosimulate_rk_stage` with
+    :func:`_rku_actions`.
+    """
+
+    def __init__(
+        self,
+        design: AcceleratorDesign,
+        num_nodes: int,
+        node_block_size: int,
+        *,
+        primitives: bool,
+    ) -> None:
+        if num_nodes < 1:
+            raise ExperimentError("num_nodes must be >= 1")
+        if node_block_size < 1:
+            raise ExperimentError("node_block_size must be >= 1")
+        self.pipeline = rk_update_pipeline(primitives=primitives)
+        self.blocks = element_blocks(np.arange(num_nodes), node_block_size)
+        self.template = _ChainTemplate(
+            self.pipeline,
+            design.rku_pipeline_stage_cycles(self.pipeline, num_nodes),
+            [block.size for block in self.blocks],
+            design.rku_fill_cycles(),
+        )
+
+    @staticmethod
+    def task_names(prefix: str) -> dict[str, str]:
+        """Role -> task name (``<prefix>.<role task>``) of one chain."""
+        return {
+            role: f"{prefix}.{base}"
+            for role, base in RK_UPDATE_TASK_NAMES.items()
+        }
+
+    def instantiate(
+        self,
+        graphs: list[DataflowGraph],
+        iterations: dict[str, int],
+        prefix: str,
+        actions=None,
+        depends_on: tuple[str, ...] = (),
+    ) -> tuple[str, ...]:
+        """Append one chain to ``graphs`` and its token count per task to
+        ``iterations``; returns the chain's STORE (drain) task."""
+        drain = self.template.instantiate(
+            graphs, iterations, self.task_names(prefix), len(self.blocks),
+            actions, depends_on,
+        )
+        return (drain,)
+
+    def window(self, trace: SimulationTrace, prefix: str) -> int:
+        """Cycles the prefixed chain occupied on the shared clock."""
+        return _window_cycles(trace, [self.task_names(prefix)])
 
 
 def _reduce_partials(accumulators, dtype) -> np.ndarray:
@@ -546,24 +658,13 @@ def exact_rku_step_cycles(
     """
     from ..dataflow.analysis import exact_cycles
 
-    if num_nodes < 1:
-        raise ExperimentError("num_nodes must be >= 1")
-    if node_block_size < 1:
-        raise ExperimentError("node_block_size must be >= 1")
-    blocks = node_blocks(num_nodes, node_block_size)
-    pipeline = rk_update_pipeline(primitives=True)
-    template = _ChainTemplate(
-        pipeline,
-        design.rku_pipeline_stage_cycles(pipeline, num_nodes),
-        block_sizes=[block.size for block in blocks],
+    chain = _RKUChain(design, num_nodes, node_block_size, primitives=True)
+    graphs: list[DataflowGraph] = []
+    iterations: dict[str, int] = {}
+    chain.instantiate(graphs, iterations, "rku")
+    return exact_cycles(
+        merge_graphs(f"rku-exact-{design.options.name}", graphs), iterations
     )
-    graph = template.instantiate(
-        dict(RK_UPDATE_TASK_NAMES),
-        None,
-        name=f"rku-exact-{design.options.name}",
-        fill_cycles=design.rku_fill_cycles(),
-    )
-    return exact_cycles(graph, len(blocks))
 
 
 def streamed_residual(
@@ -836,14 +937,16 @@ def cosimulate_rk_stage(
 
     if case is None:
         case = DEFAULT_TGV
-    if node_block_size < 1:
-        raise ExperimentError("node_block_size must be >= 1")
     if num_steps < 1:
         raise ExperimentError("num_steps must be >= 1")
     num_nodes = mesh.num_nodes
     # The streaming lowerings, built ONCE: the task-chain structure and
     # latencies are identical across RK stages (and steps) — only names,
     # actions and sequencing differ per instance.
+    combine, update = (
+        _RKUChain(design, num_nodes, node_block_size, primitives=primitives)
+        for primitives in (False, True)
+    )
     rkl = _RKLShards(
         design,
         num_nodes,
@@ -864,42 +967,11 @@ def cosimulate_rk_stage(
     if dt is None:
         dt = sim.compute_dt()
     num_stages = tableau.num_stages
-    blocks = node_blocks(num_nodes, node_block_size)
-    node_sizes = [block.size for block in blocks]
 
     ctx = PipelineContext.from_operator(operator)
-    rku_ctx = RKUpdateContext(
-        gas=operator.gas, num_nodes=num_nodes, precision=precision
-    )
-    combine_pipeline = rk_update_pipeline(primitives=False)
-    update_pipeline = rk_update_pipeline(primitives=True)
-    combine_template, update_template = (
-        _ChainTemplate(
-            pipeline,
-            design.rku_pipeline_stage_cycles(pipeline, num_nodes),
-            node_sizes,
-        )
-        for pipeline in (combine_pipeline, update_pipeline)
-    )
-
+    rku_ctx = RKUpdateContext(gas=operator.gas, precision=precision)
     subgraphs: list[DataflowGraph] = []
     iterations: dict[str, int] = {}
-
-    def add_rku_chain(template, prefix, actions, depends_on):
-        """Append one node-stream chain; returns its drain task."""
-        names = _rku_task_names(prefix)
-        graph = template.instantiate(
-            names,
-            actions,
-            name=f"rkstep-{design.options.name}-{prefix}",
-            depends_on=depends_on,
-            fill_cycles=design.rku_fill_cycles(),
-        )
-        for task_name in graph.tasks:
-            iterations[task_name] = len(blocks)
-        subgraphs.append(graph)
-        return (names["store"],)
-
     step_prefixes = (
         [""] if num_steps == 1 else [f"k{step}." for step in range(num_steps)]
     )
@@ -941,22 +1013,15 @@ def cosimulate_rk_stage(
             if stage > 0:
                 # Stage-combination node stream:
                 # y_s = y + dt * sum(a_sk d_k).
-                actions = rk_update_streaming_actions(
-                    combine_pipeline,
-                    rku_ctx,
-                    y_step,
-                    derivs[:stage],
-                    tableau.a[stage, :stage],
-                    dt,
-                    out_state=stage_states[stage],
-                    blocks=blocks,
-                    prepare=finalizer(stage - 1),
+                actions = _rku_actions(
+                    combine.pipeline, combine.blocks, rku_ctx, y_step,
+                    derivs[:stage], tableau.a[stage, :stage], dt,
+                    {"store_node_state": stage_states[stage]},
+                    finalizer(stage - 1),
                 )
-                previous_drain = add_rku_chain(
-                    combine_template,
-                    f"{prefix}s{stage}.update",
-                    actions,
-                    previous_drain,
+                previous_drain = combine.instantiate(
+                    subgraphs, iterations, f"{prefix}s{stage}.update",
+                    actions, previous_drain,
                 )
             # RKL element streams of this stage, one chain per CU.
             previous_drain = rkl.instantiate(
@@ -970,20 +1035,17 @@ def cosimulate_rk_stage(
             )
         # The step's final RKU chain: b-row combination + primitive
         # update.
-        actions = rk_update_streaming_actions(
-            update_pipeline,
-            rku_ctx,
-            y_step,
-            derivs,
-            tableau.b,
-            dt,
-            out_state=out_state,
-            out_primitives=out_primitives,
-            blocks=blocks,
-            prepare=finalizer(num_stages - 1),
+        actions = _rku_actions(
+            update.pipeline, update.blocks, rku_ctx, y_step, derivs,
+            tableau.b, dt,
+            {
+                "store_node_state": out_state,
+                "store_node_primitives": out_primitives,
+            },
+            finalizer(num_stages - 1),
         )
-        previous_drain = add_rku_chain(
-            update_template, f"{prefix}rku", actions, previous_drain
+        previous_drain = update.instantiate(
+            subgraphs, iterations, f"{prefix}rku", actions, previous_drain
         )
 
     merged = merge_graphs(
@@ -1007,9 +1069,7 @@ def cosimulate_rk_stage(
         for prefix in step_prefixes
         for stage in range(num_stages)
     )
-    rku_cycles = _window_cycles(
-        trace, [_rku_task_names(f"{step_prefixes[-1]}rku")]
-    )
+    rku_cycles = update.window(trace, f"{step_prefixes[-1]}rku")
     return RKStepCosimResult(
         trace=trace,
         final_state=FlowState.from_stacked(out_state),

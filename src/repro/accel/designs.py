@@ -390,15 +390,6 @@ class AcceleratorDesign:
         cycles = self.rkl_element_cycles(num_nodes)
         return sum(cycles.values())
 
-    def rkl_stage_cycles(self, num_nodes: int, num_elements: int) -> float:
-        """Cycles for one RK stage (all elements through RKL)."""
-        if num_elements < 1:
-            raise HLSError("num_elements must be >= 1")
-        ii = self.rkl_element_ii(num_nodes)
-        if self.options.element_dataflow:
-            return self.rkl_fill_cycles(num_nodes) + ii * (num_elements - 1)
-        return ii * num_elements
-
     # -- RKU timing ---------------------------------------------------------------
 
     def rku_fill_cycles(self) -> float:

@@ -168,6 +168,8 @@ def multi_cu_timing(
     ExperimentError
         If ``num_nodes < 1`` or the CU count is out of range.
     """
+    from .cosim import analytic_block_cycles
+
     if num_nodes < 1:
         raise ExperimentError("num_nodes must be >= 1")
     base = base if base is not None else proposed_design()
@@ -178,9 +180,7 @@ def multi_cu_timing(
     num_elements = max(1, round(num_nodes / base.rkl.polynomial_order**3))
     per_cu = math.ceil(num_elements / num_compute_units)
     nodes_per_cu = nodes_per_compute_unit(num_nodes, num_compute_units)
-    stage_cycles = base.rkl_fill_cycles(nodes_per_cu) + (
-        base.rkl_element_ii(nodes_per_cu) * (per_cu - 1)
-    )
+    stage_cycles = analytic_block_cycles(base, nodes_per_cu, per_cu)
     rku_cycles = base.rku_step_cycles(num_nodes)
     return DesignTiming(
         design_name=base.options.name,

@@ -15,12 +15,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from ..errors import ConfigurationError, DSEError
 from ..fpga.device import DEVICE_REGISTRY
-from ..mesh.partition import (
-    partition_elements_balanced,
-    partition_elements_contiguous,
-)
+from ..mesh.partition import element_blocks, partition_elements_balanced
 from ..pipeline.navier_stokes import FUSIONS
 from ..precision import resolve_dtype
 
@@ -180,7 +179,7 @@ class DesignPoint:
         """
         if self.partition == "contiguous":
             batch = -(-self.num_elements // self.num_cus)  # ceil division
-            parts = partition_elements_contiguous(self.num_elements, batch)
+            parts = element_blocks(np.arange(self.num_elements), batch)
             if len(parts) == self.num_cus:
                 return parts
         return partition_elements_balanced(self.num_elements, self.num_cus)

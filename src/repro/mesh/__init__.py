@@ -33,11 +33,7 @@ from .metrics import (
     MeshQualityReport,
 )
 from .boundary import BoundaryTag, tag_box_boundaries, periodic_image_map
-from .partition import (
-    element_blocks,
-    partition_elements_balanced,
-    partition_elements_contiguous,
-)
+from .partition import element_blocks, partition_elements_balanced
 from .io import save_mesh, load_mesh
 
 __all__ = [
@@ -60,7 +56,6 @@ __all__ = [
     "tag_box_boundaries",
     "periodic_image_map",
     "element_blocks",
-    "partition_elements_contiguous",
     "partition_elements_balanced",
     "save_mesh",
     "load_mesh",

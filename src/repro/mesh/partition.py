@@ -15,22 +15,6 @@ from ..errors import MeshError
 from .hexmesh import HexMesh
 
 
-def partition_elements_contiguous(num_elements: int, batch_size: int) -> list[np.ndarray]:
-    """Split ``range(num_elements)`` into contiguous batches.
-
-    The final batch may be short. Contiguous batches maximize DDR burst
-    efficiency for the element-indexed arrays.
-    """
-    if batch_size < 1:
-        raise MeshError("batch_size must be >= 1")
-    if num_elements < 0:
-        raise MeshError("num_elements must be >= 0")
-    return [
-        np.arange(start, min(start + batch_size, num_elements), dtype=np.int64)
-        for start in range(0, num_elements, batch_size)
-    ]
-
-
 def element_blocks(elements: np.ndarray, block_size: int) -> list[np.ndarray]:
     """Split an element-index array into blocks of at most ``block_size``.
 
@@ -38,7 +22,10 @@ def element_blocks(elements: np.ndarray, block_size: int) -> list[np.ndarray]:
     ----------
     elements:
         1-D array of element indices (any order; a CU's shard of the
-        mesh). Order is preserved within and across blocks.
+        mesh). Order is preserved within and across blocks, so
+        ``element_blocks(np.arange(n), b)`` is the contiguous split of
+        ``range(n)`` — the DSE's contiguous sharding and the RK-update
+        node stream's tokens.
     block_size:
         Maximum elements per block; the final block may be short when
         ``block_size`` does not divide ``len(elements)``.

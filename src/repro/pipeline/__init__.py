@@ -38,9 +38,7 @@ from .executor import (
 from .rk_update import (
     RK_UPDATE_TASK_NAMES,
     RKUpdateContext,
-    node_blocks,
     rk_update_pipeline,
-    rk_update_streaming_actions,
 )
 from .opcounts import (
     pipeline_op_counts,
@@ -64,9 +62,7 @@ __all__ = [
     "share_loads",
     "RK_UPDATE_TASK_NAMES",
     "RKUpdateContext",
-    "node_blocks",
     "rk_update_pipeline",
-    "rk_update_streaming_actions",
     "assembled_total",
     "element_residuals",
     "run_blocked_pipeline",

@@ -13,8 +13,11 @@ Four execution styles over one IR:
   gathered element state (the solver's per-pass diagnostics helpers);
 - :func:`streaming_actions` — payload-carrying actions for the
   cycle-accurate dataflow simulator: the co-simulator prices *and
-  computes* the same stages, one element *block* per pipeline iteration
-  (block size 1 recovers element-at-a-time streaming).
+  computes* the same stages, one *block* per pipeline iteration. It is
+  the one streaming lowering of both halves of the RK step — element
+  blocks of the RKL pipeline, node blocks of the RK-update pipeline —
+  and the caller supplies only the data binding (how a block views the
+  context, loads its external payloads and stores its results).
 """
 
 from __future__ import annotations
@@ -199,183 +202,130 @@ def element_residuals(
 
 
 # ---------------------------------------------------------------------------
-# Streaming (one element block per pipeline iteration) for co-simulation
+# Streaming (one block per pipeline iteration) for co-simulation
 # ---------------------------------------------------------------------------
 
 Action = Callable[[int, tuple], object]
 
 
-def role_group_exports(
-    pipeline: OperatorPipeline,
-) -> list[tuple[str, list[Stage], list[str]]]:
-    """Role groups plus the payloads each exports across group borders.
-
-    Shared plumbing of the streaming lowerings (the element stream here
-    and the RK-update node stream in :mod:`repro.pipeline.rk_update`):
-    per role group of :meth:`OperatorPipeline.role_groups`, the payloads
-    consumed by a *different* group are the ones that must travel
-    through the simulated inter-task buffers.
-    """
-    groups = pipeline.role_groups()
-    group_index = {
-        stage.name: idx
-        for idx, (_, stages) in enumerate(groups)
-        for stage in stages
-    }
-    plan: list[tuple[str, list[Stage], list[str]]] = []
-    for idx, (role, stages) in enumerate(groups):
-        exported: list[str] = []
-        for stage in stages:
-            for out in stage.outputs:
-                consumers = pipeline.consumers_of(out)
-                if any(group_index[c.name] != idx for c in consumers):
-                    exported.append(out)
-        plan.append((role, stages, exported))
-    return plan
-
-
 def streaming_actions(
     pipeline: OperatorPipeline,
-    ctx: PipelineContext,
-    state: np.ndarray,
-    accumulator: np.ndarray,
-    blocks: Sequence[np.ndarray] | None = None,
+    blocks: Sequence[np.ndarray],
+    view: Callable[[np.ndarray], object],
+    load: Callable[[np.ndarray, frozenset[str]], dict[str, object]],
+    store: Callable[[Stage, np.ndarray, object, np.ndarray], None],
+    prepare: Callable[[], None] | None = None,
 ) -> dict[str, Action]:
-    """Payload-carrying task actions for the element dataflow graph.
+    """Payload-carrying task actions, one block of the stream per token.
+
+    The one streaming lowering of both halves of the RK step (RKL element
+    blocks, RK-update node blocks): it owns the plumbing, and the caller
+    supplies only the data binding — ``view``, ``load`` and ``store``.
 
     Parameters
     ----------
     pipeline:
-        The operator pipeline whose role groups become the simulated
-        LOAD / COMPUTE / STORE tasks.
-    ctx:
-        Bound execution context (connectivity, metric terms, backend)
-        covering the whole mesh; each iteration takes a block view.
-    state:
-        Global stacked state ``(5, N)`` every LOAD gathers from.
-    accumulator:
-        Output array ``(5, N)`` the STORE group assembles element
-        contributions into. For a sharded (multi-CU) run, pass one
-        accumulator per CU and sum them afterwards — that sum is the
-        reduction of the per-CU partial residuals.
+        The operator pipeline whose role groups
+        (:meth:`OperatorPipeline.role_groups`) become the simulated LOAD
+        / COMPUTE / STORE tasks.
     blocks:
-        Element-index arrays, one per simulator iteration (see
-        :func:`repro.mesh.partition.element_blocks`); ``None`` means one
-        single-element block per mesh element — the pre-batching
-        behaviour. Token ``i`` of the simulation carries block ``i``.
+        Index arrays, one per token (see
+        :func:`repro.mesh.partition.element_blocks`).
+    view:
+        ``view(block)`` — the context the block's stages run on.
+    load:
+        ``load(block, names)`` — a fresh dict binding the external
+        payloads a group reads (``names``: its stages' inputs). It runs
+        when the task starts, so a chain sequenced before this one (via
+        :attr:`~repro.dataflow.task.Task.depends_on`) may fill the
+        global arrays during the same simulation.
+    store:
+        ``store(stage, value, context, block)`` — writes a store stage's
+        input ``value`` for ``block``.
+    prepare:
+        Optional callback run once, at the first LOAD — how the chained
+        full-step co-simulation finalizes the upstream stage at the
+        simulated instant this kernel launches.
 
     Returns
     -------
     dict[str, Action]
         One action per role group (keyed ``"load"`` / ``"compute"`` /
-        ``"store"``) for :meth:`OperatorPipeline.to_task_graph`. Each
-        action executes its group's stages on block ``iteration`` only,
-        passing the payloads that cross group boundaries through the
-        simulated inter-task buffers as dicts.
-
-        Every action also carries a ``batch`` attribute — the batched
-        form the vectorized schedule engine
-        (:mod:`repro.dataflow.schedule`) calls once per task instead of
-        once per token: the same stages over the concatenation of all
-        blocks, numerically the per-token stream in one numpy call
-        (scatter order included, since ``np.add.at`` applies the
-        concatenated indices in block order).
+        ``"store"``) for :meth:`OperatorPipeline.to_task_graph`: it runs
+        its group's stages on block ``iteration``, passing the payloads
+        that cross group borders through the simulated buffers as dicts
+        (STORE returns ``None``). Each action's ``batch`` attribute is
+        the form the vectorized schedule engine
+        (:mod:`repro.dataflow.schedule`) calls once per task: the same
+        stages over the concatenation of the first ``count`` blocks,
+        numerically the per-token stream (``np.add.at`` applies the
+        concatenated indices in block order), with one ``None`` sink
+        value per token from STORE.
 
     Raises
     ------
     PipelineError
-        If the pipeline does not have exactly one external payload (the
-        global state) or its role grouping is not a legal task chain.
+        If the pipeline's role grouping is not a legal task chain.
     """
-    # Dtype-preserving: float32 states stream float32 element payloads
-    # (the device-faithful precision mode); the accumulator's dtype picks
-    # the STORE reduction precision, exactly like the backends' policy.
-    state = np.asarray(state)
-    if blocks is None:
-        blocks = [
-            np.array([index], dtype=np.int64)
-            for index in range(ctx.num_elements)
-        ]
-    else:
-        blocks = [np.asarray(block, dtype=np.int64) for block in blocks]
-    externals = pipeline.external_inputs()
-    if len(externals) != 1:
-        raise PipelineError(
-            f"pipeline {pipeline.name!r}: streaming execution expects one "
-            f"external payload (the global state), found {externals}"
-        )
-    (state_payload,) = externals
+    blocks = [np.asarray(block, dtype=np.int64) for block in blocks]
 
-    # One batched run shares the concatenated-block context between the
-    # LOAD / COMPUTE / STORE batch calls (connectivity and metric views
-    # are state-independent, so caching per token count is safe).
-    batch_ctx_cache: dict[int, PipelineContext] = {}
+    # The batched forms of all role groups share one concatenated block
+    # and its context per token count.
+    concatenated: dict[int, tuple[np.ndarray, object]] = {}
 
-    def batch_ctx(count: int) -> PipelineContext:
-        if count not in batch_ctx_cache:
-            batch_ctx_cache[count] = ctx.element_block(
-                np.concatenate(blocks[:count])
-            )
-        return batch_ctx_cache[count]
+    def batch_view(count: int) -> tuple[np.ndarray, object]:
+        if count not in concatenated:
+            block = np.concatenate(blocks[:count])
+            concatenated[count] = (block, view(block))
+        return concatenated[count]
 
-    def run_group(ectx, stages, exported, role, env, count=None):
-        """Execute one role group against ``env``; dict of exports."""
+    def run_group(block, context, group, inputs, first):
+        """Execute one role group on ``block``; dict of exports."""
+        role, stages, exported, needed = group
+        if role == "load" and first and prepare is not None:
+            prepare()
+        env = load(block, needed)
+        for payload in inputs:
+            env.update(payload)
         if role == "store":
-            # The STORE kernel's read-modify-write, restricted to the
-            # streamed nodes: a block touches B*Q node slots, so the
-            # dense (5, N) scatter the batched kernel produces would
-            # make streaming quadratic in mesh size.
             for stage in stages:
-                res = env[stage.inputs[0]]  # (F, B, Q)
-                start = int(stage.param("field_start", 0))
-                for field in range(res.shape[0]):
-                    np.add.at(
-                        accumulator[start + field],
-                        ectx.connectivity,
-                        res[field],
-                    )
+                store(stage, env[stage.inputs[0]], context, block)
             return None
         for stage in stages:
-            _run_stage(ectx, stage, env)
+            _run_stage(context, stage, env)
         return {name: env[name] for name in exported}
 
+    groups = pipeline.role_groups()
+    group_of = {
+        stage.name: index
+        for index, (_, stages) in enumerate(groups)
+        for stage in stages
+    }
     actions: dict[str, Action] = {}
-    for role, stages, exported in role_group_exports(pipeline):
+    for index, (role, stages) in enumerate(groups):
+        # Only payloads a different group consumes travel through the
+        # simulated inter-task buffers.
+        exported = [
+            out
+            for stage in stages
+            for out in stage.outputs
+            if any(
+                group_of[consumer.name] != index
+                for consumer in pipeline.consumers_of(out)
+            )
+        ]
+        needed = frozenset(name for stage in stages for name in stage.inputs)
+        group = (role, stages, exported, needed)
 
-        def action(
-            iteration: int,
-            inputs: tuple,
-            stages=stages,
-            exported=exported,
-            role=role,
-        ):
-            env: dict[str, np.ndarray] = {state_payload: state}
-            for payload in inputs:
-                env.update(payload)
+        def action(iteration: int, inputs: tuple, group=group):
+            block = blocks[iteration]
             return run_group(
-                ctx.element_block(blocks[iteration]),
-                stages,
-                exported,
-                role,
-                env,
+                block, view(block), group, inputs, first=iteration == 0
             )
 
-        def batch(
-            count: int,
-            inputs: tuple,
-            stages=stages,
-            exported=exported,
-            role=role,
-        ):
-            env: dict[str, np.ndarray] = {state_payload: state}
-            for payload in inputs:
-                env.update(payload)
-            result = run_group(
-                batch_ctx(count), stages, exported, role, env
-            )
-            if role == "store":
-                return [None] * count  # per-token sink values
-            return result
+        def batch(count: int, inputs: tuple, group=group):
+            result = run_group(*batch_view(count), group, inputs, first=True)
+            return [None] * count if group[0] == "store" else result
 
         action.batch = batch
         actions[role] = action

@@ -14,9 +14,11 @@ This module pins the RKU half down as IR, exactly the way
   the node load/stores) are the callable stage bodies, shape-polymorphic
   over the node axis so the same kernel serves the solver's whole-mesh
   execution and the co-simulator's node-block streaming;
-- :func:`rk_update_streaming_actions` is the streaming lowering — one
-  node block per simulated token through the LOAD -> COMPUTE -> STORE
-  task chain (:data:`RK_UPDATE_TASK_NAMES`).
+- the streaming lowering is the element pipeline's own
+  :func:`~repro.pipeline.executor.streaming_actions`, bound to node
+  blocks by :mod:`repro.accel.cosim` — one node block per simulated
+  token through the LOAD -> COMPUTE -> STORE task chain
+  (:data:`RK_UPDATE_TASK_NAMES`).
 
 One IR instance serves the same three consumers as the RKL pipeline:
 :meth:`Simulation.step <repro.solver.simulation.Simulation.step>`
@@ -31,7 +33,6 @@ cycle-accurately chained after the RKL element stream, and
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -42,7 +43,6 @@ from ..errors import PipelineError
 from ..physics.gas import GasProperties
 from ..physics.state import NUM_CONSERVED
 from ..precision.modes import FLOAT64_POLICY, PrecisionPolicy
-from .executor import _run_stage, role_group_exports
 from .ir import OperatorPipeline, PayloadSpec, Stage
 from .kernels import register_pipeline_kernel
 
@@ -74,7 +74,6 @@ class RKUpdateContext:
     """
 
     gas: GasProperties
-    num_nodes: int
     buffers: dict[str, np.ndarray] | None = None
     #: Precision policy governing the dtype of *unbound* accumulation
     #: buffers (``acc``/``scratch``) the axpy kernel allocates — the
@@ -353,190 +352,3 @@ def rk_update_pipeline(
         stages=list(cached.stages),
         payloads=dict(cached.payloads),
     )
-
-
-# ---------------------------------------------------------------------------
-# Streaming (one node block per pipeline iteration) for co-simulation
-# ---------------------------------------------------------------------------
-
-
-def node_blocks(num_nodes: int, block_size: int) -> list[np.ndarray]:
-    """Contiguous node-index blocks — the RKU stream's tokens.
-
-    The final block may be short when ``block_size`` does not divide
-    ``num_nodes``. Raises :class:`~repro.errors.PipelineError` on a
-    non-positive size.
-    """
-    if block_size < 1:
-        raise PipelineError(f"node block size must be >= 1, got {block_size}")
-    return [
-        np.arange(start, min(start + block_size, num_nodes), dtype=np.int64)
-        for start in range(0, num_nodes, block_size)
-    ]
-
-
-def rk_update_streaming_actions(
-    pipeline: OperatorPipeline,
-    ctx: RKUpdateContext,
-    state: np.ndarray,
-    derivs: Sequence[np.ndarray],
-    coeffs,
-    dt: float,
-    out_state: np.ndarray,
-    out_primitives: np.ndarray | None = None,
-    blocks: Sequence[np.ndarray] | None = None,
-    prepare: Callable[[], None] | None = None,
-) -> dict[str, Callable[[int, tuple], object]]:
-    """Payload-carrying task actions for the RKU node stream.
-
-    Parameters
-    ----------
-    pipeline / ctx:
-        An :func:`rk_update_pipeline` instance (bindings-free — the
-        streaming path writes block slices, not whole-mesh buffers) and
-        its bound context.
-    state:
-        Global stacked state ``(5, N)`` the combination reads. The array
-        is read *per block at task start*, so an upstream producer
-        sequenced before this chain (via
-        :attr:`~repro.dataflow.task.Task.depends_on`) may fill it during
-        the same simulation.
-    derivs:
-        The finalized stage derivatives, each ``(5, N)``; like ``state``
-        they are read lazily per block.
-    coeffs / dt:
-        The tableau row and step size of this combination.
-    out_state:
-        ``(5, N)`` array the STORE group writes the combined state into.
-    out_primitives:
-        ``(5, N)`` array for the primitive rows (required when the
-        pipeline carries the primitive update).
-    blocks:
-        Node-index blocks, one per simulator iteration (defaults to
-        single-node tokens; see :func:`node_blocks`). Token ``i``
-        carries block ``i``.
-    prepare:
-        Optional callback invoked once, at the first LOAD action —
-        the hook the chained full-step co-simulation uses to finalize
-        the upstream RKL accumulators (mass inversion, wall conditions)
-        at the simulated instant the RKU kernel launches.
-
-    Returns
-    -------
-    dict[str, Action]
-        One action per role group for
-        :meth:`~repro.pipeline.ir.OperatorPipeline.to_task_graph`. As
-        with :func:`~repro.pipeline.executor.streaming_actions`, every
-        action carries a ``batch`` attribute executing all its tokens
-        (the concatenation of the node blocks) in one numpy call for
-        the vectorized schedule engine; ``prepare`` still runs first,
-        at the batched LOAD — after the upstream chains the schedule
-        sequenced it behind.
-
-    Raises
-    ------
-    PipelineError
-        If the role grouping is not a legal task chain, or a store
-        stage has no output array to write to.
-    """
-    # Dtype-preserving: the node stream runs in the state's dtype so the
-    # float32 precision modes stream exactly what the device would.
-    state = np.asarray(state)
-    derivs = [np.asarray(deriv) for deriv in derivs]
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if blocks is None:
-        blocks = node_blocks(ctx.num_nodes, 1)
-    else:
-        blocks = [np.asarray(block, dtype=np.int64) for block in blocks]
-    targets = {
-        "store_node_state": out_state,
-        "store_node_primitives": out_primitives,
-    }
-
-    # The batched form concatenates the same block prefix for every role
-    # group — share it per token count, and remember when it covers the
-    # whole node range in order (the streaming default) so groups that
-    # do not export node slices can use one basic slice instead of a
-    # fancy-index pass. The LOAD group always slices through the index
-    # array: its pass-through exports are payloads and must stay fresh
-    # copies, never views of the caller's arrays.
-    batch_block_cache: dict[int, tuple[np.ndarray, bool]] = {}
-
-    def batch_block(count: int) -> tuple[np.ndarray, bool]:
-        if count not in batch_block_cache:
-            block = np.concatenate(blocks[:count])
-            identity = block.size == state.shape[1] and np.array_equal(
-                block, np.arange(block.size)
-            )
-            batch_block_cache[count] = (block, bool(identity))
-        return batch_block_cache[count]
-
-    def run_group(block, stages, exported, role, inputs, needed, first):
-        """Execute one role group on ``block`` (a token's nodes or the
-        concatenation of all tokens); dict of exports."""
-        if role == "load" and first and prepare is not None:
-            prepare()
-        # Only the slices this group's stages actually read are
-        # materialized — downstream groups receive the loaded node
-        # payloads through the simulated buffers, not from here.
-        env: dict[str, object] = {"coeffs": coeffs, "dt": dt}
-        if "state" in needed:
-            env["state"] = state[:, block]
-        if "derivs" in needed:
-            env["derivs"] = [deriv[:, block] for deriv in derivs]
-        for payload in inputs:
-            env.update(payload)
-        if role == "store":
-            for stage in stages:
-                target = targets.get(stage.kernel)
-                if target is None:
-                    raise PipelineError(
-                        f"stage {stage.name!r}: no output array for "
-                        f"kernel {stage.kernel!r}"
-                    )
-                target[:, block] = env[stage.inputs[0]]
-            return None
-        for stage in stages:
-            _run_stage(ctx, stage, env)
-        return {name: env[name] for name in exported}
-
-    actions: dict[str, Callable[[int, tuple], object]] = {}
-    for role, stages, exported in role_group_exports(pipeline):
-        needed = frozenset(
-            name for stage in stages for name in stage.inputs
-        )
-
-        def action(
-            iteration: int,
-            inputs: tuple,
-            stages=stages,
-            exported=exported,
-            role=role,
-            needed=needed,
-        ):
-            return run_group(
-                blocks[iteration], stages, exported, role, inputs, needed,
-                first=iteration == 0,
-            )
-
-        def batch(
-            count: int,
-            inputs: tuple,
-            stages=stages,
-            exported=exported,
-            role=role,
-            needed=needed,
-        ):
-            block, identity = batch_block(count)
-            if identity and role != "load":
-                block = slice(None)
-            result = run_group(
-                block, stages, exported, role, inputs, needed, first=True
-            )
-            if role == "store":
-                return [None] * count  # per-token sink values
-            return result
-
-        action.batch = batch
-        actions[role] = action
-    return actions

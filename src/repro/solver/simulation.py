@@ -211,7 +211,6 @@ class Simulation:
             )
             self._rku_ctx = RKUpdateContext(
                 gas=self.gas,
-                num_nodes=mesh.num_nodes,
                 buffers=self._rk_buffers,
                 precision=self.precision,
             )

@@ -15,7 +15,7 @@ from .butcher import (
     SSP_RK3,
     tableau_by_name,
 )
-from .runge_kutta import rk_step, rk_step_stacked, integrate
+from .runge_kutta import rk_step, integrate
 from .cfl import advective_time_step, diffusive_time_step, stable_time_step
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "SSP_RK3",
     "tableau_by_name",
     "rk_step",
-    "rk_step_stacked",
     "integrate",
     "advective_time_step",
     "diffusive_time_step",

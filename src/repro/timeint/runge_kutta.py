@@ -1,9 +1,11 @@
 """Generic explicit Runge-Kutta driver.
 
 The right-hand side is any callable ``rhs(t, y) -> dy/dt`` over numpy
-arrays. The Navier-Stokes solver feeds its stacked conservative state
-``(5, N)`` through :func:`rk_step_stacked`; scalar ODE convergence tests
-use :func:`rk_step` / :func:`integrate` directly.
+arrays; :func:`rk_step` / :func:`integrate` drive the tableau family on
+ODE systems (the convergence and tableau tests). The Navier-Stokes
+solver does not come through here: :meth:`Simulation.step
+<repro.solver.simulation.Simulation.step>` runs the RK-update pipelines
+(:func:`repro.pipeline.rk_update.rk_update_pipeline`).
 """
 
 from __future__ import annotations
@@ -76,49 +78,6 @@ def rk_step(
         if weight != 0.0:
             np.multiply(stage_derivs[stage], dt * weight, out=scratch)
             result += scratch
-    return result
-
-
-def rk_step_stacked(
-    rhs: RHSFunc,
-    t: float,
-    y: np.ndarray,
-    dt: float,
-    tableau: ButcherTableau,
-    post_stage: Callable[[np.ndarray], None] | None = None,
-) -> np.ndarray:
-    """RK step with an optional post-stage hook.
-
-    The solver uses ``post_stage`` to mirror the paper's flow: after each
-    RK stage evaluation, the RKU kernel re-derives ``rho, u, T, E, p``.
-    The hook receives each stage state (including the final combination)
-    and may validate or record it; it must not modify the array.
-    """
-    if dt <= 0:
-        raise TimeIntegrationError(f"dt must be positive, got {dt}")
-    y = np.asarray(y, dtype=np.float64)
-    increment = np.empty_like(y)
-    scratch = np.empty_like(y)
-    stage_derivs: list[np.ndarray] = []
-    for stage in range(tableau.num_stages):
-        y_stage = y
-        if stage > 0 and _accumulate_weighted(
-            stage_derivs, tableau.a[stage, :stage], increment, scratch
-        ):
-            y_stage = y + dt * increment
-        if post_stage is not None:
-            post_stage(y_stage)
-        stage_derivs.append(
-            np.asarray(rhs(t + tableau.c[stage] * dt, y_stage), dtype=np.float64)
-        )
-    result = y.copy()
-    for stage in range(tableau.num_stages):
-        weight = tableau.b[stage]
-        if weight != 0.0:
-            np.multiply(stage_derivs[stage], dt * weight, out=scratch)
-            result += scratch
-    if post_stage is not None:
-        post_stage(result)
     return result
 
 

@@ -9,7 +9,6 @@ from repro.mesh.partition import (
     batch_node_working_set,
     element_blocks,
     partition_elements_balanced,
-    partition_elements_contiguous,
     reuse_factor,
 )
 
@@ -43,18 +42,18 @@ class TestElementBlocks:
 
 class TestContiguous:
     def test_covers_all_elements_once(self):
-        batches = partition_elements_contiguous(100, 32)
+        batches = element_blocks(np.arange(100), 32)
         combined = np.concatenate(batches)
         assert np.array_equal(combined, np.arange(100))
         assert [len(b) for b in batches] == [32, 32, 32, 4]
 
     def test_single_batch(self):
-        batches = partition_elements_contiguous(5, 10)
+        batches = element_blocks(np.arange(5), 10)
         assert len(batches) == 1 and len(batches[0]) == 5
 
     def test_rejects_bad_batch_size(self):
         with pytest.raises(MeshError):
-            partition_elements_contiguous(10, 0)
+            element_blocks(np.arange(10), 0)
 
 
 class TestBalanced:

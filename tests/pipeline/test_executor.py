@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import repro.solver.navier_stokes as ns_module
+from repro.accel.cosim import _rkl_actions
 from repro.errors import PipelineError
 from repro.mesh.hexmesh import channel_mesh, periodic_box_mesh
+from repro.mesh.partition import element_blocks, partition_elements_balanced
 from repro.physics.channel import decaying_shear_initial
 from repro.physics.taylor_green import DEFAULT_TGV, taylor_green_initial
 from repro.pipeline import (
@@ -16,7 +18,6 @@ from repro.pipeline import (
     element_residuals,
     navier_stokes_pipeline,
     run_pipeline,
-    streaming_actions,
 )
 from repro.solver.navier_stokes import NavierStokesOperator
 from repro.solver.profiler import PhaseProfiler
@@ -137,58 +138,56 @@ class TestElementResiduals:
 
 
 class TestStreaming:
-    def test_streamed_elements_assemble_the_residual(self, setup):
+    """The RKL binding of the one streaming lowering
+    (:func:`repro.accel.cosim._rkl_actions` over
+    :func:`~repro.pipeline.executor.streaming_actions`), driven per
+    token and in the batched form."""
+
+    def test_streamed_elements_assemble_the_residual(self, setup, drive):
         """Driving the streaming actions directly, element by element,
         rebuilds the batched assembled total."""
         _mesh, op, stacked = setup
         pipeline = navier_stokes_pipeline("full")
         ctx = PipelineContext.from_operator(op)
         acc = np.zeros((5, op.mesh.num_nodes))
-        actions = streaming_actions(pipeline, ctx, stacked, acc)
-        for element in range(op.mesh.num_elements):
-            payload = actions["load"](element, ())
-            payload = actions["compute"](element, (payload,))
-            assert actions["store"](element, (payload,)) is None
+        blocks = element_blocks(np.arange(op.mesh.num_elements), 1)
+        drive(_rkl_actions(pipeline, blocks, ctx, stacked, acc), len(blocks))
         outputs = run_pipeline(pipeline, ctx, {"state": stacked})
         batched = assembled_total(outputs)
         scale = np.abs(batched).max()
         assert np.abs(acc - batched).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("block_size", [1, 3, 8])
-    def test_block_streaming_matches_element_streaming(self, setup, block_size):
+    def test_block_streaming_matches_element_streaming(
+        self, setup, drive, block_size
+    ):
         """A block token computes exactly what its elements would one at
         a time: same kernels, same scatter order within the block."""
-        from repro.mesh.partition import element_blocks
-
         _mesh, op, stacked = setup
         pipeline = navier_stokes_pipeline("full")
         ctx = PipelineContext.from_operator(op)
+        elements = np.arange(op.mesh.num_elements)
 
         single = np.zeros((5, op.mesh.num_nodes))
-        actions = streaming_actions(pipeline, ctx, stacked, single)
+        actions = _rkl_actions(
+            pipeline, element_blocks(elements, 1), ctx, stacked, single
+        )
         for element in range(op.mesh.num_elements):
             payload = actions["load"](element, ())
             payload = actions["compute"](element, (payload,))
             actions["store"](element, (payload,))
 
         blocked = np.zeros((5, op.mesh.num_nodes))
-        blocks = element_blocks(np.arange(op.mesh.num_elements), block_size)
-        actions = streaming_actions(
-            pipeline, ctx, stacked, blocked, blocks=blocks
-        )
-        for token in range(len(blocks)):
-            payload = actions["load"](token, ())
-            payload = actions["compute"](token, (payload,))
-            assert actions["store"](token, (payload,)) is None
+        blocks = element_blocks(elements, block_size)
+        actions = _rkl_actions(pipeline, blocks, ctx, stacked, blocked)
+        drive(actions, len(blocks))
 
         scale = np.abs(single).max()
         assert np.abs(blocked - single).max() <= 1e-13 * scale
 
-    def test_sharded_blocks_reduce_to_the_full_residual(self, setup):
+    def test_sharded_blocks_reduce_to_the_full_residual(self, setup, drive):
         """Two shards with per-shard accumulators: the reduced sum is the
         batched assembled total (the multi-CU reduction path)."""
-        from repro.mesh.partition import element_blocks, partition_elements_balanced
-
         _mesh, op, stacked = setup
         pipeline = navier_stokes_pipeline("full")
         ctx = PipelineContext.from_operator(op)
@@ -196,13 +195,8 @@ class TestStreaming:
         for part in partition_elements_balanced(op.mesh.num_elements, 2):
             acc = np.zeros((5, op.mesh.num_nodes))
             blocks = element_blocks(part, 3)
-            actions = streaming_actions(
-                pipeline, ctx, stacked, acc, blocks=blocks
-            )
-            for token in range(len(blocks)):
-                payload = actions["load"](token, ())
-                payload = actions["compute"](token, (payload,))
-                actions["store"](token, (payload,))
+            actions = _rkl_actions(pipeline, blocks, ctx, stacked, acc)
+            drive(actions, len(blocks))
             partials.append(acc)
         outputs = run_pipeline(pipeline, ctx, {"state": stacked})
         batched = assembled_total(outputs)

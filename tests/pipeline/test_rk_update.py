@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.errors import PipelineError
+from repro.accel.cosim import _rku_actions
+from repro.errors import MeshError, PipelineError
+from repro.mesh.partition import element_blocks
 from repro.physics.state import FlowState
 from repro.physics.taylor_green import DEFAULT_TGV
 from repro.pipeline import (
     RK_UPDATE_TASK_NAMES,
     RKUpdateContext,
     bind_stage_buffers,
-    node_blocks,
     rk_update_pipeline,
-    rk_update_streaming_actions,
     run_pipeline,
 )
 from repro.timeint.butcher import RK4
@@ -94,7 +94,7 @@ class TestFunctionalExecution:
         derivs = [rng.normal(size=(5, 29)) for _ in range(3)]
         coeffs = np.array([0.5, 0.0, -0.25])
         dt = 0.01
-        ctx = RKUpdateContext(gas=gas, num_nodes=29)
+        ctx = RKUpdateContext(gas=gas)
         outputs = run_pipeline(
             rk_update_pipeline(),
             ctx,
@@ -105,7 +105,7 @@ class TestFunctionalExecution:
 
     def test_all_zero_coefficients_pass_state_through(self, gas, rng):
         y = random_state(rng, 8)
-        ctx = RKUpdateContext(gas=gas, num_nodes=8)
+        ctx = RKUpdateContext(gas=gas)
         outputs = run_pipeline(
             rk_update_pipeline(primitives=False),
             ctx,
@@ -120,7 +120,7 @@ class TestFunctionalExecution:
 
     def test_primitives_match_flow_state_methods(self, gas, rng):
         y = random_state(rng, 31)
-        ctx = RKUpdateContext(gas=gas, num_nodes=31)
+        ctx = RKUpdateContext(gas=gas)
         outputs = run_pipeline(
             rk_update_pipeline(),
             ctx,
@@ -160,7 +160,7 @@ class TestBufferBinding:
                 "store_primitives": {"out": "primitives"},
             },
         )
-        ctx = RKUpdateContext(gas=gas, num_nodes=13, buffers=buffers)
+        ctx = RKUpdateContext(gas=gas, buffers=buffers)
         derivs = [rng.normal(size=(5, 13))]
         outputs = run_pipeline(
             pipeline,
@@ -189,7 +189,7 @@ class TestBufferBinding:
             rk_update_pipeline(primitives=False),
             {"store_state": {"out": "unbound"}},
         )
-        ctx = RKUpdateContext(gas=gas, num_nodes=4)
+        ctx = RKUpdateContext(gas=gas)
         with pytest.raises(PipelineError):
             run_pipeline(
                 pipeline,
@@ -209,27 +209,35 @@ class TestBufferBinding:
 
 
 class TestNodeBlocks:
+    """The node stream's tokens are the contiguous element-block split
+    of the node range."""
+
     def test_blocks_cover_nodes_in_order(self):
-        blocks = node_blocks(10, 4)
+        blocks = element_blocks(np.arange(10), 4)
         assert [b.size for b in blocks] == [4, 4, 2]
         assert np.array_equal(np.concatenate(blocks), np.arange(10))
 
     def test_invalid_block_size(self):
-        with pytest.raises(PipelineError):
-            node_blocks(10, 0)
+        with pytest.raises(MeshError):
+            element_blocks(np.arange(10), 0)
 
 
 class TestStreamingActions:
+    """The RK-update binding of the one streaming lowering
+    (:func:`repro.accel.cosim._rku_actions` over
+    :func:`~repro.pipeline.executor.streaming_actions`), driven per
+    token and in the batched form."""
+
     @pytest.mark.parametrize("block_size", [1, 8, 37])
     def test_blockwise_stream_matches_whole_mesh_run(
-        self, gas, rng, block_size
+        self, gas, rng, drive, block_size
     ):
         n = 37
         y = random_state(rng, n)
         derivs = [rng.normal(size=(5, n)) for _ in range(4)]
         coeffs = RK4.b
         dt = 0.02
-        ctx = RKUpdateContext(gas=gas, num_nodes=n)
+        ctx = RKUpdateContext(gas=gas)
         pipeline = rk_update_pipeline()
         expected = run_pipeline(
             pipeline,
@@ -238,40 +246,32 @@ class TestStreamingActions:
         )
         out_state = np.empty((5, n))
         out_prims = np.empty((5, n))
-        blocks = node_blocks(n, block_size)
-        actions = rk_update_streaming_actions(
-            pipeline,
-            ctx,
-            y,
-            derivs,
-            coeffs,
-            dt,
-            out_state=out_state,
-            out_primitives=out_prims,
-            blocks=blocks,
+        blocks = element_blocks(np.arange(n), block_size)
+        targets = {
+            "store_node_state": out_state,
+            "store_node_primitives": out_prims,
+        }
+        actions = _rku_actions(
+            pipeline, blocks, ctx, y, derivs, coeffs, dt, targets
         )
-        for iteration in range(len(blocks)):
-            value = actions["load"](iteration, ())
-            value = actions["compute"](iteration, (value,))
-            actions["store"](iteration, (value,))
+        drive(actions, len(blocks))
         assert np.array_equal(out_state, expected["updated_state"])
         assert np.array_equal(out_prims, expected["stored_primitives"])
 
-    def test_prepare_runs_once_before_first_load(self, gas, rng):
+    def test_prepare_runs_once_before_first_load(self, gas, rng, drive):
         n = 6
         calls = []
-        ctx = RKUpdateContext(gas=gas, num_nodes=n)
-        actions = rk_update_streaming_actions(
+        blocks = element_blocks(np.arange(n), 3)
+        actions = _rku_actions(
             rk_update_pipeline(primitives=False),
-            ctx,
+            blocks,
+            RKUpdateContext(gas=gas),
             random_state(rng, n),
             [np.ones((5, n))],
             np.array([1.0]),
             0.1,
-            out_state=np.empty((5, n)),
-            blocks=node_blocks(n, 3),
+            {"store_node_state": np.empty((5, n))},
             prepare=lambda: calls.append(True),
         )
-        actions["load"](0, ())
-        actions["load"](1, ())
+        drive(actions, len(blocks))
         assert calls == [True]

@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 
 from repro.mesh.hexmesh import box_mesh, channel_mesh, periodic_box_mesh
 from repro.mesh.metrics import element_volumes
-from repro.mesh.partition import (
-    partition_elements_balanced,
-    partition_elements_contiguous,
-)
+from repro.mesh.partition import element_blocks, partition_elements_balanced
 
 small_k = st.integers(min_value=1, max_value=4)
 small_p = st.integers(min_value=1, max_value=3)
@@ -70,7 +67,7 @@ class TestPartitionInvariants:
     )
     @settings(max_examples=60, deadline=None)
     def test_contiguous_partition_is_exact_cover(self, n, batch):
-        batches = partition_elements_contiguous(n, batch)
+        batches = element_blocks(np.arange(n), batch)
         combined = (
             np.concatenate(batches) if batches else np.array([], dtype=int)
         )

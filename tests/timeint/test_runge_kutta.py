@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import TimeIntegrationError
 from repro.timeint.butcher import FORWARD_EULER, HEUN2, RK4, RK4_38, SSP_RK3
-from repro.timeint.runge_kutta import integrate, rk_step, rk_step_stacked
+from repro.timeint.runge_kutta import integrate, rk_step
 
 
 def decay(t, y):
@@ -69,27 +69,6 @@ class TestMechanics:
         assert np.allclose(y1, y0 * np.exp(-0.01), atol=1e-10)
 
 
-class TestPostStageHook:
-    def test_hook_called_per_stage_plus_final(self):
-        calls = []
-        rk_step_stacked(
-            decay,
-            0.0,
-            np.array([1.0]),
-            0.1,
-            RK4,
-            post_stage=lambda y: calls.append(y.copy()),
-        )
-        assert len(calls) == RK4.num_stages + 1
-
-    def test_hook_result_matches_plain_step(self):
-        plain = rk_step(decay, 0.0, np.array([1.0]), 0.1, RK4)
-        hooked = rk_step_stacked(
-            decay, 0.0, np.array([1.0]), 0.1, RK4, post_stage=lambda y: None
-        )
-        assert np.allclose(plain, hooked)
-
-
 class TestBufferedAccumulationParity:
     """The in-place stage-increment accumulation (reused increment /
     scratch buffers instead of O(stages^2) temporaries) must reproduce
@@ -136,15 +115,4 @@ class TestBufferedAccumulationParity:
 
         got = rk_step(rhs, 0.2, y0, 0.013, tableau)
         want = self._naive_rk_step(rhs, 0.2, y0, 0.013, tableau)
-        assert np.array_equal(got, want)
-
-    def test_stacked_bitwise_parity(self):
-        rng = np.random.default_rng(7)
-        y0 = rng.normal(size=(5, 11))
-
-        def rhs(t, y):
-            return -y * np.abs(y)
-
-        got = rk_step_stacked(rhs, 0.0, y0, 0.02, RK4)
-        want = self._naive_rk_step(rhs, 0.0, y0, 0.02, RK4)
         assert np.array_equal(got, want)
