@@ -52,7 +52,7 @@ from ..dataflow.simulator import DataflowSimulator, SimulationTrace
 from ..dataflow.task import BlockLatency, Task
 from ..errors import ExperimentError, PipelineError
 from ..mesh.hexmesh import HexMesh, elements_for_node_count
-from ..mesh.partition import element_blocks, partition_elements_balanced
+from ..mesh.partition import partition_elements_balanced, slice_blocks
 from ..physics.state import NUM_CONSERVED, FlowState
 from ..pipeline import (
     DEFAULT_TASK_NAMES,
@@ -240,19 +240,25 @@ def analytic_rku_step_cycles(
 
 
 def _element_partitions(
-    num_elements: int, num_cus: int, partitions
+    num_elements: int, num_cus: int | None, partitions
 ) -> list[np.ndarray]:
     """Validated element shards, one per compute unit.
 
-    ``partitions=None`` balances ``num_elements`` over ``num_cus``;
-    explicit shards must be non-empty and cover the mesh exactly once.
+    ``partitions=None`` balances ``num_elements`` over ``num_cus`` (or
+    one); explicit shards must be non-empty, cover the mesh exactly
+    once, and number ``num_cus`` unless it is ``None``.
     """
     if partitions is None:
+        num_cus = 1 if num_cus is None else num_cus
         if num_cus < 1:
             raise ExperimentError("num_cus must be >= 1")
         partitions = partition_elements_balanced(num_elements, num_cus)
     else:
         partitions = [np.asarray(part, dtype=np.int64) for part in partitions]
+        if num_cus is not None and num_cus != len(partitions):
+            raise ExperimentError(
+                f"num_cus={num_cus} disagrees with {len(partitions)} shards"
+            )
     if any(part.size == 0 for part in partitions):
         raise ExperimentError(
             "every compute unit needs at least one element; fewer CUs "
@@ -338,6 +344,12 @@ class _ChainTemplate:
         return task_names["store"]
 
 
+def _read_only(view: np.ndarray) -> np.ndarray:
+    """``view``, locked so a kernel writing into a LOAD raises."""
+    view.flags.writeable = False
+    return view
+
+
 def _rkl_actions(pipeline, blocks, ctx, state, accumulator):
     """The RKL binding of :func:`~repro.pipeline.executor.streaming_actions`.
 
@@ -357,6 +369,7 @@ def _rkl_actions(pipeline, blocks, ctx, state, accumulator):
             f"external payload (the global state), found {externals}"
         )
     (payload,) = externals
+    frozen = _read_only(state[...])
 
     def store(stage, value, block_ctx, block):
         start = int(stage.param("field_start", 0))
@@ -369,7 +382,7 @@ def _rkl_actions(pipeline, blocks, ctx, state, accumulator):
 
     return streaming_actions(
         pipeline, blocks, ctx.element_block,
-        lambda block, names: {payload: state}, store,
+        lambda block, names: {payload: frozen}, store,
     )
 
 
@@ -380,19 +393,19 @@ def _rku_actions(
     :func:`~repro.pipeline.executor.streaming_actions`.
 
     Every block runs on the one :class:`RKUpdateContext` ``ctx``. A task
-    slices the ``state`` ``(5, N)`` and ``derivs`` node blocks its stages
-    read when it starts, so it sees what a chain sequenced before it
-    wrote in the same simulation; STORE writes each store stage's block
-    into ``targets[stage.kernel]``. The node stream runs in the state's
-    dtype.
+    takes read-only views of the ``state`` ``(5, N)`` and ``derivs``
+    node blocks its stages read when it starts, so it sees what a chain
+    sequenced before it wrote in the same simulation; STORE writes each
+    store stage's block into ``targets[stage.kernel]``. The node stream
+    runs in the state's dtype.
     """
 
     def load(block, names):
         env = {"coeffs": coeffs, "dt": dt}
         if "state" in names:
-            env["state"] = state[:, block]
+            env["state"] = _read_only(state[:, block])
         if "derivs" in names:
-            env["derivs"] = [deriv[:, block] for deriv in derivs]
+            env["derivs"] = [_read_only(deriv[:, block]) for deriv in derivs]
         return env
 
     def store(stage, value, context, block):
@@ -410,9 +423,10 @@ class _RKLShards:
     shards (:func:`_element_partitions`), each CU's LOAD/STORE priced at
     its node share
     (:func:`~repro.accel.multi_cu.nodes_per_compute_unit`), its shard cut
-    into ``block_size`` element tokens, and one :class:`_ChainTemplate`
-    per CU. :func:`exact_rkl_stage_cycles` instantiates it without
-    payloads; :func:`streamed_residual` and every stage of
+    into ``block_size`` element tokens (slices for a contiguous shard,
+    index arrays otherwise), and one :class:`_ChainTemplate` per CU.
+    :func:`exact_rkl_stage_cycles` instantiates it without payloads;
+    :func:`streamed_residual` and every stage of
     :func:`cosimulate_rk_stage` instantiate it with streaming actions.
     """
 
@@ -423,7 +437,7 @@ class _RKLShards:
         num_elements: int,
         *,
         block_size: int,
-        num_cus: int,
+        num_cus: int | None,
         partitions,
         pipeline: OperatorPipeline | None = None,
     ) -> None:
@@ -434,15 +448,19 @@ class _RKLShards:
         stage_cycles = design.pipeline_stage_cycles(
             self.pipeline, nodes_per_compute_unit(num_nodes, len(partitions))
         )
-        self.blocks = [element_blocks(part, block_size) for part in partitions]
-        self.templates = [
-            _ChainTemplate(
-                self.pipeline,
-                stage_cycles,
-                None if block_size == 1 else [block.size for block in blocks],
+        self.blocks, self.templates = [], []
+        for part in partitions:
+            cuts = slice_blocks(0, part.size, block_size)
+            first = int(part[0])
+            self.blocks.append(
+                slice_blocks(first, first + part.size, block_size)
+                if (np.diff(part) == 1).all()  # every built-in partition
+                else [part[cut] for cut in cuts]
             )
-            for blocks in self.blocks
-        ]
+            sizes = [cut.stop - cut.start for cut in cuts]
+            self.templates.append(_ChainTemplate(
+                self.pipeline, stage_cycles, None if block_size == 1 else sizes
+            ))
 
     @property
     def num_cus(self) -> int:
@@ -530,11 +548,11 @@ class _RKUChain:
         if node_block_size < 1:
             raise ExperimentError("node_block_size must be >= 1")
         self.pipeline = rk_update_pipeline(primitives=primitives)
-        self.blocks = element_blocks(np.arange(num_nodes), node_block_size)
+        self.blocks = slice_blocks(0, num_nodes, node_block_size)
         self.template = _ChainTemplate(
             self.pipeline,
             design.rku_pipeline_stage_cycles(self.pipeline, num_nodes),
-            [block.size for block in self.blocks],
+            [block.stop - block.start for block in self.blocks],
             design.rku_fill_cycles(),
         )
 
@@ -591,7 +609,7 @@ def exact_rkl_stage_cycles(
     num_elements: int,
     *,
     block_size: int = 1,
-    num_cus: int = 1,
+    num_cus: int | None = None,
     partitions=None,
     pipeline: OperatorPipeline | None = None,
 ) -> int:
@@ -674,7 +692,7 @@ def streamed_residual(
     pipeline: OperatorPipeline | None = None,
     *,
     block_size: int = 1,
-    num_cus: int = 1,
+    num_cus: int | None = None,
     partitions=None,
     engine: str = "auto",
 ) -> tuple[np.ndarray, SimulationTrace]:
@@ -715,7 +733,7 @@ def streamed_residual(
     num_cus:
         Number of compute units to shard across
         (:func:`~repro.mesh.partition.partition_elements_balanced`
-        semantics). Ignored when ``partitions`` is given.
+        semantics); ``None``: one, or one per explicit partition.
     partitions:
         Explicit element shards (1-D index arrays), one per CU; must
         cover every mesh element exactly once.
@@ -734,8 +752,8 @@ def streamed_residual(
     Raises
     ------
     ExperimentError
-        If ``block_size < 1``, a shard is empty, or the partitions do
-        not cover the mesh exactly.
+        If ``block_size < 1``, a shard is empty, the partitions do not
+        cover the mesh exactly, or ``num_cus`` disagrees with them.
     """
     mesh = operator.mesh
     shards = _RKLShards(
@@ -836,7 +854,7 @@ def cosimulate_rk_stage(
     case=None,
     initial_state: FlowState | None = None,
     block_size: int = 1,
-    num_cus: int = 1,
+    num_cus: int | None = None,
     partitions=None,
     node_block_size: int = 32,
     tableau: ButcherTableau = RK4,

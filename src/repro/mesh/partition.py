@@ -15,6 +15,22 @@ from ..errors import MeshError
 from .hexmesh import HexMesh
 
 
+def slice_blocks(start: int, stop: int, block_size: int) -> list[slice]:
+    """Cut the contiguous range ``[start, stop)`` into consecutive
+    slice tokens of at most ``block_size`` ids (the last may be short).
+
+    A slice token *views* the rows it covers — a burst read, no index
+    array, no copy. Raises :class:`~repro.errors.MeshError` if
+    ``block_size < 1``.
+    """
+    if block_size < 1:
+        raise MeshError("block_size must be >= 1")
+    return [
+        slice(first, min(first + block_size, stop))
+        for first in range(start, stop, block_size)
+    ]
+
+
 def element_blocks(elements: np.ndarray, block_size: int) -> list[np.ndarray]:
     """Split an element-index array into blocks of at most ``block_size``.
 
@@ -22,10 +38,7 @@ def element_blocks(elements: np.ndarray, block_size: int) -> list[np.ndarray]:
     ----------
     elements:
         1-D array of element indices (any order; a CU's shard of the
-        mesh). Order is preserved within and across blocks, so
-        ``element_blocks(np.arange(n), b)`` is the contiguous split of
-        ``range(n)`` — the DSE's contiguous sharding and the RK-update
-        node stream's tokens.
+        mesh). Order is preserved within and across blocks.
     block_size:
         Maximum elements per block; the final block may be short when
         ``block_size`` does not divide ``len(elements)``.
@@ -33,9 +46,9 @@ def element_blocks(elements: np.ndarray, block_size: int) -> list[np.ndarray]:
     Returns
     -------
     list[numpy.ndarray]
-        The consecutive blocks. These are the payload-carrying *tokens*
-        of the batched streaming co-simulation: one simulator iteration
-        moves one block through the Load-Compute-Store pipeline.
+        The consecutive blocks: the *tokens* of a non-contiguous shard
+        in the streaming co-simulation (a contiguous run streams
+        :func:`slice_blocks` tokens instead).
 
     Raises
     ------
@@ -43,14 +56,9 @@ def element_blocks(elements: np.ndarray, block_size: int) -> list[np.ndarray]:
         If ``block_size < 1`` or ``elements`` is not 1-D.
     """
     elements = np.asarray(elements, dtype=np.int64)
-    if block_size < 1:
-        raise MeshError("block_size must be >= 1")
     if elements.ndim != 1:
         raise MeshError("elements must be a 1-D index array")
-    return [
-        elements[start : start + block_size]
-        for start in range(0, elements.size, block_size)
-    ]
+    return [elements[s] for s in slice_blocks(0, elements.size, block_size)]
 
 
 def partition_elements_balanced(num_elements: int, num_parts: int) -> list[np.ndarray]:

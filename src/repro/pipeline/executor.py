@@ -210,10 +210,10 @@ Action = Callable[[int, tuple], object]
 
 def streaming_actions(
     pipeline: OperatorPipeline,
-    blocks: Sequence[np.ndarray],
-    view: Callable[[np.ndarray], object],
-    load: Callable[[np.ndarray, frozenset[str]], dict[str, object]],
-    store: Callable[[Stage, np.ndarray, object, np.ndarray], None],
+    blocks: Sequence[slice | np.ndarray],
+    view: Callable[[slice | np.ndarray], object],
+    load: Callable[[slice | np.ndarray, frozenset[str]], dict[str, object]],
+    store: Callable[[Stage, np.ndarray, object, slice | np.ndarray], None],
     prepare: Callable[[], None] | None = None,
 ) -> dict[str, Action]:
     """Payload-carrying task actions, one block of the stream per token.
@@ -229,8 +229,10 @@ def streaming_actions(
         (:meth:`OperatorPipeline.role_groups`) become the simulated LOAD
         / COMPUTE / STORE tasks.
     blocks:
-        Index arrays, one per token (see
-        :func:`repro.mesh.partition.element_blocks`).
+        One token per pipeline iteration: consecutive slices of a
+        contiguous stream (:func:`repro.mesh.partition.slice_blocks`),
+        or index arrays of an explicit non-contiguous shard
+        (:func:`repro.mesh.partition.element_blocks`).
     view:
         ``view(block)`` — the context the block's stages run on.
     load:
@@ -257,25 +259,30 @@ def streaming_actions(
         (STORE returns ``None``). Each action's ``batch`` attribute is
         the form the vectorized schedule engine
         (:mod:`repro.dataflow.schedule`) calls once per task: the same
-        stages over the concatenation of the first ``count`` blocks,
-        numerically the per-token stream (``np.add.at`` applies the
-        concatenated indices in block order), with one ``None`` sink
-        value per token from STORE.
+        stages over the concatenation of the first ``count`` blocks —
+        one slice for slice tokens — numerically the per-token stream
+        (``np.add.at`` applies the concatenated indices in block order),
+        with one ``None`` sink value per token from STORE.
 
     Raises
     ------
     PipelineError
-        If the pipeline's role grouping is not a legal task chain.
+        If the pipeline's role grouping is not a legal task chain, or a
+        batched form spans slice tokens that are not consecutive.
     """
-    blocks = [np.asarray(block, dtype=np.int64) for block in blocks]
-
     # The batched forms of all role groups share one concatenated block
     # and its context per token count.
-    concatenated: dict[int, tuple[np.ndarray, object]] = {}
+    concatenated: dict[int, tuple[slice | np.ndarray, object]] = {}
 
-    def batch_view(count: int) -> tuple[np.ndarray, object]:
+    def batch_view(count: int) -> tuple[slice | np.ndarray, object]:
         if count not in concatenated:
-            block = np.concatenate(blocks[:count])
+            head = blocks[:count]
+            if not isinstance(head[0], slice):
+                block = np.concatenate(head)
+            elif any(a.stop != b.start for a, b in zip(head, head[1:])):
+                raise PipelineError("slice tokens must be consecutive")
+            else:
+                block = slice(head[0].start, head[-1].stop)
             concatenated[count] = (block, view(block))
         return concatenated[count]
 

@@ -107,8 +107,9 @@ def _load_node_state(ctx: RKUpdateContext, stage: Stage, state: np.ndarray):
     """LOAD-node: the ``(5, B)`` conservative state of the node block.
 
     The node stream is a contiguous burst read (no connectivity
-    indirection), so the kernel is a pass-through; blocking happens in
-    the streaming actions.
+    indirection), so the kernel is a pass-through: the streaming
+    actions hand it a read-only view of the block's slice of the global
+    state, and nothing is copied.
     """
     return (state,)
 

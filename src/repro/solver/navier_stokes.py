@@ -45,7 +45,7 @@ from ..precision.modes import PrecisionPolicy
 from ..fem.geometry import compute_geometry
 from ..fem.reference import reference_hex
 from ..mesh.hexmesh import HexMesh
-from ..mesh.partition import element_blocks
+from ..mesh.partition import slice_blocks
 from ..physics.gas import GasProperties
 from ..physics.state import NUM_CONSERVED, FlowState
 from ..pipeline import (
@@ -163,9 +163,10 @@ class NavierStokesOperator:
             * np.dtype(self.precision.storage).itemsize
         )
         size = max(1, BLOCK_PAYLOAD_BYTES // per_element)
-        blocks = element_blocks(np.arange(self.mesh.num_elements), size)
-        slices = [slice(int(b[0]), int(b[-1]) + 1) for b in blocks]
-        return [(sl, self._ctx.element_block(sl)) for sl in slices]
+        return [
+            (sl, self._ctx.element_block(sl))
+            for sl in slice_blocks(0, self.mesh.num_elements, size)
+        ]
 
     # -- element-pass diagnostics (compute-only pipeline execution) ----------
 

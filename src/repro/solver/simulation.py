@@ -27,6 +27,7 @@ import numpy as np
 
 from ..backend.registry import require_serial_workers
 from ..errors import SolverError
+from ..mesh.metrics import element_min_spacing
 from ..physics.diagnostics import kinetic_energy, total_mass
 from ..physics.gas import GasProperties
 from ..physics.state import NUM_CONSERVED, FlowState
@@ -174,7 +175,7 @@ class Simulation:
             initial_state.validate()
             self.state = initial_state
             self.time = 0.0
-            self._min_spacing, _ = self.operator.stable_dt_inputs(self.state)
+            self._min_spacing = float(element_min_spacing(mesh).min())
             # The RK-update pipelines the step executes: the
             # combination-only variant for the intermediate stages and
             # the full variant (axpy + RKU primitive update) for the

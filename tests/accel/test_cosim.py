@@ -403,6 +403,41 @@ class TestMultiCUCosim:
             one.per_stage_rkl_cycles
         )
 
+    @pytest.mark.parametrize("engine", ["event", "vectorized"])
+    def test_slice_and_index_token_shards(self, proposed, engine):
+        """Contiguous shards stream slice tokens and an explicit
+        interleaved partition index-array tokens; each path prices
+        exactly its exact-tier graph and computes the residual."""
+        mesh = periodic_box_mesh(3, 2)
+        op = NavierStokesOperator(mesh, DEFAULT_TGV.gas())
+        stacked = taylor_green_initial(mesh.coords, DEFAULT_TGV).as_stacked()
+        expected = op.residual(stacked)
+        elements = np.arange(mesh.num_elements)
+        layouts = {
+            slice: partition_elements_balanced(mesh.num_elements, 2),
+            np.ndarray: [elements[::2], elements[1::2]],
+        }
+        for token_type, partitions in layouts.items():
+            shards = _RKLShards(
+                proposed, mesh.num_nodes, mesh.num_elements, block_size=4,
+                num_cus=None, partitions=partitions,
+            )
+            assert all(
+                isinstance(token, token_type)
+                for blocks in shards.blocks
+                for token in blocks
+            )
+            residual, trace = streamed_residual(
+                proposed, op, stacked, block_size=4,
+                partitions=partitions, engine=engine,
+            )
+            assert trace.total_cycles == exact_rkl_stage_cycles(
+                proposed, mesh.num_nodes, mesh.num_elements, block_size=4,
+                partitions=partitions,
+            )
+            scale = np.abs(expected).max()
+            assert np.abs(residual - expected).max() <= 1e-12 * scale
+
     def test_invalid_partitions_rejected(self, proposed, small_periodic_mesh):
         mesh = small_periodic_mesh
         op = NavierStokesOperator(mesh, DEFAULT_TGV.gas())
@@ -429,3 +464,27 @@ class TestMultiCUCosim:
             cosimulate_rk_stage(
                 proposed, mesh, num_cus=mesh.num_elements + 1
             )
+        two = partition_elements_balanced(mesh.num_elements, 2)
+        with pytest.raises(ExperimentError, match="disagrees"):
+            cosimulate_rk_stage(proposed, mesh, num_cus=3, partitions=two)
+        with pytest.raises(ExperimentError, match="disagrees"):
+            streamed_residual(proposed, op, stacked, num_cus=1, partitions=two)
+        with pytest.raises(ExperimentError, match="disagrees"):
+            exact_rkl_stage_cycles(
+                proposed, mesh.num_nodes, mesh.num_elements,
+                num_cus=3, partitions=two,
+            )
+
+    def test_num_cus_follows_the_partitions(
+        self, proposed, small_periodic_mesh
+    ):
+        mesh = small_periodic_mesh
+        two = partition_elements_balanced(mesh.num_elements, 2)
+        for num_cus in (None, 2):
+            result = cosimulate_rk_stage(
+                proposed, mesh, num_cus=num_cus, partitions=two, verify=False
+            )
+            assert result.num_compute_units == 2
+        assert cosimulate_rk_stage(
+            proposed, mesh, verify=False
+        ).num_compute_units == 1

@@ -18,13 +18,20 @@ from repro.accel.cosim import (
 from repro.errors import ExperimentError
 from repro.mesh.hexmesh import channel_mesh, periodic_box_mesh
 from repro.physics.channel import decaying_shear_initial
-from repro.physics.taylor_green import TGVCase
+from repro.physics.taylor_green import (
+    DEFAULT_TGV,
+    TGVCase,
+    taylor_green_initial,
+)
+from repro.pipeline import PIPELINE_KERNELS
 from repro.solver.simulation import Simulation
 
 #: Acceptance tolerance on the streamed-vs-functional final state.
 STATE_TOL = 1e-12
 #: Acceptance tolerance of the RKU trace against the closed form.
 RKU_TOL = 0.05
+#: Stages of the default RK4 step.
+RK4_STAGES = 4
 
 
 def channel_setup():
@@ -199,6 +206,54 @@ class TestRKUTrace:
         assert timing.rk_step_seconds == pytest.approx(
             timing.rkl_seconds_per_stage * 4 + timing.rku_seconds_per_step
         )
+
+
+class TestReadOnlyLoads:
+    """LOAD hands the stage kernels read-only views of the global state
+    and derivative arrays: a step writes through none of them, and a
+    kernel that tries raises instead of corrupting the stream."""
+
+    @pytest.mark.parametrize("engine", ["event", "vectorized"])
+    def test_step_leaves_loaded_arrays_untouched(
+        self, proposed, engine, monkeypatch
+    ):
+        mesh = periodic_box_mesh(2, 3)
+        initial = taylor_green_initial(mesh.coords, DEFAULT_TGV)
+        fields = (initial.rho, initial.momentum, initial.total_energy)
+        before = [field.copy() for field in fields]
+        loaded = []
+        load_derivs = PIPELINE_KERNELS["load_node_derivs"]
+
+        def spy(ctx, stage, derivs):
+            loaded.extend((deriv, deriv.copy()) for deriv in derivs)
+            return load_derivs(ctx, stage, derivs)
+
+        monkeypatch.setitem(PIPELINE_KERNELS, "load_node_derivs", spy)
+        cosimulate_rk_stage(
+            proposed, mesh, initial_state=initial, block_size=4, num_cus=2,
+            node_block_size=64, engine=engine, verify=False,
+        )
+        for field, copy in zip(fields, before):
+            assert np.array_equal(field, copy)
+        # Each stage derivative, as every RKU LOAD saw it, still holds
+        # those values once the step is done.
+        assert len(loaded) > RK4_STAGES
+        for view, snapshot in loaded:
+            assert not view.flags.writeable
+            assert np.array_equal(view, snapshot)
+
+    @pytest.mark.parametrize("kernel", ["gather", "load_node_state"])
+    def test_mutating_kernel_raises(self, proposed, kernel, monkeypatch):
+        mesh = periodic_box_mesh(2, 2)
+        original = PIPELINE_KERNELS[kernel]
+
+        def mutating(ctx, stage, state):
+            state[...] = 0.0
+            return original(ctx, stage, state)
+
+        monkeypatch.setitem(PIPELINE_KERNELS, kernel, mutating)
+        with pytest.raises(ValueError, match="read-only"):
+            cosimulate_rk_stage(proposed, mesh, verify=False)
 
 
 class TestValidation:

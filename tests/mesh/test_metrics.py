@@ -1,9 +1,11 @@
 """Element volumes, spacings and quality reporting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.mesh.hexmesh import box_mesh, periodic_box_mesh
+from repro.mesh.hexmesh import box_mesh, channel_mesh, periodic_box_mesh
 from repro.mesh.metrics import (
     element_min_spacing,
     element_volumes,
@@ -48,6 +50,53 @@ class TestSpacing:
         p2 = element_min_spacing(periodic_box_mesh(2, 2)).min()
         p4 = element_min_spacing(periodic_box_mesh(2, 4)).min()
         assert p4 < p2
+
+
+def norm_min_spacing(mesh):
+    """The ``np.linalg.norm`` formula of the spacing, kept as the oracle."""
+    n1 = mesh.nodes_per_direction
+    grid = mesh.element_node_coords().reshape(
+        mesh.num_elements, n1, n1, n1, 3
+    )
+    per_axis = [
+        np.linalg.norm(np.diff(grid, axis=axis), axis=-1)
+        .reshape(mesh.num_elements, -1)
+        .min(axis=1)
+        for axis in (3, 2, 1)
+    ]
+    return np.minimum(per_axis[0], np.minimum(per_axis[1], per_axis[2]))
+
+
+def curved_box_mesh(order):
+    """A box mesh whose nodes carry a cross-coordinate perturbation, so
+    every element is curved and no spacing repeats."""
+    mesh = box_mesh(3, order)
+    x, y, z = mesh.coords.T
+    coords = mesh.coords.copy()
+    coords[:, 0] += 0.05 * np.sin(3.0 * y * z + 0.3)
+    coords[:, 1] += 0.05 * np.sin(3.0 * z * x + 0.7)
+    coords[:, 2] += 0.05 * np.sin(3.0 * x * y + 1.1)
+    return replace(mesh, coords=coords)
+
+
+class TestSpacingBitwise:
+    @pytest.mark.parametrize("order", [2, 3, 5])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda p: periodic_box_mesh(3, p),
+            lambda p: channel_mesh(2, p),
+            curved_box_mesh,
+        ],
+        ids=["periodic", "channel", "curved"],
+    )
+    def test_matches_the_norm_formula(self, build, order):
+        mesh = build(order)
+        spacing = element_min_spacing(mesh)
+        assert np.array_equal(spacing, norm_min_spacing(mesh))
+        if build is curved_box_mesh:
+            # The perturbation reaches the spacing: elements differ.
+            assert np.unique(spacing).size > 1
 
 
 class TestQualityReport:

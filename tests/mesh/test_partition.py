@@ -10,6 +10,7 @@ from repro.mesh.partition import (
     element_blocks,
     partition_elements_balanced,
     reuse_factor,
+    slice_blocks,
 )
 
 
@@ -38,6 +39,25 @@ class TestElementBlocks:
             element_blocks(np.arange(8), 0)
         with pytest.raises(MeshError):
             element_blocks(np.arange(8).reshape(2, 4), 2)
+
+
+class TestSliceBlocks:
+    def test_cuts_the_range_into_consecutive_slices(self):
+        blocks = slice_blocks(5, 15, 4)
+        assert blocks == [slice(5, 9), slice(9, 13), slice(13, 15)]
+
+    def test_matches_element_blocks_of_the_range(self):
+        elements = np.arange(30)
+        for block_size in (1, 7, 30, 64):
+            sliced = [elements[b] for b in slice_blocks(0, 30, block_size)]
+            indexed = element_blocks(elements, block_size)
+            assert len(sliced) == len(indexed)
+            assert all(map(np.array_equal, sliced, indexed))
+
+    def test_empty_range_and_bad_size(self):
+        assert slice_blocks(3, 3, 4) == []
+        with pytest.raises(MeshError):
+            slice_blocks(0, 8, 0)
 
 
 class TestContiguous:

@@ -9,15 +9,22 @@ import repro.solver.navier_stokes as ns_module
 from repro.accel.cosim import _rkl_actions
 from repro.errors import PipelineError
 from repro.mesh.hexmesh import channel_mesh, periodic_box_mesh
-from repro.mesh.partition import element_blocks, partition_elements_balanced
+from repro.mesh.partition import (
+    element_blocks,
+    partition_elements_balanced,
+    slice_blocks,
+)
 from repro.physics.channel import decaying_shear_initial
 from repro.physics.taylor_green import DEFAULT_TGV, taylor_green_initial
 from repro.pipeline import (
     PipelineContext,
+    RKUpdateContext,
     assembled_total,
     element_residuals,
     navier_stokes_pipeline,
+    rk_update_pipeline,
     run_pipeline,
+    streaming_actions,
 )
 from repro.solver.navier_stokes import NavierStokesOperator
 from repro.solver.profiler import PhaseProfiler
@@ -202,3 +209,72 @@ class TestStreaming:
         batched = assembled_total(outputs)
         scale = np.abs(batched).max()
         assert np.abs(sum(partials) - batched).max() <= 1e-12 * scale
+
+
+class TestSliceTokens:
+    """A contiguous stream carries slice tokens, which view the mesh
+    arrays; an explicit non-contiguous shard keeps index-array tokens.
+    Over the same elements both stream the same numbers."""
+
+    @pytest.mark.parametrize("block_size", [1, 3, 8])
+    def test_slice_and_index_tokens_stream_identically(
+        self, setup, drive, block_size
+    ):
+        _mesh, op, stacked = setup
+        pipeline = navier_stokes_pipeline("full")
+        ctx = PipelineContext.from_operator(op)
+        for part in partition_elements_balanced(op.mesh.num_elements, 2):
+            partials = []
+            for blocks in (
+                slice_blocks(int(part[0]), int(part[-1]) + 1, block_size),
+                element_blocks(part, block_size),
+            ):
+                acc = np.zeros((5, op.mesh.num_nodes))
+                actions = _rkl_actions(pipeline, blocks, ctx, stacked, acc)
+                drive(actions, len(blocks))
+                partials.append(acc)
+            assert np.array_equal(*partials)
+
+    @staticmethod
+    def _load_spy(tokens, num_nodes):
+        """Streaming actions of the node pipeline over ``tokens`` whose
+        LOAD records the (batched) token it is handed."""
+        state = np.ones((5, num_nodes))
+        seen = []
+
+        def load(block, names):
+            seen.append(block)
+            return {
+                "state": state[:, block],
+                "derivs": [state[:, block]],
+                "coeffs": np.array([1.0]),
+                "dt": 0.1,
+            }
+
+        ctx = RKUpdateContext(gas=DEFAULT_TGV.gas())
+        actions = streaming_actions(
+            rk_update_pipeline(primitives=False),
+            tokens,
+            lambda block: ctx,
+            load,
+            lambda stage, value, context, block: None,
+        )
+        return actions, seen
+
+    def test_batched_slice_covers_the_concatenated_tokens(self):
+        nodes = np.arange(23)
+        tokens = slice_blocks(0, nodes.size, 4)
+        actions, seen = self._load_spy(tokens, nodes.size)
+        for count in range(1, len(tokens) + 1):
+            actions["load"].batch(count, ())
+            assert isinstance(seen[-1], slice)
+            assert np.array_equal(
+                nodes[seen[-1]],
+                np.concatenate([nodes[token] for token in tokens[:count]]),
+            )
+
+    def test_non_consecutive_slices_rejected_in_batch(self):
+        actions, _seen = self._load_spy([slice(0, 4), slice(8, 12)], 12)
+        actions["load"](1, ())  # a lone token streams as given
+        with pytest.raises(PipelineError, match="consecutive"):
+            actions["load"].batch(2, ())

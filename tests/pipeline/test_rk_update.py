@@ -5,7 +5,7 @@ import pytest
 
 from repro.accel.cosim import _rku_actions
 from repro.errors import MeshError, PipelineError
-from repro.mesh.partition import element_blocks
+from repro.mesh.partition import element_blocks, slice_blocks
 from repro.physics.state import FlowState
 from repro.physics.taylor_green import DEFAULT_TGV
 from repro.pipeline import (
@@ -209,17 +209,15 @@ class TestBufferBinding:
 
 
 class TestNodeBlocks:
-    """The node stream's tokens are the contiguous element-block split
-    of the node range."""
+    """The node stream's tokens are the slice split of the node range."""
 
     def test_blocks_cover_nodes_in_order(self):
-        blocks = element_blocks(np.arange(10), 4)
-        assert [b.size for b in blocks] == [4, 4, 2]
-        assert np.array_equal(np.concatenate(blocks), np.arange(10))
+        blocks = slice_blocks(0, 10, 4)
+        assert blocks == [slice(0, 4), slice(4, 8), slice(8, 10)]
 
     def test_invalid_block_size(self):
         with pytest.raises(MeshError):
-            element_blocks(np.arange(10), 0)
+            slice_blocks(0, 10, 0)
 
 
 class TestStreamingActions:
@@ -257,6 +255,36 @@ class TestStreamingActions:
         drive(actions, len(blocks))
         assert np.array_equal(out_state, expected["updated_state"])
         assert np.array_equal(out_prims, expected["stored_primitives"])
+
+    @pytest.mark.parametrize("primitives", [False, True])
+    def test_slice_tokens_match_index_tokens(
+        self, gas, rng, drive, primitives
+    ):
+        n = 37
+        y = random_state(rng, n)
+        derivs = [rng.normal(size=(5, n)) for _ in range(3)]
+        pipeline = rk_update_pipeline(primitives=primitives)
+        outputs = []
+        for blocks in (slice_blocks(0, n, 8), element_blocks(np.arange(n), 8)):
+            targets = {
+                "store_node_state": np.empty((5, n)),
+                "store_node_primitives": np.empty((5, n)),
+            }
+            actions = _rku_actions(
+                pipeline, blocks, RKUpdateContext(gas=gas), y, derivs,
+                RK4.a[3, :3], 0.02, targets,
+            )
+            drive(actions, len(blocks))
+            outputs.append(targets)
+        sliced, indexed = outputs
+        assert np.array_equal(
+            sliced["store_node_state"], indexed["store_node_state"]
+        )
+        if primitives:
+            assert np.array_equal(
+                sliced["store_node_primitives"],
+                indexed["store_node_primitives"],
+            )
 
     def test_prepare_runs_once_before_first_load(self, gas, rng, drive):
         n = 6
