@@ -40,7 +40,7 @@ def test_ablation_study(benchmark, proposed):
 def test_single_ablation_build(benchmark, name):
     """Each ablated design must build and evaluate standalone."""
     from repro.accel.ablations import ablated_design
-    from repro.accel.cosim import rk_step_seconds
+    from repro.accel.cosim import design_timing
 
     design = benchmark(lambda: ablated_design(name))
-    assert rk_step_seconds(design, 1_400_000) > 0
+    assert design_timing(design, 1_400_000).rk_step_seconds > 0

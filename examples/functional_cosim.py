@@ -47,10 +47,7 @@ from repro.accel.cosim import (
 )
 from repro.accel.designs import proposed_design
 from repro.backend import add_backend_argument, resolve_backend_name
-from repro.accel.multi_cu import (
-    multi_cu_timing_from_cosim,
-    nodes_per_compute_unit,
-)
+from repro.accel.multi_cu import nodes_per_compute_unit
 from repro.mesh.hexmesh import channel_mesh, periodic_box_mesh
 from repro.mesh.partition import partition_elements_balanced
 from repro.pipeline import navier_stokes_pipeline
@@ -177,19 +174,12 @@ def main() -> None:
     print(f"whole run on one clock: {step.simulated_cycles} cycles")
     timing = design_timing_from_rk_cosim(design, step)
     print(
-        f"trace-derived step timing: RKL "
+        f"trace-derived step timing ({timing.num_compute_units} CU(s) at "
+        f"{timing.clock_mhz:.0f} MHz): RKL "
         f"{timing.rkl_seconds_per_stage:.3e} s/stage, RKU "
         f"{timing.rku_seconds_per_step:.3e} s/step, RK step "
         f"{timing.rk_step_seconds:.3e} s"
     )
-    if args.num_cus > 1:
-        timing = multi_cu_timing_from_cosim(step, base=design)
-        print(
-            f"derived multi-CU timing: RKL {timing.rkl_seconds_per_stage:.3e}"
-            f" s/stage at {timing.clock_mhz:.0f} MHz "
-            f"(RK step {timing.rk_step_seconds:.3e} s)"
-        )
-
 
 if __name__ == "__main__":
     main()

@@ -31,7 +31,7 @@ from .designs import (
     vitis_baseline_design,
 )
 from .optimizer import IIOptimizer, OptimizationStep
-from .cosim import rk_step_seconds, streamed_residual
+from .cosim import design_timing, streamed_residual
 
 __all__ = [
     "AcceleratorCalibration",
@@ -49,6 +49,6 @@ __all__ = [
     "IIOptimizer",
     "OptimizationStep",
     "DesignTiming",
-    "rk_step_seconds",
+    "design_timing",
     "streamed_residual",
 ]

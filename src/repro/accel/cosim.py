@@ -34,14 +34,14 @@ per-CU partial residuals reduced before finalization); every RKU graph
 one :func:`~repro.pipeline.executor.streaming_actions` lowering, with
 the data bindings (:func:`_rkl_actions`, :func:`_rku_actions`) kept
 here. The exact tier therefore prices the very graphs the co-simulation
-runs, and :func:`design_timing_from_rk_cosim` /
-:func:`~repro.accel.multi_cu.multi_cu_timing_from_cosim` turn the
-co-simulated trace into a :class:`DesignTiming` whose stage times are
-simulated rather than modeled.
+runs, and :func:`design_timing_from_rk_cosim` turns the co-simulated
+trace into a :class:`DesignTiming` whose stage times are simulated
+rather than modeled.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +51,7 @@ from ..dataflow.graph import DataflowGraph, merge_graphs
 from ..dataflow.simulator import DataflowSimulator, SimulationTrace
 from ..dataflow.task import BlockLatency, Task
 from ..errors import ExperimentError, PipelineError
+from ..fpga.floorplan import clock_for_floorplan
 from ..mesh.hexmesh import HexMesh, elements_for_node_count
 from ..mesh.partition import partition_elements_balanced, slice_blocks
 from ..physics.state import NUM_CONSERVED, FlowState
@@ -74,8 +75,16 @@ def design_timing(
     num_nodes: int,
     num_elements: int | None = None,
     tableau: ButcherTableau = RK4,
+    num_cus: int = 1,
 ) -> DesignTiming:
-    """Analytic timing of one design at one mesh size.
+    """Closed-form timing of one design at one mesh size and CU count.
+
+    Each of the ``num_cus`` RKL compute units streams a shard of
+    ``ceil(E / num_cus)`` elements against its share of the node space
+    (:func:`~repro.accel.multi_cu.nodes_per_compute_unit`), so the stage
+    time is the slowest shard's; RKU updates the whole mesh. The clock
+    is that of the CU count's placement
+    (:meth:`~repro.accel.designs.AcceleratorDesign.floorplan_for`).
 
     Parameters
     ----------
@@ -88,11 +97,13 @@ def design_timing(
         Optional explicit element count.
     tableau:
         RK tableau supplying the per-step stage count.
+    num_cus:
+        RKL compute units (``1..`` the device's memory-attached SLRs).
 
     Raises
     ------
     ExperimentError
-        If ``num_nodes < 1``.
+        If ``num_nodes < 1`` or the CU count is out of range.
     """
     if num_nodes < 1:
         raise ExperimentError("num_nodes must be >= 1")
@@ -100,25 +111,24 @@ def design_timing(
         num_elements = elements_for_node_count(
             num_nodes, design.rkl.polynomial_order
         )
-    hz = design.clock_mhz * 1e6
-    rkl_cycles = analytic_block_cycles(design, num_nodes, num_elements)
+    clock = clock_for_floorplan(design.floorplan_for(num_cus))
+    hz = clock * 1e6
+    rkl_cycles = analytic_block_cycles(
+        design,
+        nodes_per_compute_unit(num_nodes, num_cus),
+        math.ceil(num_elements / num_cus),
+    )
     rku_cycles = design.rku_step_cycles(num_nodes)
     return DesignTiming(
         design_name=design.options.name,
         num_nodes=num_nodes,
         num_elements=num_elements,
-        clock_mhz=design.clock_mhz,
+        clock_mhz=clock,
         rkl_seconds_per_stage=seconds_from_cycles(rkl_cycles, hz),
         rku_seconds_per_step=seconds_from_cycles(rku_cycles, hz),
         num_stages=tableau.num_stages,
+        num_compute_units=num_cus,
     )
-
-
-def rk_step_seconds(
-    design: AcceleratorDesign, num_nodes: int, tableau: ButcherTableau = RK4
-) -> float:
-    """Seconds for one RK time step (RKL x stages + RKU)."""
-    return design_timing(design, num_nodes, tableau=tableau).rk_step_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -839,6 +849,12 @@ class RKStepCosimResult:
         return self.trace.total_cycles
 
     @property
+    def rkl_stage_cycles(self) -> float:
+        """The RKL stage window: the mean of :attr:`per_stage_rkl_cycles`
+        (the windows of one run agree, so this is also their max)."""
+        return sum(self.per_stage_rkl_cycles) / len(self.per_stage_rkl_cycles)
+
+    @property
     def rku_cycle_agreement(self) -> float:
         """|simulated - analytic| / analytic for the RKU chain."""
         return abs(self.rku_simulated_cycles - self.rku_analytic_cycles) / (
@@ -1112,24 +1128,27 @@ def design_timing_from_rk_cosim(
     """A :class:`DesignTiming` whose stage times are *simulated*.
 
     Both terms of the step come from the full-step trace instead of the
-    closed forms: ``rkl_seconds_per_stage`` is the mean per-stage RKL
-    window (over every stage of every chained step) and
-    ``rku_seconds_per_step`` the RKU chain's window, each converted at
-    the design clock — the trace-derived counterpart of
-    :func:`design_timing`, directly comparable against it.
+    closed forms: ``rkl_seconds_per_stage`` is the stage window
+    (:attr:`RKStepCosimResult.rkl_stage_cycles`, max over compute units)
+    and ``rku_seconds_per_step`` the RKU chain's window, each converted
+    at the clock of the run's CU count
+    (:meth:`~repro.accel.designs.AcceleratorDesign.floorplan_for`) —
+    the trace-derived counterpart of :func:`design_timing` with
+    ``num_cus=result.num_compute_units``, directly comparable against
+    it. ``design`` must be the design the co-simulation ran.
     """
-    hz = design.clock_mhz * 1e6
-    mean_stage = sum(result.per_stage_rkl_cycles) / len(
-        result.per_stage_rkl_cycles
-    )
+    num_cus = result.num_compute_units
+    clock = clock_for_floorplan(design.floorplan_for(num_cus))
+    hz = clock * 1e6
     return DesignTiming(
         design_name=design.options.name,
         num_nodes=result.final_state.num_nodes,
         num_elements=result.num_elements,
-        clock_mhz=design.clock_mhz,
-        rkl_seconds_per_stage=seconds_from_cycles(mean_stage, hz),
+        clock_mhz=clock,
+        rkl_seconds_per_stage=seconds_from_cycles(result.rkl_stage_cycles, hz),
         rku_seconds_per_step=seconds_from_cycles(
             result.rku_simulated_cycles, hz
         ),
         num_stages=result.num_stages,
+        num_compute_units=num_cus,
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..errors import HLSError
+from ..errors import ExperimentError, HLSError
 from ..opcount import NUM_FIELDS
 from ..hls.arrays import ArraySpec
 from ..hls.directives import DirectiveSet, vitis_default_directives
@@ -163,11 +163,11 @@ def _merge_node_loops(rkl: RKLKernelModel) -> LoopNest:
 class DesignTiming:
     """Seconds per time step of one design on one mesh size.
 
-    One type for every timing route: the closed form
-    (:func:`repro.accel.cosim.design_timing`), the N-CU closed form
-    (:func:`repro.accel.multi_cu.multi_cu_timing`) and the co-simulated
-    step (:func:`repro.accel.cosim.design_timing_from_rk_cosim`,
-    :func:`repro.accel.multi_cu.multi_cu_timing_from_cosim`).
+    One type for both timing routes: the closed form
+    (:func:`repro.accel.cosim.design_timing`) and the co-simulated step
+    (:func:`repro.accel.cosim.design_timing_from_rk_cosim`). Both run at
+    the clock of their CU count's placement
+    (:meth:`AcceleratorDesign.floorplan_for`).
     """
 
     design_name: str
@@ -205,10 +205,17 @@ class AcceleratorDesign:
     memory_assignment: InterfaceAssignment
     rkl_resources: ResourceVector
     rku_resources: ResourceVector
-    floorplan: Floorplan
-    clock_mhz: float
+    device: FPGADevice
     calibration: AcceleratorCalibration = field(default=DEFAULT_CALIBRATION)
     ddr: DDRTimings = field(default=DDR4_2400)
+    #: The one-CU placement, :meth:`floorplan_for` ``(1)``.
+    floorplan: Floorplan = field(init=False)
+    #: The achieved kernel clock of :attr:`floorplan`.
+    clock_mhz: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.floorplan = self.floorplan_for(1)
+        self.clock_mhz = clock_for_floorplan(self.floorplan)
 
     # -- resource / power -----------------------------------------------------
 
@@ -222,14 +229,59 @@ class AcceleratorDesign:
         """Post-P&R total including the shell (Table I accounting)."""
         return self.kernel_resources + SHELL_RESOURCES
 
-    def utilization(self, device: FPGADevice = ALVEO_U200) -> dict[str, float]:
-        """Percent utilization per resource class (Table I row)."""
-        return self.total_resources.utilization_of(device.totals())
+    def utilization(self) -> dict[str, float]:
+        """Percent utilization of the device per resource class (Table I
+        row)."""
+        return self.total_resources.utilization_of(self.device.totals())
 
     def power_report(self, model: FPGAPowerModel | None = None) -> PowerReport:
         """Board power at this design's clock."""
         model = model or FPGAPowerModel()
         return model.report(self.total_resources, self.clock_mhz)
+
+    # -- placement --------------------------------------------------------------
+
+    def floorplan_for(self, num_cus: int = 1) -> Floorplan:
+        """Place ``num_cus`` RKL compute units and one RKU on this
+        design's device — the one placement rule behind every clock.
+
+        RKL CU ``k`` goes on the ``k``-th memory-attached SLR (its own
+        DDR channels or HBM pseudo-channel group). RKU goes on the first
+        memory-free SLR (SLR1 on the U200, the paper's split), or shares
+        CU 0's SLR when the device has none or the design does not split
+        its kernels (``split_slrs`` off, the Vitis baseline).
+
+        Raises
+        ------
+        ExperimentError
+            If ``num_cus`` is not ``1..`` the memory-attached SLR count.
+        """
+        memory_slrs = [s.name for s in self.device.ddr_attached_slrs()]
+        if not 1 <= num_cus <= len(memory_slrs):
+            raise ExperimentError(
+                f"num_compute_units must be 1..{len(memory_slrs)} "
+                f"on {self.device.name}"
+            )
+        placements = [
+            KernelPlacement(
+                f"rkl{cu}",
+                self.rkl_resources,
+                needs_ddr_attach=True,
+                slr=memory_slrs[cu],
+            )
+            for cu in range(num_cus)
+        ]
+        memory_free = [
+            s.name for s in self.device.slrs if not s.has_ddr_attach
+        ]
+        if self.options.split_slrs and memory_free:
+            rku_slr = memory_free[0]
+        else:
+            rku_slr = memory_slrs[0]
+        placements.append(
+            KernelPlacement("rku", self.rku_resources, slr=rku_slr)
+        )
+        return plan_floorplan(self.device, placements)
 
     # -- RKL timing -------------------------------------------------------------
 
@@ -402,7 +454,7 @@ class AcceleratorDesign:
         sll = 0
         if self.options.split_slrs:
             crossings = self.floorplan.crossings("rku")
-            sll = crossings * self.floorplan.device.sll_crossing_latency_cycles
+            sll = crossings * self.device.sll_crossing_latency_cycles
         return float(
             sum(sched.depth + sll for sched in self.rku_schedules.values())
         )
@@ -592,24 +644,6 @@ def _build_design(
         + DATA_MOVER_COST.scaled(2 if options.decoupled_rku else 1)
     )
 
-    # -- floorplan & clock ---------------------------------------------------------
-    if options.split_slrs:
-        placements = [
-            KernelPlacement(
-                "rkl", rkl_res, needs_ddr_attach=True, slr="SLR0"
-            ),
-            KernelPlacement("rku", rku_res, slr="SLR1"),
-        ]
-    else:
-        placements = [
-            KernelPlacement(
-                "rkl", rkl_res, needs_ddr_attach=True, slr="SLR0"
-            ),
-            KernelPlacement("rku", rku_res, slr="SLR0"),
-        ]
-    plan = plan_floorplan(device, placements)
-    clock = clock_for_floorplan(plan)
-
     return AcceleratorDesign(
         options=options,
         rkl=rkl,
@@ -620,8 +654,7 @@ def _build_design(
         memory_assignment=assignment,
         rkl_resources=rkl_res,
         rku_resources=rku_res,
-        floorplan=plan,
-        clock_mhz=clock,
+        device=device,
         calibration=calibration,
     )
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from ..fpga.device import ALVEO_U200, FPGADevice
 from .cosim import design_timing
 from .designs import AcceleratorDesign
 
@@ -10,22 +9,18 @@ from .designs import AcceleratorDesign
 TABLE1_COLUMNS = ("FF", "LUT", "BRAM", "URAM", "DSP")
 
 
-def table1_row(
-    design: AcceleratorDesign, device: FPGADevice = ALVEO_U200
-) -> dict[str, float]:
+def table1_row(design: AcceleratorDesign) -> dict[str, float]:
     """One Table I row: post-P&R utilization percentages."""
-    util = design.utilization(device)
+    util = design.utilization()
     return {col: util[col] for col in TABLE1_COLUMNS}
 
 
-def render_table1(
-    designs: list[AcceleratorDesign], device: FPGADevice = ALVEO_U200
-) -> str:
+def render_table1(designs: list[AcceleratorDesign]) -> str:
     """The paper's Table I for a list of designs."""
     header = f"{'Design':<28}" + "".join(f"{c + '%':>9}" for c in TABLE1_COLUMNS)
     lines = [header, "-" * len(header)]
     for design in designs:
-        row = table1_row(design, device)
+        row = table1_row(design)
         label = f"{design.options.name}@{design.clock_mhz:.0f}MHz"
         lines.append(
             f"{label:<28}" + "".join(f"{row[c]:>9.2f}" for c in TABLE1_COLUMNS)

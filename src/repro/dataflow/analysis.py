@@ -107,7 +107,7 @@ def tlp_speedup(graph: DataflowGraph, iterations: int) -> float:
     )
 
 
-def exact_cycles(graph: DataflowGraph, iterations, *, validate: bool = True) -> int:
+def exact_cycles(graph: DataflowGraph, iterations) -> int:
     """Exact total cycles of a run, from the vectorized schedule engine.
 
     Unlike :func:`steady_state_cycles` this holds for *any* validated
@@ -119,11 +119,6 @@ def exact_cycles(graph: DataflowGraph, iterations, *, validate: bool = True) -> 
     and the count equals the event simulation's ``total_cycles`` by the
     engine-parity guarantee.
 
-    ``validate=False`` skips the structural validation and feasibility
-    pre-checks — the hot-loop knob for callers (the design-space
-    exploration's exact tier) that price many structurally identical
-    graphs and have already validated the template.
-
     Raises :class:`~repro.errors.DeadlockError` on infeasible counts.
     """
     from .schedule import (
@@ -132,9 +127,7 @@ def exact_cycles(graph: DataflowGraph, iterations, *, validate: bool = True) -> 
         normalize_iteration_counts,
     )
 
-    if validate:
-        graph.validate()
+    graph.validate()
     counts = normalize_iteration_counts(graph, iterations)
-    if validate:
-        check_feasible(graph, counts)
+    check_feasible(graph, counts)
     return compute_schedule(graph, counts).total_cycles

@@ -31,7 +31,7 @@ from ..accel.designs import (
     SHELL_RESOURCES,
     custom_design,
 )
-from ..accel.multi_cu import multi_cu_floorplan, nodes_per_compute_unit
+from ..accel.multi_cu import nodes_per_compute_unit
 from ..backend.registry import require_serial_workers
 from ..errors import DSEError
 from ..fpga.device import device_by_name
@@ -202,9 +202,7 @@ def _clock_and_resources(
     point: DesignPoint, design: AcceleratorDesign
 ) -> tuple[float, dict[str, float]]:
     """Achieved clock and post-P&R totals of the point's floorplan."""
-    device = device_by_name(point.device)
-    plan = multi_cu_floorplan(design, point.num_cus, device)
-    clock = clock_for_floorplan(plan)
+    clock = clock_for_floorplan(design.floorplan_for(point.num_cus))
     total = (
         design.rkl_resources.scaled(point.num_cus)
         + design.rku_resources
@@ -346,13 +344,10 @@ def evaluate_cosim(
         dtype=point.precision,
         verify=verify,
     )
-    rkl_stage = sum(result.per_stage_rkl_cycles) / len(
-        result.per_stage_rkl_cycles
-    )
     return _result(
         point,
         "cosim",
-        rkl_stage,
+        result.rkl_stage_cycles,
         result.rku_simulated_cycles,
         state_err=result.state_max_rel_err,
     )

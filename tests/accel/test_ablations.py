@@ -3,7 +3,7 @@
 import pytest
 
 from repro.accel.ablations import ABLATION_VARIANTS, ablated_design
-from repro.accel.cosim import rk_step_seconds
+from repro.accel.cosim import design_timing
 
 REFERENCE_NODES = 1_400_000
 
@@ -12,8 +12,8 @@ class TestAblations:
     @pytest.mark.parametrize("name", sorted(ABLATION_VARIANTS))
     def test_every_ablation_slower_than_proposed(self, name, proposed):
         design = ablated_design(name)
-        base = rk_step_seconds(proposed, REFERENCE_NODES)
-        ablated = rk_step_seconds(design, REFERENCE_NODES)
+        base = design_timing(proposed, REFERENCE_NODES).rk_step_seconds
+        ablated = design_timing(design, REFERENCE_NODES).rk_step_seconds
         assert ablated > base, name
 
     def test_shared_slr_drops_clock(self):

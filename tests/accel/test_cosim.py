@@ -300,7 +300,7 @@ class TestMultiCUCosim:
     """Sharding the element stream across compute units: the reduced
     multi-CU streamed residual still matches the operator, the shards
     run under one simulator clock, and the derived timing agrees with
-    the analytic `accel.multi_cu` extension."""
+    the N-CU closed form."""
 
     @pytest.mark.parametrize("order", [3, 5])
     def test_two_cu_batched_residual_matches_operator(self, proposed, order):
@@ -369,13 +369,14 @@ class TestMultiCUCosim:
         assert (slow - fast) / slow < 0.1
 
     def test_derived_timing_matches_analytic_multi_cu(self, proposed):
-        """Acceptance: simulated cycles are consistent with the
-        `accel.multi_cu` closed-form timing — the RKL stage time is the
-        max over CUs, on both routes."""
-        from repro.accel.multi_cu import (
-            multi_cu_timing,
-            multi_cu_timing_from_cosim,
-        )
+        """Acceptance: simulated cycles are consistent with the N-CU
+        closed form — the RKL stage time is the max over CUs, on both
+        routes — and the trace-derived timing is the DSE cosim tier's
+        pricing of the same point, at the same N-CU clock."""
+        from repro.accel.cosim import design_timing_from_rk_cosim
+        from repro.config import seconds_from_cycles
+        from repro.dse.campaign import DesignPoint
+        from repro.dse.tiers import evaluate_point
 
         # order 2 so the mesh's nodes-per-element matches the design's
         # polynomial order (the closed form derives E from N)
@@ -384,15 +385,27 @@ class TestMultiCUCosim:
             result = cosimulate_rk_stage(
                 proposed, mesh, num_cus=num_cus, verify=False
             )
-            derived = multi_cu_timing_from_cosim(result, base=proposed)
-            analytic = multi_cu_timing(num_cus, mesh.num_nodes, proposed)
+            derived = design_timing_from_rk_cosim(proposed, result)
+            analytic = design_timing(
+                proposed, mesh.num_nodes, num_cus=num_cus
+            )
             assert derived.num_compute_units == num_cus
-            assert derived.clock_mhz == pytest.approx(analytic.clock_mhz)
+            assert derived.clock_mhz == analytic.clock_mhz
             assert derived.rkl_seconds_per_stage == pytest.approx(
                 analytic.rkl_seconds_per_stage, rel=0.02
             )
             assert derived.rk_step_seconds == pytest.approx(
                 analytic.rk_step_seconds, rel=0.02
+            )
+            point = DesignPoint(elements_per_direction=3, num_cus=num_cus)
+            tier = evaluate_point(point, "cosim", verify=False)
+            hz = tier.clock_mhz * 1e6
+            assert derived.clock_mhz == tier.clock_mhz
+            assert derived.rkl_seconds_per_stage == seconds_from_cycles(
+                tier.rkl_stage_cycles, hz
+            )
+            assert derived.rku_seconds_per_step == seconds_from_cycles(
+                tier.rku_step_cycles, hz
             )
 
     def test_sharding_speeds_up_the_simulated_stage(self, proposed):

@@ -13,9 +13,9 @@ from repro.errors import HLSError
 class TestProposedStructure:
     def test_fig3_slr_partitioning(self, proposed):
         """RKL on the DDR-attached SLR, RKU behind the SLL (Fig. 3)."""
-        assert proposed.floorplan.assignments["rkl"] == "SLR0"
+        assert proposed.floorplan.assignments["rkl0"] == "SLR0"
         assert proposed.floorplan.assignments["rku"] == "SLR1"
-        assert proposed.floorplan.crossings("rkl") == 0
+        assert proposed.floorplan.crossings("rkl0") == 0
         assert proposed.floorplan.crossings("rku") == 1
 
     def test_four_load_interfaces(self, proposed):
@@ -44,7 +44,7 @@ class TestProposedStructure:
 class TestBaselineStructure:
     def test_single_slr_and_interface(self, vitis):
         assert vitis.floorplan.assignments == {
-            "rkl": "SLR0",
+            "rkl0": "SLR0",
             "rku": "SLR0",
         }
         assert vitis.memory_assignment.num_interfaces == 1

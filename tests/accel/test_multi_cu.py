@@ -1,58 +1,83 @@
-"""Multi-CU scaling extension."""
+"""Multi-CU scaling extension: one placement rule, one timing route."""
 
 import pytest
 
+from repro.accel.cosim import (
+    cosimulate_rk_stage,
+    design_timing,
+    design_timing_from_rk_cosim,
+)
+from repro.accel.designs import (
+    PROPOSED_OPTIONS,
+    VITIS_BASELINE_OPTIONS,
+    custom_design,
+    proposed_design,
+)
 from repro.accel.multi_cu import (
-    MAX_COMPUTE_UNITS,
     max_compute_units,
-    multi_cu_floorplan,
-    multi_cu_timing,
-    multi_cu_timing_from_cosim,
     render_scaling_table,
     scaling_table,
 )
+from repro.dse.campaign import DesignPoint
+from repro.dse.tiers import design_for, evaluate_point
 from repro.errors import ExperimentError
-from repro.fpga.device import ALVEO_U200, FPGADevice
+from repro.fpga.device import ALVEO_U200, DEVICE_REGISTRY, hbm_class_device
+from repro.mesh.hexmesh import periodic_box_mesh
 
-
-def hbm_class_device(num_slrs: int = 4) -> FPGADevice:
-    """A synthetic HBM-class board: every SLR memory-attached."""
-    slr = ALVEO_U200.slrs[0]
-    return FPGADevice(
-        name=f"hbm-class-{num_slrs}slr",
-        slrs=tuple(
-            slr.__class__(
-                name=f"SLR{i}",
-                resources=slr.resources,
-                has_ddr_attach=True,
-            )
-            for i in range(num_slrs)
-        ),
-        num_ddr_channels=8 * num_slrs,
-        ddr_capacity_gib_per_channel=2,
-        sll_crossing_latency_cycles=4,
-        max_kernel_clock_mhz=300.0,
-        max_axi_interfaces_per_kernel=16,
-    )
+#: Trace-vs-closed-form RKU bound (as in tests/accel/test_rk_step_cosim.py).
+RKU_TOL = 0.05
 
 
 class TestFloorplan:
     def test_two_cus_use_both_ddr_slrs(self, proposed):
-        plan = multi_cu_floorplan(proposed, 2)
+        plan = proposed.floorplan_for(2)
         assert plan.assignments["rkl0"] == "SLR0"
         assert plan.assignments["rkl1"] == "SLR2"
         assert plan.assignments["rku"] == "SLR1"
 
     def test_cu_count_bounds(self, proposed):
         with pytest.raises(ExperimentError):
-            multi_cu_floorplan(proposed, 0)
+            proposed.floorplan_for(0)
         with pytest.raises(ExperimentError):
-            multi_cu_floorplan(proposed, MAX_COMPUTE_UNITS + 1)
+            proposed.floorplan_for(max_compute_units() + 1)
 
     def test_clock_preserved_with_two_cus(self, proposed):
         """One kernel per SLR: no packing penalty, 150 MHz holds."""
-        timing = multi_cu_timing(2, 4_200_000, proposed)
+        timing = design_timing(proposed, 4_200_000, num_cus=2)
         assert timing.clock_mhz == pytest.approx(150.0)
+
+    def test_non_split_design_keeps_rku_with_cu0(self, vitis):
+        """``split_slrs`` off: RKU shares CU 0's SLR at every CU count,
+        so the baseline keeps its packed 100 MHz clock."""
+        for num_cus in (1, 2):
+            plan = vitis.floorplan_for(num_cus)
+            assert plan.assignments["rku"] == plan.assignments["rkl0"]
+            timing = design_timing(vitis, 1_400_000, num_cus=num_cus)
+            assert timing.clock_mhz == 100.0
+
+    @pytest.mark.parametrize("device", sorted(DEVICE_REGISTRY))
+    @pytest.mark.parametrize(
+        "options",
+        [PROPOSED_OPTIONS, VITIS_BASELINE_OPTIONS],
+        ids=lambda options: options.name,
+    )
+    def test_one_placement_prices_every_clock(self, device, options):
+        """A design's own clock, the closed form's and every DSE point's
+        come from one placement rule."""
+        design = custom_design(options, DEVICE_REGISTRY[device])
+        assert design.floorplan.assignments == (
+            design.floorplan_for(1).assignments
+        )
+        assert design.clock_mhz == design_timing(design, 100_000).clock_mhz
+        for num_cus in range(1, max_compute_units(design.device) + 1):
+            point = DesignPoint(
+                device=device, num_cus=num_cus, elements_per_direction=2
+            )
+            closed = evaluate_point(point, "closed-form")
+            timing = design_timing(
+                design_for(point), point.num_nodes, num_cus=num_cus
+            )
+            assert closed.clock_mhz == timing.clock_mhz
 
 
 class TestDeviceModelBound:
@@ -63,14 +88,12 @@ class TestDeviceModelBound:
     def test_u200_bound_unchanged(self):
         assert max_compute_units() == 2
         assert max_compute_units(ALVEO_U200) == 2
-        assert MAX_COMPUTE_UNITS == 2
 
     def test_hbm_class_admits_more_cus(self):
         assert max_compute_units(hbm_class_device(4)) == 4
 
-    def test_three_cu_floorplan_on_hbm_device(self, proposed):
-        device = hbm_class_device(4)
-        plan = multi_cu_floorplan(proposed, 3, device)
+    def test_three_cu_floorplan_on_hbm_device(self):
+        plan = proposed_design(hbm_class_device(4)).floorplan_for(3)
         assert plan.assignments["rkl0"] == "SLR0"
         assert plan.assignments["rkl1"] == "SLR1"
         assert plan.assignments["rkl2"] == "SLR2"
@@ -78,15 +101,13 @@ class TestDeviceModelBound:
         assert plan.assignments["rku"] == "SLR0"
 
     def test_bound_enforced_per_device(self, proposed):
-        device = hbm_class_device(3)
         with pytest.raises(ExperimentError):
-            multi_cu_floorplan(proposed, 4, device)
+            proposed_design(hbm_class_device(3)).floorplan_for(4)
         with pytest.raises(ExperimentError):
-            multi_cu_floorplan(proposed, 3, ALVEO_U200)
+            proposed.floorplan_for(3)
 
-    def test_scaling_table_spans_device_bound(self, proposed):
-        device = hbm_class_device(3)
-        table = scaling_table(2_100_000, proposed, device)
+    def test_scaling_table_spans_device_bound(self):
+        table = scaling_table(2_100_000, proposed_design(hbm_class_device(3)))
         assert [t.num_compute_units for t in table] == [1, 2, 3]
         # RKL keeps shrinking with every additional CU
         rkl = [t.rkl_seconds_per_stage for t in table]
@@ -98,16 +119,16 @@ class TestDeviceModelBound:
 
 class TestScaling:
     def test_second_cu_speeds_up_rkl(self, proposed):
-        one = multi_cu_timing(1, 4_200_000, proposed)
-        two = multi_cu_timing(2, 4_200_000, proposed)
+        one = design_timing(proposed, 4_200_000, num_cus=1)
+        two = design_timing(proposed, 4_200_000, num_cus=2)
         ratio = one.rkl_seconds_per_stage / two.rkl_seconds_per_stage
         # slightly superlinear on RKL: halving each CU's footprint also
         # improves its gather row locality
         assert ratio > 1.9
 
     def test_rku_does_not_scale(self, proposed):
-        one = multi_cu_timing(1, 4_200_000, proposed)
-        two = multi_cu_timing(2, 4_200_000, proposed)
+        one = design_timing(proposed, 4_200_000, num_cus=1)
+        two = design_timing(proposed, 4_200_000, num_cus=2)
         assert two.rku_seconds_per_step == pytest.approx(
             one.rku_seconds_per_step
         )
@@ -119,13 +140,9 @@ class TestScaling:
         assert 1.5 < speedup < 2.2
 
     def test_single_cu_matches_proposed_design(self, proposed):
-        from repro.accel.cosim import design_timing
-
-        single = multi_cu_timing(1, 2_100_000, proposed)
-        reference = design_timing(proposed, 2_100_000)
-        assert single.rk_step_seconds == pytest.approx(
-            reference.rk_step_seconds, rel=0.01
-        )
+        single = design_timing(proposed, 2_100_000, num_cus=1)
+        assert single == design_timing(proposed, 2_100_000)
+        assert single.clock_mhz == proposed.clock_mhz
 
     def test_render(self, proposed):
         text = render_scaling_table(scaling_table(1_400_000, proposed))
@@ -133,7 +150,7 @@ class TestScaling:
 
     def test_invalid_nodes(self, proposed):
         with pytest.raises(ExperimentError):
-            multi_cu_timing(1, 0, proposed)
+            design_timing(proposed, 0, num_cus=1)
 
 
 class TestTimingFromCosim:
@@ -142,18 +159,17 @@ class TestTimingFromCosim:
     co-simulation itself)."""
 
     def test_rku_and_clock_shared_with_closed_form(self, proposed):
-        from repro.accel.cosim import cosimulate_rk_stage
-        from repro.mesh.hexmesh import periodic_box_mesh
-
-        mesh = periodic_box_mesh(2, 2)
+        # 216 nodes, the size the RKU bound is set at in
+        # test_rk_step_cosim.py (at 64 nodes the fill is 6 % of the chain)
+        mesh = periodic_box_mesh(3, 2)
         result = cosimulate_rk_stage(
             proposed, mesh, num_cus=2, verify=False
         )
-        derived = multi_cu_timing_from_cosim(result, proposed)
-        analytic = multi_cu_timing(2, mesh.num_nodes, proposed)
+        derived = design_timing_from_rk_cosim(proposed, result)
+        analytic = design_timing(proposed, mesh.num_nodes, num_cus=2)
         assert derived.num_compute_units == 2
         assert derived.num_nodes == mesh.num_nodes
-        assert derived.clock_mhz == pytest.approx(analytic.clock_mhz)
+        assert derived.clock_mhz == analytic.clock_mhz
         assert derived.rku_seconds_per_step == pytest.approx(
-            analytic.rku_seconds_per_step
+            analytic.rku_seconds_per_step, rel=RKU_TOL
         )

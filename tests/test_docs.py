@@ -194,7 +194,7 @@ def test_architecture_documents_the_cosim_extension():
     for needle in (
         "Batched & multi-CU co-simulation",
         "analytic_block_cycles",
-        "multi_cu_timing_from_cosim",
+        "design_timing_from_rk_cosim",
         "merge_graphs",
     ):
         assert needle in text, f"ARCHITECTURE.md lost its {needle!r} coverage"
