@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from ..errors import FPGAError
 from ..fpga.axi import MemoryPort
 
@@ -92,10 +90,13 @@ def assign_interfaces(
     """
     if max_interfaces < 1:
         raise FPGAError("max_interfaces must be >= 1")
-    conflict = nx.Graph()
+    # Conflict-graph vertices: array -> (port, task). An array listed
+    # twice keeps its first position and its last port and task.
+    nodes: dict[str, tuple[MemoryPort, str]] = {}
     for task, ports in task_ports.items():
         for port in ports:
-            conflict.add_node(port.array, port=port, task=task)
+            nodes[port.array] = (port, task)
+    neighbors: dict[str, set[str]] = {array: set() for array in nodes}
     # Arrays of one task MAY share an interface — they merely serialize
     # (the cycle model prices that); hard conflicts exist only between
     # tasks that can drive the memory system simultaneously.
@@ -108,18 +109,15 @@ def assign_interfaces(
             for p1 in task_ports[t1]:
                 for p2 in task_ports[t2]:
                     if p1.array != p2.array:
-                        conflict.add_edge(p1.array, p2.array)
+                        neighbors[p1.array].add(p2.array)
+                        neighbors[p2.array].add(p1.array)
 
     # Greedy balanced coloring, heaviest arrays first.
-    ordered = sorted(
-        conflict.nodes, key=lambda a: -_port_weight(conflict.nodes[a]["port"])
-    )
+    ordered = sorted(nodes, key=lambda a: -_port_weight(nodes[a][0]))
     colors: dict[str, int] = {}
     color_load: dict[int, float] = {}
     for array in ordered:
-        forbidden = {
-            colors[nbr] for nbr in conflict.neighbors(array) if nbr in colors
-        }
+        forbidden = {colors[nbr] for nbr in neighbors[array] if nbr in colors}
         candidates = [
             c for c in range(max_interfaces) if c not in forbidden
         ]
@@ -131,16 +129,14 @@ def assign_interfaces(
         best = min(candidates, key=lambda c: color_load.get(c, 0.0))
         colors[array] = best
         color_load[best] = color_load.get(best, 0.0) + _port_weight(
-            conflict.nodes[array]["port"]
+            nodes[array][0]
         )
 
     result = InterfaceAssignment()
     for array, color in colors.items():
         iface = f"{interface_prefix}_{color + 1}"
-        result.assignment.setdefault(iface, []).append(
-            conflict.nodes[array]["port"]
-        )
-        task = conflict.nodes[array]["task"]
+        port, task = nodes[array]
+        result.assignment.setdefault(iface, []).append(port)
         result.task_interfaces.setdefault(task, set()).add(iface)
     return result
 

@@ -1,8 +1,7 @@
-"""Design report rendering: Table I rows, timing tables, power splits."""
+"""Design report rendering: Table I rows and power splits."""
 
 from __future__ import annotations
 
-from .cosim import design_timing
 from .designs import AcceleratorDesign
 
 #: Column order of the paper's Table I.
@@ -25,25 +24,6 @@ def render_table1(designs: list[AcceleratorDesign]) -> str:
         lines.append(
             f"{label:<28}" + "".join(f"{row[c]:>9.2f}" for c in TABLE1_COLUMNS)
         )
-    return "\n".join(lines)
-
-
-def render_timing_table(
-    designs: list[AcceleratorDesign],
-    node_counts: list[int],
-    num_steps: int = 1,
-) -> str:
-    """RK-method execution times per design and mesh size (Fig. 5 data)."""
-    header = f"{'nodes':>12}" + "".join(
-        f"{d.options.name:>20}" for d in designs
-    )
-    lines = [header, "-" * len(header)]
-    for n in node_counts:
-        cells = []
-        for design in designs:
-            secs = design_timing(design, n).rk_step_seconds * num_steps
-            cells.append(f"{secs:>19.4f}s")
-        lines.append(f"{n:>12}" + "".join(cells))
     return "\n".join(lines)
 
 

@@ -3,8 +3,8 @@
 The library spans two worlds: a *functional* CFD solver (SI-ish units,
 nondimensionalized by the Taylor-Green reference scales) and a *timing*
 world (cycles, hertz, bytes). This module centralizes the small amount of
-shared configuration and the unit-conversion helpers so the two worlds
-never disagree on what a "MHz" or a "GiB/s" means.
+shared configuration and the cycles-to-seconds conversion so the two
+worlds never disagree on what a clock cycle costs.
 """
 
 from __future__ import annotations
@@ -18,25 +18,8 @@ from .precision.modes import resolve_dtype
 # Unit helpers
 # ---------------------------------------------------------------------------
 
-KILO = 1_000
-MEGA = 1_000_000
-
-KIB = 1024
-MIB = 1024 * 1024
-GIB = 1024 * 1024 * 1024
-
 BYTES_PER_FP32 = 4
 BYTES_PER_FP64 = 8
-
-
-def mhz(value: float) -> float:
-    """Convert a frequency expressed in MHz to Hz."""
-    return float(value) * MEGA
-
-
-def gib_per_s(value: float) -> float:
-    """Convert a bandwidth expressed in GiB/s to bytes/s."""
-    return float(value) * GIB
 
 
 def seconds_from_cycles(cycles: float, frequency_hz: float) -> float:
@@ -44,13 +27,6 @@ def seconds_from_cycles(cycles: float, frequency_hz: float) -> float:
     if frequency_hz <= 0:
         raise ConfigurationError(f"frequency must be positive, got {frequency_hz}")
     return float(cycles) / float(frequency_hz)
-
-
-def cycles_from_seconds(seconds: float, frequency_hz: float) -> float:
-    """Number of clock cycles spanned by ``seconds`` at ``frequency_hz``."""
-    if frequency_hz <= 0:
-        raise ConfigurationError(f"frequency must be positive, got {frequency_hz}")
-    return float(seconds) * float(frequency_hz)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ single-threaded on an Intel Xeon Silver 4210 (2.20 GHz, 32K L1, 1M L2,
 """
 
 from .roofline import RooflinePoint, phase_time_seconds
-from .xeon import XeonSilver4210, XEON_SILVER_4210, cpu_step_time, cpu_breakdown
-from .power import CPUPowerModel, XEON_PACKAGE_POWER_W
+from .xeon import XeonSilver4210, XEON_SILVER_4210, cpu_step_time
+from .power import XEON_PACKAGE_POWER_W
 
 __all__ = [
     "RooflinePoint",
@@ -18,7 +18,5 @@ __all__ = [
     "XeonSilver4210",
     "XEON_SILVER_4210",
     "cpu_step_time",
-    "cpu_breakdown",
-    "CPUPowerModel",
     "XEON_PACKAGE_POWER_W",
 ]

@@ -1,46 +1,10 @@
 """CPU power model.
 
 The paper measures the Xeon host at an average of **120.42 W** across
-all mesh sizes. We carry that as a measured constant with a simple
-idle/active split so experiments can also price partially loaded hosts
-(used by the end-to-end model, where the host is active only during the
-non-RK phases when the accelerator is in play).
+all mesh sizes. We carry that as a measured constant; the Section IV-B
+energy comparison prices the host with it.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-from ..errors import CalibrationError
 
 #: Paper-measured average package power of the Xeon host under the CFD
 #: workload (Section IV-B).
 XEON_PACKAGE_POWER_W = 120.42
-#: Typical idle package power of a Xeon Silver 4210 server.
-XEON_IDLE_POWER_W = 48.0
-
-
-@dataclass(frozen=True)
-class CPUPowerModel:
-    """Idle/active CPU package power."""
-
-    active_w: float = XEON_PACKAGE_POWER_W
-    idle_w: float = XEON_IDLE_POWER_W
-
-    def __post_init__(self) -> None:
-        if self.active_w <= 0 or self.idle_w < 0:
-            raise CalibrationError("power values must be positive")
-        if self.idle_w > self.active_w:
-            raise CalibrationError("idle power cannot exceed active power")
-
-    def average_power_w(self, duty_cycle: float) -> float:
-        """Average power at the given active duty cycle in [0, 1]."""
-        if not 0.0 <= duty_cycle <= 1.0:
-            raise CalibrationError("duty_cycle must lie in [0, 1]")
-        return self.idle_w + (self.active_w - self.idle_w) * duty_cycle
-
-    def energy_joules(self, seconds: float, duty_cycle: float = 1.0) -> float:
-        """Energy consumed over a run."""
-        if seconds < 0:
-            raise CalibrationError("seconds must be >= 0")
-        return self.average_power_w(duty_cycle) * seconds

@@ -100,9 +100,3 @@ def cpu_step_time(num_nodes: int, polynomial_order: int = 2) -> float:
     """Seconds per time step on the modeled Xeon for a TGV mesh."""
     workload = workload_for_node_count(num_nodes, polynomial_order, RK4)
     return XEON_SILVER_4210.step_seconds(workload)
-
-
-def cpu_breakdown(num_nodes: int, polynomial_order: int = 2) -> dict[str, float]:
-    """Fig. 2-style fractional breakdown at the given mesh size."""
-    workload = workload_for_node_count(num_nodes, polynomial_order, RK4)
-    return XEON_SILVER_4210.breakdown(workload)

@@ -35,8 +35,6 @@ from .analysis import (
     theoretical_initiation_interval,
     pipeline_fill_cycles,
     steady_state_cycles,
-    critical_task,
-    throughput_tokens_per_cycle,
     exact_cycles,
 )
 
@@ -62,7 +60,5 @@ __all__ = [
     "theoretical_initiation_interval",
     "pipeline_fill_cycles",
     "steady_state_cycles",
-    "critical_task",
-    "throughput_tokens_per_cycle",
     "exact_cycles",
 ]

@@ -20,8 +20,6 @@ number the event simulation would produce, at array-recurrence cost.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..errors import DataflowError
 from .graph import DataflowGraph
 
@@ -44,26 +42,12 @@ def theoretical_initiation_interval(
     )
 
 
-def critical_task(graph: DataflowGraph, iterations: int = 1) -> str:
-    """The II-determining task (ties broken by topological order)."""
-    order = graph.topological_order()
-    best = order[0]
-    best_latency = _static_latency(graph, best, iterations)
-    for name in order[1:]:
-        lat = _static_latency(graph, name, iterations)
-        if lat > best_latency:
-            best, best_latency = name, lat
-    return best
-
-
 def pipeline_fill_cycles(graph: DataflowGraph, iterations: int = 1) -> float:
     """Latency of the first token: longest path through the task graph."""
-    digraph = graph.to_networkx()
-    order = graph.topological_order()
     dist: dict[str, float] = {}
-    for name in order:
+    for name in graph.topological_order():
         lat = _static_latency(graph, name, iterations)
-        preds = list(digraph.predecessors(name))
+        preds = [buf.producer for buf in graph.inputs_of(name)]
         if preds:
             dist[name] = lat + max(dist[p] for p in preds)
         else:
@@ -80,11 +64,6 @@ def steady_state_cycles(graph: DataflowGraph, iterations: int) -> float:
     return fill + ii * (iterations - 1)
 
 
-def throughput_tokens_per_cycle(graph: DataflowGraph, iterations: int) -> float:
-    """Asymptotic throughput ``1 / II`` (tokens per cycle)."""
-    return 1.0 / theoretical_initiation_interval(graph, iterations)
-
-
 def sequential_cycles(graph: DataflowGraph, iterations: int) -> float:
     """Total cycles *without* TLP: every iteration runs all tasks serially.
 
@@ -98,13 +77,6 @@ def sequential_cycles(graph: DataflowGraph, iterations: int) -> float:
         _static_latency(graph, name, iterations) for name in graph.tasks
     )
     return per_iteration * iterations
-
-
-def tlp_speedup(graph: DataflowGraph, iterations: int) -> float:
-    """Speedup of pipelined over sequential execution of the same tasks."""
-    return sequential_cycles(graph, iterations) / steady_state_cycles(
-        graph, iterations
-    )
 
 
 def exact_cycles(graph: DataflowGraph, iterations) -> int:

@@ -11,17 +11,52 @@ Section III-B of the paper states two conditions for deadlock-free TLP:
 
 :meth:`DataflowGraph.validate` enforces both (plus acyclicity), raising
 :class:`~repro.errors.DataflowValidationError` with a precise message.
+
+Every topological order here comes from :func:`kahn_order`, the one
+FIFO Kahn sort that the pipeline IR shares.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from ..errors import DataflowValidationError
 from .buffer import Buffer
 from .task import Task
+
+
+def kahn_order(
+    nodes: Iterable[Hashable], edges: Iterable[tuple[Hashable, Hashable]]
+) -> list | None:
+    """Topological order by FIFO Kahn, or ``None`` if the edges close a
+    cycle.
+
+    The order is deterministic: the queue starts with the sources in
+    ``nodes`` order, and each node releases its successors in the order
+    their first edge appears in ``edges``. Repeated edges count once,
+    and an edge endpoint missing from ``nodes`` joins them at first
+    mention.
+    """
+    successors: dict = {node: {} for node in nodes}
+    for u, v in edges:
+        successors.setdefault(u, {})[v] = None
+        successors.setdefault(v, {})
+    indegree = dict.fromkeys(successors, 0)
+    for targets in successors.values():
+        for v in targets:
+            indegree[v] += 1
+    queue = deque(node for node, degree in indegree.items() if degree == 0)
+    order = []
+    while queue:
+        node = queue.popleft()
+        order.append(node)
+        for v in successors[node]:
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                queue.append(v)
+    return order if len(order) == len(successors) else None
 
 
 @dataclass
@@ -91,13 +126,17 @@ class DataflowGraph:
         """Tasks with no output buffers (pipeline exits)."""
         return [name for name in self.tasks if not self.outputs_of(name)]
 
-    def to_networkx(self) -> nx.DiGraph:
-        """Directed task graph (one edge per buffer, parallel edges merged)."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.tasks)
-        for buf in self.buffers.values():
-            graph.add_edge(buf.producer, buf.consumer)
-        return graph
+    def _edges(self, include_dependencies: bool) -> list[tuple[str, str]]:
+        """Buffer edges in insertion order, then ``depends_on`` edges in
+        task order."""
+        edges = [(b.producer, b.consumer) for b in self.buffers.values()]
+        if include_dependencies:
+            edges += [
+                (dep, task.name)
+                for task in self.tasks.values()
+                for dep in task.depends_on
+            ]
+        return edges
 
     def topological_order(
         self, include_dependencies: bool = False
@@ -111,17 +150,12 @@ class DataflowGraph:
         resolves every forward constraint) and the order batched payload
         execution runs chains in.
         """
-        graph = self.to_networkx()
-        if include_dependencies:
-            for task in self.tasks.values():
-                for dep in task.depends_on:
-                    graph.add_edge(dep, task.name)
-        try:
-            return list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible:
+        order = kahn_order(self.tasks, self._edges(include_dependencies))
+        if order is None:
             raise DataflowValidationError(
                 f"graph {self.name!r}: contains a cycle"
-            ) from None
+            )
+        return order
 
     # -- validation (the paper's TLP legality rules) -----------------------------
 
@@ -156,14 +190,23 @@ class DataflowGraph:
         """Reject buffers that skip over intermediate tasks.
 
         A buffer A -> C is a bypass when another path A -> ... -> C of
-        length >= 2 exists in the graph.
+        length >= 2 exists in the graph: C is reachable from one of A's
+        other successors.
         """
-        graph = self.to_networkx()
+        successors: dict[str, list[str]] = {name: [] for name in self.tasks}
         for buf in self.buffers.values():
-            graph.remove_edge(buf.producer, buf.consumer)
-            has_long_path = nx.has_path(graph, buf.producer, buf.consumer)
-            graph.add_edge(buf.producer, buf.consumer)
-            if has_long_path:
+            successors[buf.producer].append(buf.consumer)
+        for buf in self.buffers.values():
+            stack = [
+                s for s in successors[buf.producer] if s != buf.consumer
+            ]
+            seen = set(stack)
+            while stack and buf.consumer not in seen:
+                for nxt in successors[stack.pop()]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+            if buf.consumer in seen:
                 raise DataflowValidationError(
                     f"graph {self.name!r}: buffer {buf.name!r} "
                     f"({buf.producer!r} -> {buf.consumer!r}) bypasses "
@@ -177,7 +220,6 @@ class DataflowGraph:
         combined precedence relation — buffer edges plus dependency
         edges — must stay acyclic, or the gated tasks could never start.
         """
-        graph = self.to_networkx()
         for task in self.tasks.values():
             for dep in task.depends_on:
                 if dep not in self.tasks:
@@ -190,8 +232,7 @@ class DataflowGraph:
                         f"graph {self.name!r}: task {task.name!r} depends on "
                         "itself"
                     )
-                graph.add_edge(dep, task.name)
-        if not nx.is_directed_acyclic_graph(graph):
+        if kahn_order(self.tasks, self._edges(True)) is None:
             raise DataflowValidationError(
                 f"graph {self.name!r}: buffer and dependency edges form a "
                 "cycle"

@@ -22,9 +22,7 @@ at three fidelities; this package makes the *space* cheap to sweep:
 - :mod:`repro.dse.checkpoint` — the append-only campaign progress
   journal behind ``run_campaign(..., resume=True)``;
 - :mod:`repro.dse.executor` — :func:`~repro.dse.executor.run_campaign`
-  (supervised sharding, deterministic merge, checkpoint/resume) and
-  the asynchronous :class:`~repro.dse.executor.CampaignExecutor`
-  (``submit``/``poll``/``collect``/``cancel``, job timeouts).
+  (supervised sharding, deterministic merge, checkpoint/resume).
 """
 
 from .cache import CacheStats, ResultCache, cache_key
@@ -32,7 +30,6 @@ from .campaign import CASES, PARTITIONS, CampaignSpec, DesignPoint
 from .checkpoint import CampaignJournal, JournalState, journal_path
 from .executor import (
     AgreementCheck,
-    CampaignExecutor,
     CampaignResult,
     run_campaign,
 )
@@ -61,7 +58,6 @@ __all__ = [
     "ResultCache",
     "cache_key",
     "AgreementCheck",
-    "CampaignExecutor",
     "CampaignJournal",
     "CampaignResult",
     "JournalState",

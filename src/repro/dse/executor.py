@@ -1,4 +1,4 @@
-"""Campaign execution: the supervised tiered sweep, checkpoints, async jobs.
+"""Campaign execution: the supervised tiered sweep and its checkpoints.
 
 :func:`run_campaign` drives the whole ladder for one
 :class:`~repro.dse.campaign.CampaignSpec`:
@@ -33,22 +33,14 @@ next to the segments. ``run_campaign(..., resume=True)`` replays a
 killed campaign: cached points are served without recomputation (100%
 hits on completed batches), journaled quarantines are restored without
 re-failing, and only genuinely unpriced points are dispatched.
-
-:class:`CampaignExecutor` is the asynchronous front-end: ``submit`` a
-spec (optionally with a job ``timeout``), ``poll`` its status
-(``"running"`` / ``"done"`` / ``"failed"`` / ``"cancelled"``),
-``cancel`` it, ``collect`` the result — campaigns run on background
-threads (each of which may own its own process pool), so a driver can
-keep several sweeps in flight.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import asdict, dataclass, field
 
 from ..backend import resolve_backend_name
-from ..errors import CampaignCancelled, DSEError
+from ..errors import DSEError
 from .cache import CacheStats, ResultCache, cache_key
 from .campaign import CampaignSpec, DesignPoint
 from .checkpoint import CampaignJournal, JournalState, journal_path
@@ -155,11 +147,6 @@ class CampaignResult:
         }
 
 
-def _check_cancel(cancel) -> None:
-    if cancel is not None and cancel.is_set():
-        raise CampaignCancelled("campaign cancelled")
-
-
 def _evaluate_tier(
     points: list[DesignPoint],
     tier: str,
@@ -172,7 +159,6 @@ def _evaluate_tier(
     journal: CampaignJournal | None = None,
     journaled: JournalState | None = None,
     supervision: PoolStats | None = None,
-    cancel=None,
 ) -> list[PointResult]:
     """Price points at one tier: journal-first, cache-second, then the
     supervised pool (grid tier) or the in-process quarantine loop
@@ -201,7 +187,6 @@ def _evaluate_tier(
         else:
             missing.append((index, point))
 
-    _check_cancel(cancel)
     if missing and tier == "closed-form":
         # The grid tier always runs under supervision (workers >= 1):
         # a crashing or hanging evaluation must never take the campaign
@@ -222,9 +207,7 @@ def _evaluate_tier(
             max(1, workers), cache_dir=cache_dir, retry=retry
         )
         try:
-            priced, quarantined = pool.run(
-                tier, batches, options, cancel=cancel
-            )
+            priced, quarantined = pool.run(tier, batches, options)
         finally:
             pool.close()
             if supervision is not None:
@@ -250,11 +233,8 @@ def _evaluate_tier(
         # bounded by max_survivors/max_cosim) under the same quarantine
         # rule: a raising evaluation becomes a casualty, not a crash.
         for index, point in missing:
-            _check_cancel(cancel)
             try:
                 result = evaluate_one(index, point, tier, options)
-            except CampaignCancelled:
-                raise
             except Exception as exc:  # noqa: BLE001 - quarantined
                 error = f"{type(exc).__name__}: {exc}"
                 results[index] = PointResult.failed(point, tier, error)
@@ -276,7 +256,6 @@ def run_campaign(
     chunk_size: int = 32,
     retry: RetryPolicy | None = None,
     resume: bool = False,
-    cancel: "threading.Event | None" = None,
 ) -> CampaignResult:
     """Run one campaign through the evaluation ladder.
 
@@ -309,10 +288,6 @@ def run_campaign(
         checkpoint journal: completed points are pure cache hits,
         journaled quarantines are restored, only unpriced points are
         dispatched. Requires a disk-backed ``cache``.
-    cancel:
-        A :class:`threading.Event`; once set, the campaign tears its
-        pool down and raises
-        :class:`~repro.errors.CampaignCancelled`.
 
     Raises
     ------
@@ -321,8 +296,6 @@ def run_campaign(
     CheckpointError
         When ``resume=True`` finds a journal written by a different
         campaign.
-    CampaignCancelled
-        When ``cancel`` fires before completion.
     """
     if highest_tier not in TIERS:
         raise DSEError(
@@ -362,7 +335,6 @@ def run_campaign(
         "journal": journal,
         "journaled": journaled,
         "supervision": supervision,
-        "cancel": cancel,
     }
     try:
         points, skipped = spec.expand()
@@ -441,134 +413,3 @@ def run_campaign(
         if journal is not None:
             journal.close()
 
-
-class CampaignExecutor:
-    """Asynchronous batch front-end over :func:`run_campaign`.
-
-    Each submitted campaign runs on its own daemon thread (which may in
-    turn own a process pool); jobs are addressed by the returned id and
-    support deadlines (``timeout=``) and cooperative cancellation
-    (:meth:`cancel`).
-    """
-
-    def __init__(self) -> None:
-        self._jobs: dict[str, dict] = {}
-        self._lock = threading.Lock()
-        self._counter = 0
-
-    def submit(
-        self,
-        spec: CampaignSpec,
-        *,
-        timeout: float | None = None,
-        **options,
-    ) -> str:
-        """Start a campaign in the background; returns its job id.
-
-        ``timeout`` is a job deadline in seconds: a campaign still
-        running when it expires is cancelled and polls ``"failed"``
-        with a deadline error. Remaining ``options`` are forwarded to
-        :func:`run_campaign`.
-        """
-        if timeout is not None and timeout <= 0:
-            raise DSEError("job timeout must be positive (or None)")
-        with self._lock:
-            self._counter += 1
-            job_id = f"{spec.name}-{self._counter}"
-            job: dict = {
-                "result": None,
-                "error": None,
-                "cancel": threading.Event(),
-                "cancelled": False,
-                "timed_out": False,
-                "timer": None,
-            }
-            self._jobs[job_id] = job
-
-        def runner() -> None:
-            try:
-                job["result"] = run_campaign(
-                    spec, cancel=job["cancel"], **options
-                )
-            except CampaignCancelled as exc:
-                if job["timed_out"]:
-                    job["error"] = DSEError(
-                        f"campaign job {job_id!r} exceeded its "
-                        f"{timeout}s deadline"
-                    )
-                else:
-                    job["error"] = exc
-            except BaseException as exc:  # noqa: BLE001 - reported at collect
-                job["error"] = exc
-            finally:
-                timer = job["timer"]
-                if timer is not None:
-                    timer.cancel()
-
-        thread = threading.Thread(
-            target=runner, name=f"dse-{job_id}", daemon=True
-        )
-        job["thread"] = thread
-        if timeout is not None:
-
-            def expire() -> None:
-                job["timed_out"] = True
-                job["cancel"].set()
-
-            timer = threading.Timer(timeout, expire)
-            timer.daemon = True
-            job["timer"] = timer
-            timer.start()
-        thread.start()
-        return job_id
-
-    def _job(self, job_id: str) -> dict:
-        try:
-            return self._jobs[job_id]
-        except KeyError:
-            raise DSEError(f"unknown campaign job {job_id!r}") from None
-
-    def cancel(self, job_id: str) -> None:
-        """Request cooperative cancellation of a running campaign.
-
-        Idempotent; a finished job is unaffected. A cancelled job polls
-        ``"cancelled"`` and :meth:`collect` re-raises its
-        :class:`~repro.errors.CampaignCancelled`.
-        """
-        job = self._job(job_id)
-        job["cancelled"] = True
-        job["cancel"].set()
-
-    def poll(self, job_id: str) -> str:
-        """``"running"``, ``"done"``, ``"failed"``, or ``"cancelled"``."""
-        job = self._job(job_id)
-        if job["thread"].is_alive():
-            return "running"
-        if job["error"] is None:
-            return "done"
-        if isinstance(job["error"], CampaignCancelled):
-            return "cancelled"
-        return "failed"
-
-    def collect(self, job_id: str, timeout: float | None = None):
-        """Wait for a campaign and return its :class:`CampaignResult`.
-
-        Re-raises the campaign's exception if it failed (including the
-        deadline :class:`~repro.errors.DSEError` of a timed-out job and
-        the :class:`~repro.errors.CampaignCancelled` of a cancelled
-        one); raises :class:`~repro.errors.DSEError` if it is still
-        running after ``timeout`` seconds.
-        """
-        job = self._job(job_id)
-        job["thread"].join(timeout)
-        if job["thread"].is_alive():
-            raise DSEError(
-                f"campaign job {job_id!r} still running after {timeout}s"
-            )
-        if job["error"] is not None:
-            raise job["error"]
-        return job["result"]
-
-    def jobs(self) -> list[str]:
-        """Ids of every submitted job, in submission order."""
-        return list(self._jobs)

@@ -50,7 +50,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from multiprocessing import connection
 
-from ..errors import CampaignCancelled, DSEError
+from ..errors import DSEError
 from ..testing import faults
 from .cache import ResultCache, cache_key
 from .tiers import evaluate_point
@@ -60,8 +60,9 @@ from .tiers import evaluate_point
 _JOIN_TIMEOUT = 5.0
 _ESCALATION_TIMEOUT = 1.0
 
-#: Ceiling on one supervision wait so cancel events stay responsive
-#: even with no deadline armed.
+#: Ceiling on one supervision wait. Both the backoff sleep and the reply
+#: wait return within this many seconds, so the loop re-checks its
+#: deadlines and backoffs at least this often, even with none armed.
 _MAX_WAIT = 0.5
 
 
@@ -273,26 +274,19 @@ class SupervisedPool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def close(self, *, force: bool = False) -> None:
-        """Tear the pool down; ``force`` skips the graceful handshake
-        and kills immediately (the cancellation path)."""
+    def close(self) -> None:
+        """Tear the pool down: ask every worker to exit, then reap it."""
         workers, self._workers = self._workers, []
         channels, self._channels = self._channels, []
-        if not force:
-            for chan in channels:
-                if chan is None:
-                    continue
-                try:
-                    chan.send(("close",))
-                except (BrokenPipeError, OSError):
-                    pass
-        for proc in workers:
-            if proc is None:
+        for chan in channels:
+            if chan is None:
                 continue
-            if force:
-                proc.kill()
-                proc.join()
-            else:
+            try:
+                chan.send(("close",))
+            except (BrokenPipeError, OSError):
+                pass
+        for proc in workers:
+            if proc is not None:
                 _reap(proc)
         for chan in channels:
             if chan is not None:
@@ -342,17 +336,13 @@ class SupervisedPool:
         tier: str,
         batches: list[list],
         options: dict | None = None,
-        *,
-        cancel=None,
     ):
         """Price every ``(index, point)`` item of every batch.
 
         Returns ``(results, failures)``: ``results`` maps point index to
         its :class:`~repro.dse.tiers.PointResult`; ``failures`` maps
         point index to ``(point, error_message)`` for quarantined
-        points. ``cancel`` is a ``threading.Event``; once set the pool
-        is force-closed and :class:`~repro.errors.CampaignCancelled` is
-        raised.
+        points.
         """
         options = options or {}
         self._ensure()
@@ -405,9 +395,6 @@ class SupervisedPool:
             self.stats.quarantined += 1
 
         while pending or busy:
-            if cancel is not None and cancel.is_set():
-                self.close(force=True)
-                raise CampaignCancelled("campaign cancelled")
             now = time.monotonic()
             # Dispatch every ready attempt onto an idle worker.
             dispatched_any = True

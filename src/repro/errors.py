@@ -70,10 +70,6 @@ class DirectiveError(HLSError):
     """An HLS directive is invalid for the loop or array it targets."""
 
 
-class ResourceError(HLSError):
-    """A design exceeds the resources of its target region or device."""
-
-
 class FPGAError(ReproError):
     """Device-model level failure (floorplan, memory system, power)."""
 
@@ -93,12 +89,6 @@ class ExperimentError(ReproError):
 class DSEError(ReproError):
     """A design-space-exploration campaign is misconfigured or failed
     (invalid design point, empty grid, unknown tier, cache misuse)."""
-
-
-class CampaignCancelled(DSEError):
-    """A campaign was cancelled before completion — an executor
-    ``cancel()``, a job deadline, or a cancel event handed to
-    :func:`repro.dse.run_campaign`."""
 
 
 class CheckpointError(DSEError):

@@ -24,7 +24,6 @@ from .lagrange import (
     lagrange_basis,
     differentiation_matrix,
     barycentric_weights,
-    interpolation_matrix,
 )
 from .reference import ReferenceHex
 from .geometry import ElementGeometry, compute_geometry
@@ -32,13 +31,11 @@ from .operators import (
     reference_gradient,
     physical_gradient,
     weak_divergence,
-    element_integrals,
 )
 from .assembly import (
     gather,
     scatter_add,
     lumped_mass,
-    direct_stiffness_summation,
     assembly_multiplicity,
 )
 from .quadrature import max_exact_degree
@@ -50,18 +47,15 @@ __all__ = [
     "lagrange_basis",
     "differentiation_matrix",
     "barycentric_weights",
-    "interpolation_matrix",
     "ReferenceHex",
     "ElementGeometry",
     "compute_geometry",
     "reference_gradient",
     "physical_gradient",
     "weak_divergence",
-    "element_integrals",
     "gather",
     "scatter_add",
     "lumped_mass",
-    "direct_stiffness_summation",
     "assembly_multiplicity",
     "max_exact_degree",
 ]

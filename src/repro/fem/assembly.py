@@ -117,16 +117,3 @@ def lumped_mass(
     if (mass <= 0.0).any():
         raise FEMError("lumped mass has non-positive entries; mesh is degenerate")
     return mass
-
-
-def direct_stiffness_summation(
-    element_values: np.ndarray, connectivity: np.ndarray, num_nodes: int
-) -> np.ndarray:
-    """Scatter then re-gather: make element copies of shared nodes agree.
-
-    Returns the element-local array ``(E, Q)`` whose shared-node entries
-    all hold the assembled (summed) value. This is the halo-exchange
-    analogue used when computations stay element-local.
-    """
-    assembled = scatter_add(element_values, connectivity, num_nodes)
-    return gather(assembled, connectivity)

@@ -76,28 +76,3 @@ def differentiation_matrix(nodes: np.ndarray) -> np.ndarray:
     np.fill_diagonal(d, 0.0)
     d[np.arange(n), np.arange(n)] = -d.sum(axis=1)
     return d
-
-
-def interpolation_matrix(nodes_from: np.ndarray, nodes_to: np.ndarray) -> np.ndarray:
-    """Matrix mapping nodal values on ``nodes_from`` to values on ``nodes_to``."""
-    return lagrange_basis(np.asarray(nodes_from), np.asarray(nodes_to))
-
-
-def derivative_at_points(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate the derivative of each basis polynomial at points ``x``.
-
-    Returns shape ``(len(x), len(nodes))``. Implemented by differentiating
-    the first barycentric form analytically; used by probing utilities and
-    quadrature-exactness tests rather than the hot solver path.
-    """
-    nodes = np.asarray(nodes, dtype=np.float64)
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    n = nodes.size
-    out = np.empty((x.size, n))
-    d_nodes = differentiation_matrix(nodes)
-    basis_at_x = lagrange_basis(nodes, x)
-    # N'_j interpolated through its own nodal derivative values: since N'_j
-    # has degree <= n-1 ... degree n-2 actually, it is represented exactly
-    # in the same basis, so N'_j(x) = sum_i L_i(x) * D[i, j].
-    out = basis_at_x @ d_nodes
-    return out

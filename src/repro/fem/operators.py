@@ -136,17 +136,6 @@ def weak_divergence(
     return -res.reshape(num_elem, n1**3)
 
 
-def element_integrals(
-    field: np.ndarray, geom: ElementGeometry, ref: ReferenceHex
-) -> np.ndarray:
-    """GLL-quadrature integral of a nodal field over each element."""
-    n1 = ref.n1
-    if field.ndim != 2 or field.shape[1] != n1**3:
-        raise FEMError(f"field must be (E, {n1 ** 3}), got {field.shape}")
-    scale = geom.quadrature_scale(ref)
-    return np.einsum("eq,eq->e", field, scale, optimize=True)
-
-
 def element_mass_matrix_diagonal(
     geom: ElementGeometry, ref: ReferenceHex
 ) -> np.ndarray:

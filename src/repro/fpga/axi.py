@@ -1,13 +1,12 @@
-"""AXI interfaces and the cost of off-chip access through them.
+"""Off-chip memory ports and the cost of access through AXI.
 
-The paper's Section III-C optimizations live here:
-
-- every off-chip array must be mapped to an ``m_axi`` interface (Fig. 4);
-- arrays sharing an interface **serialize** their accesses (interface
-  contention), while arrays on distinct interfaces proceed in parallel —
-  this is what the per-array assignment optimization removes;
-- the whole memory system is additionally capped by the DDR channels'
-  aggregate bandwidth.
+The paper's Section III-C optimizations start here: every off-chip
+array is a :class:`MemoryPort` mapped to an ``m_axi`` interface
+(Fig. 4; the assignment lives in :mod:`repro.accel.interfaces`, the
+per-interface contention cost in
+:meth:`repro.accel.designs.AcceleratorDesign.load_task_cycles`), and
+decoupling a load and store onto separate interfaces lets an update
+loop pipeline (:func:`update_loop_ii`).
 
 Costs are reported in kernel cycles for one *task iteration* (one
 element for RKL, one node block for RKU).
@@ -15,32 +14,13 @@ element for RKL, one node block for RKU).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..errors import FPGAError
-from .ddr import DDRTimings, DDR4_2400, gather_access_cycles, streaming_cycles
+from .ddr import DDRTimings, DDR4_2400, streaming_cycles
 
 #: Bytes of one fp32 value.
 FP32_BYTES = 4
-
-
-@dataclass(frozen=True)
-class AXIInterface:
-    """One ``m_axi`` bundle exposed by a kernel."""
-
-    name: str
-    width_bits: int = 512
-
-    def __post_init__(self) -> None:
-        if self.width_bits not in (32, 64, 128, 256, 512, 1024):
-            raise FPGAError(
-                f"interface {self.name!r}: illegal AXI width {self.width_bits}"
-            )
-
-    @property
-    def bytes_per_beat(self) -> int:
-        return self.width_bits // 8
 
 
 @dataclass(frozen=True)
@@ -88,57 +68,6 @@ def burst_cycles(
 ) -> float:
     """Cycles for one contiguous burst of fp32 values."""
     return streaming_cycles(values * FP32_BYTES, timings)
-
-
-def gather_cycles(
-    port: MemoryPort,
-    num_nodes: int,
-    timings: DDRTimings = DDR4_2400,
-) -> float:
-    """Cycles for one task iteration of one port (exclusive interface)."""
-    if port.pattern == "stream":
-        return burst_cycles(port.values_per_iter, timings)
-    return port.accesses_per_iter * gather_access_cycles(num_nodes, timings)
-
-
-def interface_cycles(
-    ports: list[MemoryPort],
-    num_nodes: int,
-    timings: DDRTimings = DDR4_2400,
-) -> float:
-    """Serialized cycles of all ports sharing one interface.
-
-    Interface contention "would otherwise force the memory accesses to
-    occur sequentially" (Section III-C) — modeled as the plain sum.
-    """
-    return sum(gather_cycles(port, num_nodes, timings) for port in ports)
-
-
-def task_memory_cycles(
-    assignment: dict[str, list[MemoryPort]],
-    num_nodes: int,
-    timings: DDRTimings = DDR4_2400,
-    num_ddr_channels: int = 4,
-) -> float:
-    """Memory cycles of one task iteration under an interface assignment.
-
-    Interfaces operate in parallel (the paper's optimization), so the
-    iteration takes the *slowest* interface's cycles — subject to the
-    aggregate DDR bandwidth floor across all channels.
-    """
-    if not assignment:
-        return 0.0
-    slowest = max(
-        interface_cycles(ports, num_nodes, timings)
-        for ports in assignment.values()
-    )
-    total_bytes = sum(
-        port.values_per_iter * FP32_BYTES
-        for ports in assignment.values()
-        for port in ports
-    )
-    bandwidth_floor = total_bytes / (timings.bytes_per_cycle * num_ddr_channels)
-    return max(slowest, bandwidth_floor)
 
 
 def update_loop_ii(

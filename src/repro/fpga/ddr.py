@@ -51,15 +51,6 @@ class DDRTimings:
             raise FPGAError("bytes_per_cycle must be positive")
 
 
-@dataclass(frozen=True)
-class DDRChannel:
-    """One DDR channel: timings + capacity."""
-
-    name: str
-    timings: DDRTimings
-    capacity_gib: int = 16
-
-
 #: Default channel model for the paper's configuration.
 DDR4_2400 = DDRTimings()
 

@@ -148,8 +148,3 @@ def schedule_loop(
         latency=latency,
         limiting_factor=limiting,
     )
-
-
-def sequential_task_latency(schedules: list[LoopSchedule]) -> int:
-    """Latency of a task running its loops back-to-back."""
-    return sum(s.latency for s in schedules)

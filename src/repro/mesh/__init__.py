@@ -6,11 +6,10 @@ The paper's solver operates on FEM meshes of hexahedral spectral elements
 - :mod:`repro.mesh.node_ordering` — local GLL node numbering inside a hex;
 - :mod:`repro.mesh.hexmesh` — the :class:`HexMesh` container and structured
   periodic / non-periodic box generators;
-- :mod:`repro.mesh.connectivity` — adjacency and gather/scatter index maps;
-- :mod:`repro.mesh.metrics` — element size, volume, and quality metrics;
+- :mod:`repro.mesh.connectivity` — node-sharing multiplicity statistics;
+- :mod:`repro.mesh.metrics` — element size and volume metrics;
 - :mod:`repro.mesh.boundary` — boundary tagging and periodic image maps;
-- :mod:`repro.mesh.partition` — element batching for streamed processing;
-- :mod:`repro.mesh.io` — lossless save/load of meshes.
+- :mod:`repro.mesh.partition` — element batching for streamed processing.
 """
 
 from .hexmesh import (
@@ -21,20 +20,10 @@ from .hexmesh import (
     elements_for_node_count,
 )
 from .node_ordering import local_node_index, local_node_triplet, corner_local_indices
-from .connectivity import (
-    build_node_to_elements,
-    element_adjacency,
-    shared_node_counts,
-)
-from .metrics import (
-    element_volumes,
-    element_min_spacing,
-    mesh_quality_report,
-    MeshQualityReport,
-)
+from .connectivity import shared_node_counts
+from .metrics import element_volumes, element_min_spacing
 from .boundary import BoundaryTag, tag_box_boundaries, periodic_image_map
 from .partition import element_blocks, partition_elements_balanced
-from .io import save_mesh, load_mesh
 
 __all__ = [
     "HexMesh",
@@ -45,18 +34,12 @@ __all__ = [
     "local_node_index",
     "local_node_triplet",
     "corner_local_indices",
-    "build_node_to_elements",
-    "element_adjacency",
     "shared_node_counts",
     "element_volumes",
     "element_min_spacing",
-    "mesh_quality_report",
-    "MeshQualityReport",
     "BoundaryTag",
     "tag_box_boundaries",
     "periodic_image_map",
     "element_blocks",
     "partition_elements_balanced",
-    "save_mesh",
-    "load_mesh",
 ]

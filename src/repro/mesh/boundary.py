@@ -63,14 +63,6 @@ def tag_box_boundaries(mesh: HexMesh, atol: float = 1e-10) -> np.ndarray:
     return tags
 
 
-def boundary_node_ids(mesh: HexMesh, tag: BoundaryTag | None = None) -> np.ndarray:
-    """Global ids of boundary nodes (optionally restricted to one face)."""
-    tags = tag_box_boundaries(mesh)
-    if tag is None:
-        return np.nonzero(tags != 0)[0]
-    return np.nonzero(tags & int(tag))[0]
-
-
 @dataclass(frozen=True)
 class PeriodicImagePair:
     """A (primary, image) node pair identified by periodicity."""
@@ -114,12 +106,3 @@ def periodic_image_map(mesh: HexMesh, atol: float = 1e-9) -> list[PeriodicImageP
                 PeriodicImagePair(primary=min_index[k], image=int(node), axis=axis)
             )
     return pairs
-
-
-def apply_dirichlet(
-    field: np.ndarray, node_ids: np.ndarray, value: float
-) -> np.ndarray:
-    """Return a copy of ``field`` with ``value`` imposed on ``node_ids``."""
-    out = np.array(field, dtype=np.float64, copy=True)
-    out[node_ids] = value
-    return out

@@ -1,56 +1,15 @@
-"""Mesh adjacency queries built on the element-to-node table.
+"""Node-sharing statistics of the element-to-node table.
 
-These are used by the partitioner (to produce cache- and DDR-friendly
-element orderings), by mesh validation, and by the workload model (the
-node-sharing multiplicity determines how much gather/scatter traffic the
-accelerator's LOAD and STORE stages generate).
+The node-sharing multiplicity determines how much gather/scatter traffic
+the accelerator's LOAD and STORE stages generate; its histogram is a
+structural invariant of the mesh generators.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
-from ..errors import MeshError
 from .hexmesh import HexMesh
-
-
-def build_node_to_elements(mesh: HexMesh) -> list[np.ndarray]:
-    """Inverse connectivity: for each node, the ids of elements touching it."""
-    buckets: dict[int, list[int]] = defaultdict(list)
-    conn = mesh.connectivity
-    for elem in range(mesh.num_elements):
-        for node in conn[elem]:
-            buckets[int(node)].append(elem)
-    out: list[np.ndarray] = []
-    for node in range(mesh.num_nodes):
-        elems = buckets.get(node)
-        if elems is None:
-            raise MeshError(f"node {node} is orphaned")
-        out.append(np.array(sorted(set(elems)), dtype=np.int64))
-    return out
-
-
-def element_adjacency(mesh: HexMesh, min_shared_nodes: int = 1) -> list[set[int]]:
-    """Element adjacency: elements sharing >= ``min_shared_nodes`` nodes.
-
-    With ``min_shared_nodes`` equal to the number of nodes on a face, the
-    result is face adjacency; with 1 it includes corner/edge neighbours.
-    """
-    if min_shared_nodes < 1:
-        raise MeshError("min_shared_nodes must be >= 1")
-    node_to_elems = build_node_to_elements(mesh)
-    counts: list[dict[int, int]] = [dict() for _ in range(mesh.num_elements)]
-    for elems in node_to_elems:
-        for i, a in enumerate(elems):
-            for b in elems[i + 1 :]:
-                counts[a][b] = counts[a].get(b, 0) + 1
-                counts[b][a] = counts[b].get(a, 0) + 1
-    return [
-        {nbr for nbr, cnt in row.items() if cnt >= min_shared_nodes}
-        for row in counts
-    ]
 
 
 def shared_node_counts(mesh: HexMesh) -> np.ndarray:
@@ -62,12 +21,3 @@ def shared_node_counts(mesh: HexMesh) -> np.ndarray:
     """
     mult = np.bincount(mesh.connectivity.ravel(), minlength=mesh.num_nodes)
     return np.bincount(mult)
-
-
-def average_node_multiplicity(mesh: HexMesh) -> float:
-    """Average number of element copies per unique node.
-
-    Equals ``num_elements * nodes_per_element / num_nodes``; this is the
-    gather amplification factor of the accelerator's LOAD stage.
-    """
-    return mesh.num_elements * mesh.nodes_per_element / mesh.num_nodes

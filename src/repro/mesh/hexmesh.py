@@ -342,18 +342,3 @@ def elements_for_node_count(num_nodes: int, polynomial_order: int = 2) -> int:
     if num_nodes < 1:
         raise MeshError("num_nodes must be >= 1")
     return max(1, round(num_nodes / polynomial_order**3))
-
-
-def mesh_for_node_count(
-    target_nodes: int, polynomial_order: int = 2
-) -> HexMesh:
-    """Smallest periodic box mesh with at least ``target_nodes`` nodes.
-
-    Used by experiments that sweep the paper's Fig. 5 node counts.
-    """
-    if target_nodes < 1:
-        raise MeshError("target_nodes must be >= 1")
-    k = 1
-    while (k * polynomial_order) ** 3 < target_nodes:
-        k += 1
-    return periodic_box_mesh(k, polynomial_order)

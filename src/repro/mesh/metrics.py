@@ -1,13 +1,10 @@
-"""Element geometry metrics: volumes, spacings, quality report.
+"""Element geometry metrics: volumes and spacings.
 
-The CFL time-step controller needs the minimum GLL spacing; the workload
-model needs element volumes; and mesh validation wants a compact quality
-summary. All of it lives here.
+The CFL time-step controller needs the minimum GLL spacing, and the
+mesh tests check the generators against the element volumes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,50 +49,3 @@ def element_min_spacing(mesh: HexMesh) -> np.ndarray:
     if (per_elem <= 0).any():
         raise MeshError("coincident GLL nodes detected inside an element")
     return per_elem
-
-
-@dataclass(frozen=True)
-class MeshQualityReport:
-    """Summary statistics of a mesh used by validation and logging."""
-
-    num_elements: int
-    num_nodes: int
-    total_volume: float
-    min_volume: float
-    max_volume: float
-    min_spacing: float
-    aspect_ratio_max: float
-
-    def is_uniform(self, rtol: float = 1e-10) -> bool:
-        """True when all elements have (numerically) identical volume."""
-        if self.max_volume == 0:
-            return False
-        return (self.max_volume - self.min_volume) <= rtol * self.max_volume
-
-
-def _element_aspect_ratios(mesh: HexMesh) -> np.ndarray:
-    corners = mesh.corner_coords
-    c0 = corners[:, 0]
-    ex = np.linalg.norm(corners[:, 1] - c0, axis=1)
-    ey = np.linalg.norm(corners[:, 3] - c0, axis=1)
-    ez = np.linalg.norm(corners[:, 4] - c0, axis=1)
-    edges = np.stack([ex, ey, ez], axis=1)
-    if (edges <= 0).any():
-        raise MeshError("zero-length element edge")
-    return edges.max(axis=1) / edges.min(axis=1)
-
-
-def mesh_quality_report(mesh: HexMesh) -> MeshQualityReport:
-    """Compute the full quality report for a mesh."""
-    volumes = element_volumes(mesh)
-    spacing = element_min_spacing(mesh)
-    aspect = _element_aspect_ratios(mesh)
-    return MeshQualityReport(
-        num_elements=mesh.num_elements,
-        num_nodes=mesh.num_nodes,
-        total_volume=float(volumes.sum()),
-        min_volume=float(volumes.min()),
-        max_volume=float(volumes.max()),
-        min_spacing=float(spacing.min()),
-        aspect_ratio_max=float(aspect.max()),
-    )

@@ -58,52 +58,3 @@ def corner_local_indices(n1: int) -> np.ndarray:
         (0, m, m),
     ]
     return np.array([local_node_index(ix, iy, iz, n1) for ix, iy, iz in corners])
-
-
-def face_local_indices(face: str, n1: int) -> np.ndarray:
-    """Local indices of the nodes on one face of the element.
-
-    ``face`` is one of ``x-``, ``x+``, ``y-``, ``y+``, ``z-``, ``z+``; the
-    returned array has shape ``(n1, n1)`` ordered lexicographically in the
-    two in-face directions.
-    """
-    rng = np.arange(n1)
-    grid_y, grid_x = np.meshgrid(rng, rng, indexing="ij")
-    if face == "x-":
-        return np.array(
-            [[local_node_index(0, a, b, n1) for a in rng] for b in rng]
-        )
-    if face == "x+":
-        return np.array(
-            [[local_node_index(n1 - 1, a, b, n1) for a in rng] for b in rng]
-        )
-    if face == "y-":
-        return np.array(
-            [[local_node_index(a, 0, b, n1) for a in rng] for b in rng]
-        )
-    if face == "y+":
-        return np.array(
-            [[local_node_index(a, n1 - 1, b, n1) for a in rng] for b in rng]
-        )
-    if face == "z-":
-        return np.array(
-            [[local_node_index(a, b, 0, n1) for a in rng] for b in rng]
-        )
-    if face == "z+":
-        return np.array(
-            [[local_node_index(a, b, n1 - 1, n1) for a in rng] for b in rng]
-        )
-    del grid_x, grid_y
-    raise MeshError(f"unknown face name: {face!r}")
-
-
-def lexicographic_grid(n1: int) -> np.ndarray:
-    """All local triplets in lexicographic order, shape ``(n1**3, 3)``."""
-    out = np.empty((n1**3, 3), dtype=np.int64)
-    idx = 0
-    for iz in range(n1):
-        for iy in range(n1):
-            for ix in range(n1):
-                out[idx] = (ix, iy, iz)
-                idx += 1
-    return out

@@ -3,8 +3,7 @@
 The accelerator streams elements through its Load-Compute-Store pipeline
 in batches sized to the on-chip BRAM/URAM budget (paper Section III-A,
 step 1: "data required for each element is transferred in batches").
-These helpers produce the batch boundaries and orderings; the memory
-model uses batch locality to estimate DDR row-buffer behaviour.
+These helpers produce the batch boundaries and orderings.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import MeshError
-from .hexmesh import HexMesh
 
 
 def slice_blocks(start: int, stop: int, block_size: int) -> list[slice]:
@@ -80,31 +78,3 @@ def partition_elements_balanced(num_elements: int, num_parts: int) -> list[np.nd
         parts.append(np.arange(start, start + size, dtype=np.int64))
         start += size
     return parts
-
-
-def batch_node_working_set(mesh: HexMesh, batch: np.ndarray) -> int:
-    """Number of unique global nodes referenced by a batch of elements.
-
-    Determines the gather footprint of one LOAD step: unique nodes are
-    fetched once into BRAM/URAM, duplicates hit on-chip.
-    """
-    if batch.size == 0:
-        return 0
-    if batch.min() < 0 or batch.max() >= mesh.num_elements:
-        raise MeshError("batch references elements outside the mesh")
-    return int(np.unique(mesh.connectivity[batch]).size)
-
-
-def reuse_factor(mesh: HexMesh, batch: np.ndarray) -> float:
-    """Gather reuse within a batch: referenced slots / unique nodes.
-
-    1.0 means no sharing (every node loaded once per reference); the
-    structured hex mesh approaches ``nodes_per_element * E / N`` for large
-    contiguous batches. The memory model uses this to discount LOAD
-    traffic when on-chip caching of the batch working set is enabled.
-    """
-    unique = batch_node_working_set(mesh, batch)
-    if unique == 0:
-        return 1.0
-    total = int(batch.size) * mesh.nodes_per_element
-    return total / unique

@@ -4,13 +4,13 @@ Implements the continuous physics of the paper's Section II-A — the 3D
 compressible Navier-Stokes equations (mass, momentum, energy) closed by
 the ideal-gas law, a Newtonian viscous stress tensor and Fourier heat
 conduction — plus the Taylor-Green Vortex initial/boundary conditions
-used for evaluation, and the diagnostics (kinetic energy, enstrophy,
-dissipation) used to validate the solver substrate.
+used for evaluation, and the diagnostics (kinetic energy, enstrophy)
+used to validate the solver substrate.
 """
 
 from .gas import GasProperties
 from .state import FlowState
-from .viscous import stress_tensor, viscous_dissipation
+from .viscous import stress_tensor
 from .fluxes import convective_fluxes, viscous_fluxes, FluxSet
 from .taylor_green import (
     TGVCase,
@@ -23,14 +23,12 @@ from .diagnostics import (
     kinetic_energy,
     enstrophy,
     total_mass,
-    dissipation_rate_from_enstrophy,
 )
 
 __all__ = [
     "GasProperties",
     "FlowState",
     "stress_tensor",
-    "viscous_dissipation",
     "convective_fluxes",
     "viscous_fluxes",
     "FluxSet",
@@ -42,5 +40,4 @@ __all__ = [
     "kinetic_energy",
     "enstrophy",
     "total_mass",
-    "dissipation_rate_from_enstrophy",
 ]

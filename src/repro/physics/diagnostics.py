@@ -1,8 +1,7 @@
 """Integral flow diagnostics used for solver validation.
 
 The classical TGV verification quantities: volume-averaged kinetic
-energy, enstrophy, total mass, and the incompressible dissipation
-relation ``-dE_k/dt ~= 2 nu Omega`` that links them.
+energy, enstrophy and total mass.
 """
 
 from __future__ import annotations
@@ -56,29 +55,3 @@ def enstrophy(
         )
     omega_sq = 0.5 * np.asarray(rho) * np.sum(vorticity_nodes**2, axis=1)
     return volume_average(omega_sq, mass_weights)
-
-
-def dissipation_rate_from_enstrophy(
-    enstrophy_value: float, viscosity: float, rho0: float = 1.0
-) -> float:
-    """Incompressible estimate of ``-dE_k/dt`` from enstrophy.
-
-    For incompressible flow, ``epsilon = 2 nu Omega`` with
-    ``nu = mu / rho0``; at low Mach the compressible TGV obeys this to a
-    few percent, which the integration tests exploit.
-    """
-    if viscosity < 0:
-        raise PhysicsError("viscosity must be non-negative")
-    return 2.0 * (viscosity / rho0) * enstrophy_value
-
-
-def kinetic_energy_decay_curve(
-    times: np.ndarray, nu: float, initial: float, length: float = 1.0
-) -> np.ndarray:
-    """Exact kinetic-energy decay of the 2D Taylor-Green solution.
-
-    ``E_k(t) = E_k(0) * exp(-4 nu t / L^2)`` (velocity decays with
-    ``exp(-2 nu t)``, energy with its square).
-    """
-    times = np.asarray(times, dtype=np.float64)
-    return initial * np.exp(-4.0 * nu * times / length**2)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from ..dataflow.graph import DataflowGraph
+from ..dataflow.graph import DataflowGraph, kahn_order
 from ..dataflow.task import BlockLatency, Task
 from ..errors import PipelineError
 
@@ -190,33 +190,27 @@ class OperatorPipeline:
         return out
 
     def topological_order(self) -> list[Stage]:
-        """Stages in dependency order (raises on cycles)."""
+        """Stages in dependency order (raises on cycles).
+
+        The order is :func:`~repro.dataflow.graph.kahn_order` over the
+        producer -> consumer edges, in stage order.
+        """
         produced_by = {
-            out: stage for stage in self.stages for out in stage.outputs
+            out: stage.name for stage in self.stages for out in stage.outputs
         }
-        indegree: dict[str, int] = {}
-        dependents: dict[str, list[Stage]] = {s.name: [] for s in self.stages}
-        for stage in self.stages:
-            deps = {
-                produced_by[name].name
+        order = kahn_order(
+            (stage.name for stage in self.stages),
+            (
+                (produced_by[name], stage.name)
+                for stage in self.stages
                 for name in stage.inputs
                 if name in produced_by
-            }
-            indegree[stage.name] = len(deps)
-            for dep in deps:
-                dependents[dep].append(stage)
-        ready = [s for s in self.stages if indegree[s.name] == 0]
-        order: list[Stage] = []
-        while ready:
-            stage = ready.pop(0)
-            order.append(stage)
-            for nxt in dependents[stage.name]:
-                indegree[nxt.name] -= 1
-                if indegree[nxt.name] == 0:
-                    ready.append(nxt)
-        if len(order) != len(self.stages):
+            ),
+        )
+        if order is None:
             raise PipelineError(f"pipeline {self.name!r}: contains a cycle")
-        return order
+        by_name = {stage.name: stage for stage in self.stages}
+        return [by_name[name] for name in order]
 
     # -- validation ------------------------------------------------------------
 

@@ -13,7 +13,6 @@ from .butcher import (
     HEUN2,
     FORWARD_EULER,
     SSP_RK3,
-    tableau_by_name,
 )
 from .runge_kutta import rk_step, integrate
 from .cfl import advective_time_step, diffusive_time_step, stable_time_step
@@ -25,7 +24,6 @@ __all__ = [
     "HEUN2",
     "FORWARD_EULER",
     "SSP_RK3",
-    "tableau_by_name",
     "rk_step",
     "integrate",
     "advective_time_step",

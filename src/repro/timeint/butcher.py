@@ -119,18 +119,3 @@ RK4_38 = ButcherTableau(
     c=np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0]),
     order=4,
 )
-
-_REGISTRY = {
-    t.name: t for t in (FORWARD_EULER, HEUN2, SSP_RK3, RK4, RK4_38)
-}
-
-
-def tableau_by_name(name: str) -> ButcherTableau:
-    """Look up a registered tableau by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise TimeIntegrationError(
-            f"unknown tableau {name!r}; known: {known}"
-        ) from None

@@ -88,6 +88,64 @@ class TestAssignment:
             assignment.interface_of("ghost")
 
 
+    def test_repeated_array_keeps_last_port_and_task(self):
+        first = gport("a")
+        last = MemoryPort(array="a", pattern="stream", values_per_iter=27)
+        assignment = assign_interfaces(
+            {"load": [first], "store": [last]},
+            concurrent_tasks=[],
+            max_interfaces=2,
+        )
+        (iface,) = assignment.assignment
+        assert assignment.assignment[iface] == [last]
+        assert assignment.task_interfaces == {"store": {iface}}
+
+    def test_repeated_array_keeps_first_position(self):
+        """Equal-traffic arrays color in first-seen order, so a repeat of
+        ``a`` after ``b`` and ``c`` still takes the first interface."""
+        assignment = assign_interfaces(
+            {"load": [sport("a"), sport("b")], "store": [sport("c"), sport("a")]},
+            concurrent_tasks=[],
+            max_interfaces=3,
+        )
+        assert [
+            (iface, [p.array for p in ports])
+            for iface, ports in assignment.assignment.items()
+        ] == [("gmem_1", ["a"]), ("gmem_2", ["b"]), ("gmem_3", ["c"])]
+
+    def test_concurrent_pair_order_is_irrelevant(self):
+        ports = {"load": [gport("a"), gport("b")], "store": [sport("x")]}
+        forward = assign_interfaces(ports, [("load", "store")], 3)
+        backward = assign_interfaces(ports, [("store", "load")], 3)
+        assert forward == backward
+        assert forward.interface_of("x") not in {
+            forward.interface_of("a"),
+            forward.interface_of("b"),
+        }
+
+    def test_array_shared_by_concurrent_tasks_does_not_self_conflict(self):
+        assignment = assign_interfaces(
+            {"load": [gport("a")], "store": [sport("a")]},
+            concurrent_tasks=[("load", "store")],
+            max_interfaces=1,
+        )
+        assert assignment.num_interfaces == 1
+
+    def test_interface_prefix_names_bundles(self):
+        assignment = assign_interfaces(
+            {"load": [gport("a"), gport("b")]},
+            concurrent_tasks=[],
+            max_interfaces=2,
+            interface_prefix="hbm",
+        )
+        assert sorted(assignment.assignment) == ["hbm_1", "hbm_2"]
+        assert assignment.task_interfaces == {"load": {"hbm_1", "hbm_2"}}
+
+    def test_nonpositive_cap_rejected(self):
+        with pytest.raises(FPGAError, match="max_interfaces"):
+            assign_interfaces({"load": [gport("a")]}, [], max_interfaces=0)
+
+
 class TestSingleInterface:
     def test_everything_shares_gmem(self):
         assignment = single_interface_assignment(

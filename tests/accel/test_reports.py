@@ -3,7 +3,6 @@
 from repro.accel.reports import (
     render_power_report,
     render_table1,
-    render_timing_table,
     table1_row,
 )
 
@@ -17,13 +16,6 @@ class TestTable1:
         text = render_table1([vitis, proposed])
         assert "vitis-optimized@100MHz" in text
         assert "proposed@150MHz" in text
-
-
-class TestTimingTable:
-    def test_render(self, proposed, vitis):
-        text = render_timing_table([proposed, vitis], [5_000, 275_000])
-        assert "5000" in text
-        assert "275000" in text
 
 
 class TestPowerReport:

@@ -2,27 +2,9 @@
 
 import pytest
 
-from repro.cpu.power import CPUPowerModel, XEON_PACKAGE_POWER_W
-from repro.errors import CalibrationError
+from repro.cpu.power import XEON_PACKAGE_POWER_W
 
 
 class TestModel:
     def test_paper_measured_constant(self):
         assert XEON_PACKAGE_POWER_W == pytest.approx(120.42)
-
-    def test_duty_cycle_interpolation(self):
-        model = CPUPowerModel()
-        assert model.average_power_w(1.0) == pytest.approx(model.active_w)
-        assert model.average_power_w(0.0) == pytest.approx(model.idle_w)
-        mid = model.average_power_w(0.5)
-        assert model.idle_w < mid < model.active_w
-
-    def test_energy(self):
-        model = CPUPowerModel(active_w=100.0, idle_w=50.0)
-        assert model.energy_joules(10.0, 1.0) == pytest.approx(1000.0)
-
-    def test_validation(self):
-        with pytest.raises(CalibrationError):
-            CPUPowerModel(active_w=50.0, idle_w=60.0)
-        with pytest.raises(CalibrationError):
-            CPUPowerModel().average_power_w(1.5)

@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro.cpu.xeon import XEON_SILVER_4210, cpu_breakdown, cpu_step_time
+from repro.cpu.xeon import XEON_SILVER_4210, cpu_step_time
 from repro.solver.workload import workload_for_node_count
+from repro.timeint.butcher import RK4
+
+
+def cpu_breakdown(num_nodes: int) -> dict[str, float]:
+    """Fig. 2-style fractional breakdown of a p=2 RK4 step."""
+    return XEON_SILVER_4210.breakdown(
+        workload_for_node_count(num_nodes, 2, RK4)
+    )
 
 
 class TestBreakdownShape:

@@ -1,15 +1,10 @@
 """Analytic steady-state results."""
 
-import pytest
-
 from repro.dataflow.analysis import (
-    critical_task,
     pipeline_fill_cycles,
     sequential_cycles,
     steady_state_cycles,
     theoretical_initiation_interval,
-    throughput_tokens_per_cycle,
-    tlp_speedup,
 )
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.task import Task
@@ -31,28 +26,6 @@ class TestFormulas:
     def test_steady_state(self):
         g = chain((5, 9, 2))
         assert steady_state_cycles(g, 11) == 16 + 9 * 10
-
-    def test_critical_task(self):
-        assert critical_task(chain((5, 9, 2))) == "t1"
-
-    def test_critical_task_tie_break_topological(self):
-        assert critical_task(chain((9, 9))) == "t0"
-
-    def test_throughput(self):
-        assert throughput_tokens_per_cycle(chain((4, 8)), 10) == pytest.approx(
-            1 / 8
-        )
-
-
-class TestSpeedup:
-    def test_balanced_chain_approaches_stage_count(self):
-        g = chain((10, 10, 10))
-        assert tlp_speedup(g, 1000) == pytest.approx(3.0, rel=0.01)
-
-    def test_unbalanced_chain_limited_by_bottleneck(self):
-        g = chain((1, 28, 1))
-        # sequential 30/iter vs II 28: speedup -> 30/28
-        assert tlp_speedup(g, 1000) == pytest.approx(30 / 28, rel=0.01)
 
     def test_sequential_cycles(self):
         assert sequential_cycles(chain((5, 9, 2)), 10) == 160

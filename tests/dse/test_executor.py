@@ -1,20 +1,16 @@
-"""Campaign execution: the ladder, the pool, the cache, the async API."""
+"""Campaign execution: the ladder, the pool, the cache."""
 
 import dataclasses
-import time
 
 import pytest
 
 from repro.dse import (
-    CampaignExecutor,
     CampaignSpec,
     DesignPoint,
     ResultCache,
-    RetryPolicy,
     run_campaign,
 )
-from repro.errors import CampaignCancelled, DSEError
-from repro.testing import FaultSpec, injected_faults
+from repro.errors import DSEError
 
 SPEC = CampaignSpec(
     name="exec-test",
@@ -185,102 +181,10 @@ def test_invalid_arguments():
         run_campaign(SPEC, chunk_size=0)
     with pytest.raises(DSEError):
         run_campaign(SPEC, highest_tier="rtl")
-
-
-def test_async_submit_poll_collect():
-    executor = CampaignExecutor()
-    jobs = [
-        executor.submit(SPEC, highest_tier="closed-form") for _ in range(2)
-    ]
-    assert executor.jobs() == jobs
-    results = [executor.collect(job, timeout=120) for job in jobs]
-    for job in jobs:
-        assert executor.poll(job) == "done"
-    assert [r.step_cycles for r in results[0].results] == [
-        r.step_cycles for r in results[1].results
-    ]
-
-
-def test_async_failure_is_reported_and_reraised():
-    executor = CampaignExecutor()
-    bad = CampaignSpec(
+    infeasible = CampaignSpec(
         name="bad",
         axes=(("num_cus", (3, 4)),),
         base=DesignPoint(device="u200"),
     )
-    job = executor.submit(bad)
     with pytest.raises(DSEError, match="no feasible points"):
-        executor.collect(job, timeout=60)
-    assert executor.poll(job) == "failed"
-    with pytest.raises(DSEError, match="unknown campaign job"):
-        executor.poll("nope-1")
-
-
-#: A spec whose grid tier wedges on an injected worker hang (installed
-#: per-test): the campaign stays "running" until cancelled / timed out.
-_STUCK = CampaignSpec(
-    name="stuck",
-    axes=(("block_size", (1, 2, 4, 8)),),
-    base=DesignPoint(num_steps=10),
-)
-_STUCK_RETRY = RetryPolicy(
-    max_retries=0, batch_timeout=120.0, backoff_base=0.01
-)
-
-
-def _hang_plan():
-    return FaultSpec(
-        site="dse.worker", kind="hang", hang_seconds=60.0, times=0
-    )
-
-
-def test_async_cancel_mid_campaign():
-    """cancel() interrupts a wedged campaign within the supervision
-    poll interval: poll says "cancelled", collect re-raises."""
-    executor = CampaignExecutor()
-    with injected_faults(_hang_plan()):
-        start = time.monotonic()
-        job = executor.submit(
-            _STUCK, workers=2, highest_tier="closed-form",
-            retry=_STUCK_RETRY,
-        )
-        assert executor.poll(job) == "running"
-        executor.cancel(job)
-        with pytest.raises(CampaignCancelled):
-            executor.collect(job, timeout=30)
-        elapsed = time.monotonic() - start
-    assert executor.poll(job) == "cancelled"
-    assert elapsed < 30.0, "cancel must not wait out the 60s hang"
-    executor.cancel(job)  # idempotent on a finished job
-    assert executor.poll(job) == "cancelled"
-
-
-def test_async_job_deadline_fails_the_job():
-    """A campaign still wedged at its deadline is cancelled by the
-    timer and reported as a *failure* (deadline DSEError), not as a
-    user cancellation."""
-    executor = CampaignExecutor()
-    with injected_faults(_hang_plan()):
-        job = executor.submit(
-            _STUCK, workers=2, highest_tier="closed-form",
-            retry=_STUCK_RETRY, timeout=1.5,
-        )
-        with pytest.raises(DSEError, match="deadline"):
-            executor.collect(job, timeout=30)
-    assert executor.poll(job) == "failed"
-
-
-def test_async_deadline_noop_on_fast_job():
-    executor = CampaignExecutor()
-    job = executor.submit(SPEC, highest_tier="closed-form", timeout=120)
-    result = executor.collect(job, timeout=120)
-    assert executor.poll(job) == "done"
-    assert result.front
-
-
-def test_async_timeout_validation():
-    executor = CampaignExecutor()
-    with pytest.raises(DSEError, match="timeout must be positive"):
-        executor.submit(SPEC, timeout=0)
-    with pytest.raises(DSEError, match="timeout must be positive"):
-        executor.submit(SPEC, timeout=-2.0)
+        run_campaign(infeasible)

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import FEMError
 from repro.fem.assembly import (
     assembly_multiplicity,
-    direct_stiffness_summation,
     gather,
     lumped_mass,
     scatter_add,
@@ -43,6 +42,22 @@ class TestGatherScatter:
         gathered = gather(fields, mesh.connectivity)
         assert gathered.shape == (2, mesh.num_elements, 27)
         assert np.allclose(gathered[1], 1.0)
+
+    def test_averaged_scatter_makes_copies_agree(self, assembled):
+        """Summing element copies and dividing by multiplicity (the
+        direct-stiffness average) leaves one value per shared node, so
+        every element copy of a node gathers back the same number."""
+        mesh, _geom, _ref = assembled
+        local = np.random.default_rng(6).normal(size=mesh.connectivity.shape)
+        mult = assembly_multiplicity(mesh.connectivity, mesh.num_nodes)
+        averaged = scatter_add(local, mesh.connectivity, mesh.num_nodes) / mult
+        copies = gather(averaged, mesh.connectivity)
+        for node in (0, mesh.num_nodes // 2, mesh.num_nodes - 1):
+            values = copies[mesh.connectivity == node]
+            assert len(values) == mult[node]
+            assert np.all(values == values[0])
+            mean = local[mesh.connectivity == node].mean()
+            assert values[0] == pytest.approx(mean)
 
     def test_scatter_preserves_total(self, assembled, rng=None):
         mesh, _geom, _ref = assembled
@@ -93,19 +108,6 @@ class TestGatherScatter:
             values[None], mesh.connectivity, mesh.num_nodes
         )
         assert many.dtype == np.float32
-
-    def test_dss_makes_copies_agree(self, assembled):
-        mesh, _geom, _ref = assembled
-        values = np.random.default_rng(9).normal(size=(mesh.num_elements, 27))
-        dss = direct_stiffness_summation(
-            values, mesh.connectivity, mesh.num_nodes
-        )
-        # Every copy of the same global node must hold the same value.
-        flat_nodes = mesh.connectivity.ravel()
-        flat_vals = dss.ravel()
-        for node in np.unique(flat_nodes)[:50]:
-            vals = flat_vals[flat_nodes == node]
-            assert np.allclose(vals, vals[0])
 
 
 class TestLumpedMass:

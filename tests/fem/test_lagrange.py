@@ -7,9 +7,7 @@ from repro.errors import FEMError
 from repro.fem.gll import gll_points
 from repro.fem.lagrange import (
     barycentric_weights,
-    derivative_at_points,
     differentiation_matrix,
-    interpolation_matrix,
     lagrange_basis,
 )
 
@@ -32,6 +30,17 @@ class TestBasis:
         x = np.linspace(-1, 1, 21)
         interp = lagrange_basis(nodes, x) @ poly(nodes)
         assert np.allclose(interp, poly(x), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_maps_to_a_finer_gll_grid_exactly(self, n):
+        """Order-n interpolation onto a finer GLL grid is exact for
+        every polynomial of degree below n."""
+        coarse, fine = gll_points(n), gll_points(2 * n + 1)
+        matrix = lagrange_basis(coarse, fine)
+        for degree in range(n):
+            assert np.allclose(
+                matrix @ coarse**degree, fine**degree, atol=1e-12
+            )
 
     def test_rejects_duplicate_nodes(self):
         with pytest.raises(FEMError):
@@ -57,30 +66,20 @@ class TestDifferentiationMatrix:
             expected = degree * nodes ** max(degree - 1, 0) if degree else 0 * nodes
             assert np.allclose(d @ values, expected, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_matches_derivative_of_the_basis(self, n):
+        """Row i of D is the slope of every basis function at node i,
+        checked by a central difference of :func:`lagrange_basis`."""
+        nodes = gll_points(n)
+        h = 1e-6
+        slope = (
+            lagrange_basis(nodes, nodes + h) - lagrange_basis(nodes, nodes - h)
+        ) / (2 * h)
+        d = differentiation_matrix(nodes)
+        assert np.allclose(d, slope, atol=1e-6 * n**2)
+
     def test_antisymmetric_spectrum_structure(self):
         # Spectral D on symmetric nodes satisfies D = -J D J with J the
         # flip; equivalent to d[i, j] = -d[n-1-i, n-1-j].
         d = differentiation_matrix(gll_points(6))
         assert np.allclose(d, -d[::-1, ::-1], atol=1e-12)
-
-    def test_derivative_matches_barycentric_evaluation(self):
-        nodes = gll_points(5)
-        x = np.linspace(-0.9, 0.9, 11)
-        values = derivative_at_points(nodes, x)
-        poly = nodes**3
-        exact = 3.0 * x**2
-        assert np.allclose(values @ poly, exact, atol=1e-10)
-
-
-class TestInterpolationMatrix:
-    def test_identity_on_same_nodes(self):
-        nodes = gll_points(4)
-        mat = interpolation_matrix(nodes, nodes)
-        assert np.allclose(mat, np.eye(4), atol=1e-13)
-
-    def test_maps_to_finer_grid_exactly_for_polynomials(self):
-        coarse = gll_points(4)
-        fine = gll_points(9)
-        mat = interpolation_matrix(coarse, fine)
-        poly = lambda x: 1.0 + x - 2.0 * x**2 + x**3
-        assert np.allclose(mat @ poly(coarse), poly(fine), atol=1e-12)

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import FEMError
 from repro.fem.geometry import compute_geometry
 from repro.fem.operators import (
-    element_integrals,
     element_mass_matrix_diagonal,
     physical_gradient,
     physical_gradient_many,
@@ -122,14 +121,14 @@ class TestIntegrals:
     def test_integral_of_one_is_domain_volume(self, mesh_geom_ref):
         mesh, geom, ref = mesh_geom_ref
         ones = np.ones((mesh.num_elements, ref.num_nodes))
-        total = element_integrals(ones, geom, ref).sum()
+        total = (ones * geom.quadrature_scale(ref)).sum()
         assert total == pytest.approx((2 * np.pi) ** 3, rel=1e-12)
 
     def test_integral_of_sin_squared(self, mesh_geom_ref):
         mesh, geom, ref = mesh_geom_ref
         coords = mesh.element_node_coords()
         field = np.sin(coords[:, :, 0]) ** 2
-        total = element_integrals(field, geom, ref).sum()
+        total = (field * geom.quadrature_scale(ref)).sum()
         exact = 0.5 * (2 * np.pi) ** 3
         assert total == pytest.approx(exact, rel=1e-3)
 
@@ -239,5 +238,5 @@ class TestContractionsMatchKroneckerForm:
         expected = [
             math.fsum(field[e] * weights[e]) for e in range(field.shape[0])
         ]
-        got = element_integrals(field, geom, ref)
+        got = (field * geom.quadrature_scale(ref)).sum(axis=1)
         assert np.allclose(got, expected, rtol=1e-13, atol=1e-14)

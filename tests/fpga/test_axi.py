@@ -1,30 +1,10 @@
-"""AXI interface contention and the decoupling optimization."""
+"""Memory ports, burst cost and the decoupling optimization."""
 
 import pytest
 
 from repro.errors import FPGAError
-from repro.fpga.axi import (
-    AXIInterface,
-    MemoryPort,
-    burst_cycles,
-    gather_cycles,
-    interface_cycles,
-    task_memory_cycles,
-    update_loop_ii,
-)
-
-
-def gport(name, accesses=27):
-    return MemoryPort(
-        array=name,
-        pattern="gather",
-        values_per_iter=float(accesses),
-        accesses_per_iter=float(accesses),
-    )
-
-
-def sport(name, values=36):
-    return MemoryPort(array=name, pattern="stream", values_per_iter=float(values))
+from repro.fpga.axi import MemoryPort, burst_cycles, update_loop_ii
+from repro.fpga.ddr import DDR4_2400, streaming_cycles
 
 
 class TestPorts:
@@ -36,60 +16,10 @@ class TestPorts:
         with pytest.raises(FPGAError):
             MemoryPort(array="a", pattern="burst", values_per_iter=4)
 
-    def test_interface_width_validation(self):
-        AXIInterface(name="ok", width_bits=512)
-        with pytest.raises(FPGAError):
-            AXIInterface(name="bad", width_bits=123)
 
-
-class TestContention:
-    def test_shared_interface_serializes(self):
-        n = 10**6
-        alone = gather_cycles(gport("a"), n)
-        shared = interface_cycles([gport("a"), gport("b")], n)
-        assert shared == pytest.approx(2 * alone)
-
-    def test_parallel_interfaces_take_max(self):
-        n = 10**6
-        split = task_memory_cycles(
-            {"i1": [gport("a")], "i2": [gport("b")]}, n
-        )
-        assert split == pytest.approx(gather_cycles(gport("a"), n))
-
-    def test_parallelization_speedup(self):
-        """The paper's per-array assignment: 4 interfaces ~ 4x faster
-        than one shared interface for 4 equal gathers."""
-        n = 10**6
-        ports = [gport(f"a{i}") for i in range(4)]
-        shared = task_memory_cycles({"gmem": ports}, n)
-        split = task_memory_cycles(
-            {f"g{i}": [p] for i, p in enumerate(ports)}, n
-        )
-        assert shared / split == pytest.approx(4.0, rel=0.01)
-
-    def test_bandwidth_floor_applies(self):
-        """Many parallel interfaces cannot exceed aggregate DDR bandwidth."""
-        n = 10**6
-        huge = [
-            MemoryPort(
-                array=f"s{i}",
-                pattern="stream",
-                values_per_iter=1e6,
-            )
-            for i in range(16)
-        ]
-        cycles = task_memory_cycles(
-            {f"g{i}": [p] for i, p in enumerate(huge)}, n
-        )
-        total_bytes = 16 * 1e6 * 4
-        assert cycles >= total_bytes / (128.0 * 4)
-
-    def test_empty_assignment_is_free(self):
-        assert task_memory_cycles({}, 10**6) == 0.0
-
-    def test_stream_cost_is_burst(self):
-        n = 10**6
-        assert gather_cycles(sport("s", 32), n) == burst_cycles(32)
+class TestBurst:
+    def test_burst_streams_fp32_bytes(self):
+        assert burst_cycles(32) == streaming_cycles(32 * 4, DDR4_2400)
 
 
 class TestDecoupling:

@@ -15,7 +15,6 @@ from repro.hls.scheduler import (
     port_limited_ii,
     port_limiting_arrays,
     schedule_loop,
-    sequential_task_latency,
 )
 
 
@@ -99,13 +98,6 @@ class TestSequential:
         sched = schedule_loop(simple_loop(), DirectiveSet())
         assert not sched.pipelined
         assert sched.latency == 32 * 10
-
-    def test_sequential_task_latency_sums(self):
-        s1 = schedule_loop(simple_loop(), DirectiveSet())
-        s2 = schedule_loop(
-            simple_loop(name="l2"), DirectiveSet(pipeline=PipelineDirective())
-        )
-        assert sequential_task_latency([s1, s2]) == s1.latency + s2.latency
 
 
 class TestHelpers:

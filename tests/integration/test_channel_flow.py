@@ -47,17 +47,6 @@ class TestChannelMesh:
         # two walls of (k*p)^2 nodes each
         assert sim.operator.wall_nodes.size == 2 * 8 * 8
 
-    def test_io_roundtrip_preserves_axes(self, tmp_path):
-        from repro.mesh.io import load_mesh, save_mesh
-
-        mesh = channel_mesh(2, 2)
-        save_mesh(mesh, tmp_path / "chan.npz")
-        assert load_mesh(tmp_path / "chan.npz").periodic_axes == (
-            True,
-            True,
-            False,
-        )
-
 
 class TestShearDecay:
     def test_tracks_exact_solution(self, channel_run):

@@ -6,12 +6,10 @@ import pytest
 from repro.errors import MeshError
 from repro.mesh.boundary import (
     BoundaryTag,
-    apply_dirichlet,
-    boundary_node_ids,
     periodic_image_map,
     tag_box_boundaries,
 )
-from repro.mesh.hexmesh import box_mesh, periodic_box_mesh
+from repro.mesh.hexmesh import box_mesh, channel_mesh, periodic_box_mesh
 
 
 class TestTagging:
@@ -34,7 +32,7 @@ class TestTagging:
 
     def test_face_selection(self):
         mesh = box_mesh(2, 2)
-        ids = boundary_node_ids(mesh, BoundaryTag.X_MIN)
+        ids = np.nonzero(tag_box_boundaries(mesh) & int(BoundaryTag.X_MIN))[0]
         assert len(ids) == 25
         assert np.allclose(mesh.coords[ids, 0], 0.0)
 
@@ -42,6 +40,43 @@ class TestTagging:
         mesh = periodic_box_mesh(2, 2)
         with pytest.raises(MeshError):
             tag_box_boundaries(mesh)
+
+
+FACES = {
+    BoundaryTag.X_MIN: (0, 0.0),
+    BoundaryTag.X_MAX: (0, 2 * np.pi),
+    BoundaryTag.Y_MIN: (1, 0.0),
+    BoundaryTag.Y_MAX: (1, 2 * np.pi),
+    BoundaryTag.Z_MIN: (2, 0.0),
+    BoundaryTag.Z_MAX: (2, 2 * np.pi),
+}
+
+
+class TestFaces:
+    @pytest.mark.parametrize("face", list(FACES), ids=lambda f: f.name)
+    def test_face_holds_a_full_node_plane(self, face):
+        mesh = box_mesh(2, 3)  # 7 nodes per direction
+        ids = np.nonzero(tag_box_boundaries(mesh) & int(face))[0]
+        axis, bound = FACES[face]
+        assert len(ids) == 7**2
+        assert np.allclose(mesh.coords[ids, axis], bound)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_opposite_faces_disjoint(self, axis):
+        mesh = box_mesh(3, 1)
+        tags = tag_box_boundaries(mesh)
+        low, high = list(FACES)[2 * axis : 2 * axis + 2]
+        both = (tags & int(low)).astype(bool) & (tags & int(high)).astype(bool)
+        assert not both.any()
+
+    def test_channel_mesh_tags_only_walls(self):
+        mesh = channel_mesh(2, 2)
+        tags = tag_box_boundaries(mesh)
+        walls = int(BoundaryTag.Z_MIN | BoundaryTag.Z_MAX)
+        assert np.all(tags & ~walls == 0)
+        # x and y wrap (4 nodes each); z keeps both end planes (5 nodes)
+        assert mesh.num_nodes == 4 * 4 * 5
+        assert np.count_nonzero(tags) == 2 * 4 * 4
 
 
 class TestPeriodicImages:
@@ -63,11 +98,3 @@ class TestPeriodicImages:
         images = periodic_image_map(box)
         unique_images = len({p.image for p in images})
         assert periodic.num_nodes == box.num_nodes - unique_images
-
-
-class TestDirichlet:
-    def test_apply_sets_values(self):
-        field = np.zeros(10)
-        out = apply_dirichlet(field, np.array([1, 3]), 7.0)
-        assert out[1] == out[3] == 7.0
-        assert field[1] == 0.0  # original untouched

@@ -1,62 +1,41 @@
-"""Mesh adjacency and node-sharing queries."""
+"""Node-sharing statistics."""
 
-import numpy as np
 import pytest
 
-from repro.mesh.connectivity import (
-    average_node_multiplicity,
-    build_node_to_elements,
-    element_adjacency,
-    shared_node_counts,
-)
+from repro.mesh.connectivity import shared_node_counts
 from repro.mesh.hexmesh import box_mesh, periodic_box_mesh
 
 
-class TestNodeToElements:
-    def test_inverse_of_connectivity(self):
-        mesh = periodic_box_mesh(2, 2)
-        node_to_elems = build_node_to_elements(mesh)
-        for node, elems in enumerate(node_to_elems[:32]):
-            for elem in elems:
-                assert node in mesh.connectivity[elem]
-
-    def test_every_node_has_an_element(self):
-        mesh = periodic_box_mesh(3, 2)
-        node_to_elems = build_node_to_elements(mesh)
-        assert all(len(e) >= 1 for e in node_to_elems)
-
-
-class TestAdjacency:
-    def test_periodic_mesh_full_neighbourhood(self):
-        """On a 3^3 periodic mesh every element touches all others except
-        itself via corners (3x3x3 wrap)."""
-        mesh = periodic_box_mesh(3, 2)
-        adj = element_adjacency(mesh)
-        assert all(len(neighbors) == 26 for neighbors in adj)
-
-    def test_face_adjacency_on_box(self):
-        mesh = box_mesh(2, 2)
-        n1 = 3
-        face_adj = element_adjacency(mesh, min_shared_nodes=n1 * n1)
-        # corner element of a 2x2x2 box touches exactly 3 face-neighbours
-        assert all(len(neighbors) == 3 for neighbors in face_adj)
-
-    def test_adjacency_symmetric(self):
-        mesh = box_mesh(2, 2)
-        adj = element_adjacency(mesh)
-        for elem, neighbors in enumerate(adj):
-            for other in neighbors:
-                assert elem in adj[other]
-
-
 class TestMultiplicity:
-    def test_average_multiplicity_periodic(self):
-        mesh = periodic_box_mesh(3, 2)
-        avg = average_node_multiplicity(mesh)
-        # 27 nodes/element, p^3 = 8 unique nodes contributed per element
-        assert avg == pytest.approx(27 / 8)
-
     def test_histogram_total(self):
         mesh = periodic_box_mesh(2, 2)
         hist = shared_node_counts(mesh)
         assert hist.sum() - hist[0] == mesh.num_nodes
+
+    @pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (3, 2), (2, 4)])
+    def test_periodic_histogram_by_node_class(self, n, p):
+        """Per element: one vertex node (shared by 8), 3(p-1) edge nodes
+        (4), 3(p-1)^2 face nodes (2) and (p-1)^3 interior nodes (1)."""
+        mesh = periodic_box_mesh(n, p)
+        hist = shared_node_counts(mesh)
+        e = mesh.num_elements
+        expected = {
+            1: (p - 1) ** 3 * e,
+            2: 3 * (p - 1) ** 2 * e,
+            4: 3 * (p - 1) * e,
+            8: e,
+        }
+        assert {m: int(c) for m, c in enumerate(hist) if c} == {
+            m: c for m, c in expected.items() if c
+        }
+
+    def test_box_histogram(self):
+        """5 nodes per axis on a 2x2x2 box: only the middle plane of each
+        axis is shared, so multiplicity is 2 per middle coordinate."""
+        hist = shared_node_counts(box_mesh(2, 2))
+        assert {m: int(c) for m, c in enumerate(hist) if c} == {
+            1: 4**3,
+            2: 3 * 4**2,
+            4: 3 * 4,
+            8: 1,
+        }

@@ -7,7 +7,6 @@ from repro.errors import MeshError
 from repro.mesh.hexmesh import (
     HexMesh,
     box_mesh,
-    mesh_for_node_count,
     periodic_box_mesh,
 )
 
@@ -88,20 +87,6 @@ class TestCustomDomain:
         from repro.mesh.metrics import element_volumes
 
         assert element_volumes(mesh).sum() == pytest.approx(8.0, rel=1e-12)
-
-
-class TestMeshForNodeCount:
-    def test_reaches_target(self):
-        mesh = mesh_for_node_count(5_000)
-        assert mesh.num_nodes >= 5_000
-        smaller = periodic_box_mesh(
-            round((mesh.num_nodes ** (1 / 3)) / 2) - 1, 2
-        )
-        assert smaller.num_nodes < mesh.num_nodes
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(MeshError):
-            mesh_for_node_count(0)
 
 
 class TestValidation:

@@ -9,7 +9,6 @@ from repro.mesh.hexmesh import box_mesh, channel_mesh, periodic_box_mesh
 from repro.mesh.metrics import (
     element_min_spacing,
     element_volumes,
-    mesh_quality_report,
 )
 
 
@@ -97,19 +96,3 @@ class TestSpacingBitwise:
         if build is curved_box_mesh:
             # The perturbation reaches the spacing: elements differ.
             assert np.unique(spacing).size > 1
-
-
-class TestQualityReport:
-    def test_uniform_mesh_report(self):
-        mesh = periodic_box_mesh(3, 2)
-        report = mesh_quality_report(mesh)
-        assert report.num_elements == 27
-        assert report.is_uniform()
-        assert report.aspect_ratio_max == pytest.approx(1.0)
-        assert report.total_volume == pytest.approx((2 * np.pi) ** 3, rel=1e-12)
-
-    def test_anisotropic_mesh_aspect_ratio(self):
-        mesh = box_mesh(2, 2, domain=((0, 1), (0, 1), (0, 4)))
-        report = mesh_quality_report(mesh)
-        assert report.aspect_ratio_max == pytest.approx(4.0)
-        assert report.is_uniform()

@@ -6,8 +6,6 @@ import pytest
 from repro.errors import MeshError
 from repro.mesh.node_ordering import (
     corner_local_indices,
-    face_local_indices,
-    lexicographic_grid,
     local_node_index,
     local_node_triplet,
     nodes_per_direction,
@@ -32,6 +30,12 @@ class TestIndexing:
         with pytest.raises(MeshError):
             local_node_triplet(27, 3)
 
+    @pytest.mark.parametrize("n1", [2, 3, 4, 6])
+    def test_matches_numpy_c_order_with_z_slowest(self, n1):
+        iz, iy, ix = np.unravel_index(np.arange(n1**3), (n1, n1, n1))
+        for local, triplet in enumerate(zip(ix, iy, iz)):
+            assert local_node_index(*map(int, triplet), n1) == local
+
     def test_nodes_per_direction(self):
         assert nodes_per_direction(2) == 3
         with pytest.raises(MeshError):
@@ -53,31 +57,10 @@ class TestCorners:
             (0, 2, 2),
         ]
 
+    @pytest.mark.parametrize("n1", [2, 3, 5])
+    def test_corners_sit_on_the_extreme_planes(self, n1):
+        for corner in corner_local_indices(n1):
+            assert set(local_node_triplet(int(corner), n1)) <= {0, n1 - 1}
+
     def test_corners_distinct(self):
         assert len(set(corner_local_indices(4).tolist())) == 8
-
-
-class TestFaces:
-    @pytest.mark.parametrize(
-        "face", ["x-", "x+", "y-", "y+", "z-", "z+"]
-    )
-    def test_face_has_n1_squared_nodes(self, face):
-        nodes = face_local_indices(face, 3)
-        assert nodes.shape == (3, 3)
-        assert len(set(nodes.ravel().tolist())) == 9
-
-    def test_opposite_faces_disjoint(self):
-        lo = set(face_local_indices("x-", 3).ravel().tolist())
-        hi = set(face_local_indices("x+", 3).ravel().tolist())
-        assert not (lo & hi)
-
-    def test_unknown_face_rejected(self):
-        with pytest.raises(MeshError):
-            face_local_indices("w+", 3)
-
-
-class TestGrid:
-    def test_lexicographic_grid_matches_indexing(self):
-        grid = lexicographic_grid(3)
-        for local, (ix, iy, iz) in enumerate(grid):
-            assert local_node_index(int(ix), int(iy), int(iz), 3) == local

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import MeshError
-from repro.mesh.hexmesh import periodic_box_mesh
 from repro.mesh.partition import (
-    batch_node_working_set,
     element_blocks,
     partition_elements_balanced,
-    reuse_factor,
     slice_blocks,
 )
 
@@ -90,26 +87,3 @@ class TestBalanced:
     def test_more_parts_than_elements(self):
         parts = partition_elements_balanced(2, 5)
         assert sum(len(p) for p in parts) == 2
-
-
-class TestWorkingSet:
-    def test_full_mesh_working_set_is_all_nodes(self):
-        mesh = periodic_box_mesh(3, 2)
-        batch = np.arange(mesh.num_elements)
-        assert batch_node_working_set(mesh, batch) == mesh.num_nodes
-
-    def test_single_element_working_set(self):
-        mesh = periodic_box_mesh(3, 2)
-        assert batch_node_working_set(mesh, np.array([0])) == 27
-
-    def test_reuse_grows_with_batch(self):
-        mesh = periodic_box_mesh(4, 2)
-        small = reuse_factor(mesh, np.arange(1))
-        large = reuse_factor(mesh, np.arange(mesh.num_elements))
-        assert small == pytest.approx(1.0)
-        assert large == pytest.approx(27 / 8)
-
-    def test_out_of_range_batch_rejected(self):
-        mesh = periodic_box_mesh(2, 2)
-        with pytest.raises(MeshError):
-            batch_node_working_set(mesh, np.array([999]))

@@ -5,9 +5,7 @@ import pytest
 
 from repro.errors import PhysicsError
 from repro.physics.diagnostics import (
-    dissipation_rate_from_enstrophy,
     kinetic_energy,
-    kinetic_energy_decay_curve,
     total_mass,
     volume_average,
 )
@@ -64,20 +62,3 @@ class TestTGVEnergies:
         assert total_mass(state, mass_w) == pytest.approx(
             2.0 * (2 * np.pi) ** 3, rel=1e-12
         )
-
-
-class TestDissipation:
-    def test_enstrophy_relation(self):
-        assert dissipation_rate_from_enstrophy(5.0, 0.01, 1.0) == (
-            pytest.approx(0.1)
-        )
-
-    def test_negative_viscosity_rejected(self):
-        with pytest.raises(PhysicsError):
-            dissipation_rate_from_enstrophy(1.0, -0.1)
-
-    def test_decay_curve(self):
-        times = np.array([0.0, 1.0, 2.0])
-        curve = kinetic_energy_decay_curve(times, nu=0.1, initial=0.25)
-        assert curve[0] == pytest.approx(0.25)
-        assert np.allclose(curve, 0.25 * np.exp(-0.4 * times))

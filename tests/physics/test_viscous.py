@@ -1,15 +1,10 @@
-"""Viscous stress tensor, strain rate, vorticity."""
+"""Viscous stress tensor and vorticity."""
 
 import numpy as np
 import pytest
 
 from repro.errors import PhysicsError
-from repro.physics.viscous import (
-    strain_rate,
-    stress_tensor,
-    viscous_dissipation,
-    vorticity,
-)
+from repro.physics.viscous import stress_tensor, vorticity
 
 
 class TestStressTensor:
@@ -55,28 +50,33 @@ class TestStressTensor:
             stress_tensor(np.zeros((3, 2, 3)), 0.1)
 
 
+def dissipation(grad_u, viscosity):
+    """Viscous dissipation tau : grad u, per point."""
+    tau = stress_tensor(grad_u, viscosity)
+    return np.einsum("...ij,...ij->...", tau, grad_u)
+
+
 class TestDissipation:
-    def test_nonnegative_for_pure_shear(self):
+    def test_zero_without_viscosity(self, rng):
+        assert np.all(dissipation(rng.normal(size=(5, 3, 3)), 0.0) == 0.0)
+
+    def test_pure_shear_value(self):
+        # du/dy = s: tau:grad u = mu s^2.
         grad = np.zeros((1, 3, 3))
         grad[0, 0, 1] = 3.0
-        assert viscous_dissipation(grad, 0.2)[0] > 0.0
+        assert dissipation(grad, 0.5)[0] == pytest.approx(4.5)
 
     def test_random_fields_nonnegative(self, rng):
-        grad = rng.normal(size=(64, 3, 3))
-        phi = viscous_dissipation(grad, 0.05)
-        assert (phi >= -1e-12).all()
+        assert np.all(dissipation(rng.normal(size=(200, 3, 3)), 0.1) >= -1e-12)
 
-    def test_zero_without_viscosity(self, rng):
-        grad = rng.normal(size=(4, 3, 3))
-        assert np.allclose(viscous_dissipation(grad, 0.0), 0.0)
+    def test_rigid_rotation_dissipates_nothing(self):
+        grad = np.zeros((1, 3, 3))
+        grad[0, 0, 1] = -2.0
+        grad[0, 1, 0] = 2.0
+        assert dissipation(grad, 0.7)[0] == pytest.approx(0.0, abs=1e-14)
 
 
 class TestKinematics:
-    def test_strain_rate_symmetric_part(self, rng):
-        grad = rng.normal(size=(3, 3, 3))
-        s = strain_rate(grad)
-        assert np.allclose(s, 0.5 * (grad + np.swapaxes(grad, -1, -2)))
-
     def test_vorticity_of_rigid_rotation(self):
         # u = Omega x r with Omega = (0, 0, w): du/dy = -w, dv/dx = w
         grad = np.zeros((1, 3, 3))

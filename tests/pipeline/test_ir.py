@@ -76,6 +76,37 @@ class TestPipelineStructure:
             assert s.name in text
 
 
+class TestTopologicalOrder:
+    @pytest.mark.parametrize("fusion", ["none", "gather", "full"])
+    def test_every_stage_follows_its_producers(self, fusion):
+        p = navier_stokes_pipeline(fusion)
+        order = p.topological_order()
+        assert sorted(s.name for s in order) == sorted(s.name for s in p.stages)
+        position = {s.name: i for i, s in enumerate(order)}
+        produced_by = {out: s.name for s in p.stages for out in s.outputs}
+        for s in p.stages:
+            for name in s.inputs:
+                if name in produced_by:
+                    assert position[produced_by[name]] < position[s.name]
+
+    def test_consumer_declared_first_sorts_after_producer(self):
+        """Sources queue in stage order (``a`` before ``d``); ``c`` waits
+        for both of its producers."""
+        p = OperatorPipeline("p")
+        p.add_stage(stage("c", inputs=("a_out", "b_out")))
+        p.add_stage(stage("b", inputs=("a_out",)))
+        p.add_stage(stage("a"))
+        p.add_stage(stage("d"))
+        assert [s.name for s in p.topological_order()] == ["a", "d", "b", "c"]
+
+    def test_cycle_raises_pipeline_error(self):
+        p = OperatorPipeline("p")
+        p.stages.append(stage("a", inputs=("y",), outputs=("x",)))
+        p.stages.append(stage("b", inputs=("x",), outputs=("y",)))
+        with pytest.raises(PipelineError, match="contains a cycle"):
+            p.topological_order()
+
+
 class TestFusionRewrites:
     def test_base_pipeline_has_two_passes(self):
         p = navier_stokes_pipeline("none")

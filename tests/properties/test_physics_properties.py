@@ -22,7 +22,7 @@ from repro.physics.fluxes import (
 from repro.physics.gas import GasProperties
 from repro.physics.state import FlowState
 from repro.physics.taylor_green import DEFAULT_TGV, taylor_green_initial
-from repro.physics.viscous import stress_tensor, viscous_dissipation
+from repro.physics.viscous import stress_tensor
 from repro.pipeline.kernels import PipelineContext, pipeline_kernel
 from repro.pipeline.ir import Stage
 
@@ -92,9 +92,10 @@ class TestTensorProperties:
         mu=st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
     )
     @settings(max_examples=60, deadline=None)
-    def test_dissipation_nonnegative(self, grad, mu):
-        phi = viscous_dissipation(grad, mu)
-        assert (phi >= -1e-9).all()
+    def test_stress_dissipation_nonnegative(self, grad, mu):
+        """tau : grad u = 2 mu |dev(sym grad u)|^2 >= 0."""
+        tau = stress_tensor(grad, mu)
+        assert (np.einsum("...ij,...ij->...", tau, grad) >= -1e-9).all()
 
 
 class TestFluxProperties:

@@ -10,25 +10,14 @@ from repro.config import (
     Precision,
     RunConfig,
     SolverConfig,
-    cycles_from_seconds,
-    gib_per_s,
-    mhz,
     seconds_from_cycles,
 )
 from repro.errors import ConfigurationError
 
 
 class TestUnits:
-    def test_mhz(self):
-        assert mhz(150) == 150e6
-
-    def test_gib(self):
-        assert gib_per_s(1) == 1024**3
-
-    def test_cycle_conversions_roundtrip(self):
-        secs = seconds_from_cycles(1_000_000, mhz(100))
-        assert secs == pytest.approx(0.01)
-        assert cycles_from_seconds(secs, mhz(100)) == pytest.approx(1e6)
+    def test_seconds_from_cycles(self):
+        assert seconds_from_cycles(1_000_000, 100e6) == pytest.approx(0.01)
 
     def test_invalid_frequency(self):
         with pytest.raises(ConfigurationError):

@@ -20,7 +20,6 @@ class TestHierarchy:
             errors.DeadlockError,
             errors.HLSError,
             errors.DirectiveError,
-            errors.ResourceError,
             errors.FPGAError,
             errors.FloorplanError,
             errors.CalibrationError,
@@ -35,7 +34,6 @@ class TestHierarchy:
         assert issubclass(errors.DataflowValidationError, errors.DataflowError)
         assert issubclass(errors.DeadlockError, errors.DataflowError)
         assert issubclass(errors.DirectiveError, errors.HLSError)
-        assert issubclass(errors.ResourceError, errors.HLSError)
         assert issubclass(errors.FloorplanError, errors.FPGAError)
 
     def test_catchable_as_base(self):

@@ -11,7 +11,6 @@ from repro.timeint.butcher import (
     RK4_38,
     SSP_RK3,
     ButcherTableau,
-    tableau_by_name,
 )
 
 ALL = [FORWARD_EULER, HEUN2, SSP_RK3, RK4, RK4_38]
@@ -44,11 +43,6 @@ class TestRegistered:
         """sum b_i c_i^3 = 1/4 for order >= 4."""
         for tab in (RK4, RK4_38):
             assert np.dot(tab.b, tab.c**3) == pytest.approx(0.25)
-
-    def test_lookup(self):
-        assert tableau_by_name("rk4") is RK4
-        with pytest.raises(TimeIntegrationError):
-            tableau_by_name("rk99")
 
 
 class TestValidation:
