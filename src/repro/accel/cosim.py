@@ -41,7 +41,6 @@ rather than modeled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +50,12 @@ from ..dataflow.graph import DataflowGraph, merge_graphs
 from ..dataflow.simulator import DataflowSimulator, SimulationTrace
 from ..dataflow.task import BlockLatency, Task
 from ..errors import ExperimentError, PipelineError
-from ..fpga.floorplan import clock_for_floorplan
 from ..mesh.hexmesh import HexMesh, elements_for_node_count
-from ..mesh.partition import partition_elements_balanced, slice_blocks
+from ..mesh.partition import (
+    largest_part_size,
+    partition_elements_balanced,
+    slice_blocks,
+)
 from ..physics.state import NUM_CONSERVED, FlowState
 from ..pipeline import (
     DEFAULT_TASK_NAMES,
@@ -66,7 +68,7 @@ from ..pipeline import (
     streaming_actions,
 )
 from ..timeint.butcher import RK4, ButcherTableau
-from .designs import AcceleratorDesign, DesignTiming
+from .designs import AcceleratorDesign, DesignTiming, priced
 from .multi_cu import nodes_per_compute_unit
 
 
@@ -111,12 +113,12 @@ def design_timing(
         num_elements = elements_for_node_count(
             num_nodes, design.rkl.polynomial_order
         )
-    clock = clock_for_floorplan(design.floorplan_for(num_cus))
+    clock = design.clock_for(num_cus)
     hz = clock * 1e6
     rkl_cycles = analytic_block_cycles(
         design,
         nodes_per_compute_unit(num_nodes, num_cus),
-        math.ceil(num_elements / num_cus),
+        largest_part_size(num_elements, num_cus),
     )
     rku_cycles = design.rku_step_cycles(num_nodes)
     return DesignTiming(
@@ -166,6 +168,7 @@ def _tandem_cycles(role_cycles, count: int, block_size: int) -> float:
     return float(finish)
 
 
+@priced
 def analytic_block_cycles(
     design: AcceleratorDesign,
     num_nodes: int,
@@ -183,7 +186,8 @@ def analytic_block_cycles(
     paper's ``fill + II * (E - 1)``; the short tail block of a
     non-divisor split only perturbs the drain term. The baseline without
     element-level dataflow stays on its serial ``II_serial * E``
-    regardless of blocking (tasks run back-to-back either way).
+    regardless of blocking (tasks run back-to-back either way). Memoized
+    per design (:func:`~repro.accel.designs.priced`).
 
     Parameters
     ----------
@@ -214,6 +218,7 @@ def analytic_block_cycles(
     )
 
 
+@priced
 def analytic_rku_step_cycles(
     design: AcceleratorDesign,
     num_nodes: int,
@@ -229,7 +234,7 @@ def analytic_rku_step_cycles(
     fill charged to the first token: the closed form the design-space
     exploration's cheap tier uses so its promoted points agree with the
     exact tier at any mesh size, not just where the update loops
-    dominate.
+    dominate. Memoized per design, like :func:`analytic_block_cycles`.
 
     Raises :class:`~repro.errors.ExperimentError` on invalid sizes.
     """
@@ -1138,7 +1143,7 @@ def design_timing_from_rk_cosim(
     it. ``design`` must be the design the co-simulation ran.
     """
     num_cus = result.num_compute_units
-    clock = clock_for_floorplan(design.floorplan_for(num_cus))
+    clock = design.clock_for(num_cus)
     hz = clock * 1e6
     return DesignTiming(
         design_name=design.options.name,

@@ -17,7 +17,7 @@ removes.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 
 from ..errors import ExperimentError, HLSError
@@ -159,6 +159,28 @@ def _merge_node_loops(rkl: RKLKernelModel) -> LoopNest:
     )
 
 
+def priced(method):
+    """Memoize ``method(design, ...)`` in the design's price table,
+    keyed by the method and its arguments.
+
+    Sound because a design is never mutated after ``__post_init__``.
+    Dict results come back as copies; the others (numbers, floorplans,
+    resource vectors) are shared and must not be mutated.
+    """
+
+    @functools.wraps(method)
+    def lookup(design, *args, **kwargs):
+        key = (lookup, *args, *sorted(kwargs.items()))
+        table = design._prices
+        try:
+            value = table[key]
+        except KeyError:
+            value = table[key] = method(design, *args, **kwargs)
+        return dict(value) if type(value) is dict else value
+
+    return lookup
+
+
 @dataclass(frozen=True)
 class DesignTiming:
     """Seconds per time step of one design on one mesh size.
@@ -214,33 +236,37 @@ class AcceleratorDesign:
     clock_mhz: float = field(init=False)
 
     def __post_init__(self) -> None:
+        # The price table of :func:`priced`: a plain attribute, not a
+        # field, so equality, ``repr`` and fingerprints never see it.
+        self._prices: dict = {}
         self.floorplan = self.floorplan_for(1)
-        self.clock_mhz = clock_for_floorplan(self.floorplan)
+        self.clock_mhz = self.clock_for(1)
 
     # -- resource / power -----------------------------------------------------
 
-    @property
-    def kernel_resources(self) -> ResourceVector:
-        """RKL + RKU (excluding the static shell)."""
-        return self.rkl_resources + self.rku_resources
-
-    @property
-    def total_resources(self) -> ResourceVector:
-        """Post-P&R total including the shell (Table I accounting)."""
-        return self.kernel_resources + SHELL_RESOURCES
+    @priced
+    def resources_for(self, num_cus: int) -> ResourceVector:
+        """Post-P&R total of ``num_cus`` RKL CUs, one RKU and the shell
+        (Table I accounting at ``num_cus=1``)."""
+        return (
+            self.rkl_resources.scaled(num_cus)
+            + self.rku_resources
+            + SHELL_RESOURCES
+        )
 
     def utilization(self) -> dict[str, float]:
         """Percent utilization of the device per resource class (Table I
         row)."""
-        return self.total_resources.utilization_of(self.device.totals())
+        return self.resources_for(1).utilization_of(self.device.totals())
 
     def power_report(self, model: FPGAPowerModel | None = None) -> PowerReport:
         """Board power at this design's clock."""
         model = model or FPGAPowerModel()
-        return model.report(self.total_resources, self.clock_mhz)
+        return model.report(self.resources_for(1), self.clock_mhz)
 
     # -- placement --------------------------------------------------------------
 
+    @priced
     def floorplan_for(self, num_cus: int = 1) -> Floorplan:
         """Place ``num_cus`` RKL compute units and one RKU on this
         design's device — the one placement rule behind every clock.
@@ -282,6 +308,12 @@ class AcceleratorDesign:
             KernelPlacement("rku", self.rku_resources, slr=rku_slr)
         )
         return plan_floorplan(self.device, placements)
+
+    @priced
+    def clock_for(self, num_cus: int) -> float:
+        """Achieved kernel clock (MHz) of :meth:`floorplan_for`
+        ``(num_cus)``."""
+        return clock_for_floorplan(self.floorplan_for(num_cus))
 
     # -- RKL timing -------------------------------------------------------------
 
@@ -327,7 +359,6 @@ class AcceleratorDesign:
         ``fill = sum(depths) + overhead``, ``II_node = max(stage IIs)``;
         without it, the merged node loop's schedule applies directly.
         """
-        q = self.rkl.nodes_per_element
         overhead = self.calibration.pipeline_depth_overhead
         if self.options.node_dataflow:
             stages = [
@@ -341,6 +372,7 @@ class AcceleratorDesign:
         fill = merged.depth + overhead
         return float(fill), float(merged.achieved_ii)
 
+    @priced
     def rkl_element_cycles(self, num_nodes: int) -> dict[str, float]:
         """Per-element cycles of the three element-level tasks."""
         fill, node_ii = self.compute_task_cycles()
@@ -364,7 +396,21 @@ class AcceleratorDesign:
         stage graph. Group sums reproduce the role totals exactly, which
         keeps the lowered dataflow graph's cycle counts on the analytic
         pipeline laws.
+
+        The co-simulation lowers the same pipeline at the same node
+        count once per compute unit per call, so the split is memoized
+        in the price table. Pipeline names identify structure (rewrites
+        rename their results), so the stage-name tuple in the key is a
+        guard, not the discriminator.
         """
+        key = (
+            "_split_role_cycles",
+            pipeline.name,
+            tuple(stage.name for stage in pipeline.stages),
+            tuple(sorted(role_cycles.items())),
+        )
+        if key in self._prices:
+            return dict(self._prices[key])
         from ..pipeline.opcounts import pipeline_op_counts
 
         flops = {
@@ -390,30 +436,8 @@ class AcceleratorDesign:
                 out[stage.name] = share
                 assigned += share
             out[stages[-1].name] = total - assigned
-        return out
-
-    def _split_role_cycles_cached(
-        self, pipeline, role_cycles: dict[str, float]
-    ) -> dict[str, float]:
-        """Memoized :meth:`_split_role_cycles`.
-
-        The co-simulation lowers the same pipeline at the same node
-        count once per compute unit per call (and once per benchmark
-        repetition); the flop-weighted split only depends on the
-        pipeline's stages and the role totals, both hashable here.
-        Pipeline names identify structure (rewrites rename their
-        results), so the stage-name tuple in the key is a guard, not
-        the discriminator.
-        """
-        cache = self.__dict__.setdefault("_stage_split_cache", {})
-        key = (
-            pipeline.name,
-            tuple(stage.name for stage in pipeline.stages),
-            tuple(sorted(role_cycles.items())),
-        )
-        if key not in cache:
-            cache[key] = self._split_role_cycles(pipeline, role_cycles)
-        return dict(cache[key])
+        self._prices[key] = out
+        return dict(out)
 
     def pipeline_stage_cycles(
         self, pipeline, num_nodes: int
@@ -426,7 +450,7 @@ class AcceleratorDesign:
         totals, keeping the lowered dataflow graph's cycle counts on the
         analytic ``fill + II * (E - 1)`` model.
         """
-        return self._split_role_cycles_cached(
+        return self._split_role_cycles(
             pipeline, self.rkl_element_cycles(num_nodes)
         )
 
@@ -444,6 +468,7 @@ class AcceleratorDesign:
 
     # -- RKU timing ---------------------------------------------------------------
 
+    @priced
     def rku_fill_cycles(self) -> float:
         """First-node latency of the RKU kernel (fills + SLL crossings).
 
@@ -459,6 +484,7 @@ class AcceleratorDesign:
             sum(sched.depth + sll for sched in self.rku_schedules.values())
         )
 
+    @priced
     def rku_node_cycles(self, num_nodes: int) -> dict[str, float]:
         """Per-node cycles of the three streamed RKU roles.
 
@@ -490,7 +516,7 @@ class AcceleratorDesign:
         :meth:`pipeline_stage_cycles` — one latency model for both
         halves of the RK step, derived from the same IR.
         """
-        return self._split_role_cycles_cached(
+        return self._split_role_cycles(
             pipeline, self.rku_node_cycles(num_nodes)
         )
 

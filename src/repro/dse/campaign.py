@@ -15,11 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
 from ..errors import ConfigurationError, DSEError
 from ..fpga.device import DEVICE_REGISTRY
-from ..mesh.partition import element_blocks, partition_elements_balanced
+from ..mesh.partition import PARTITIONS, partition_elements
 from ..pipeline.navier_stokes import FUSIONS
 from ..precision import resolve_dtype
 
@@ -27,9 +25,6 @@ from ..precision import resolve_dtype
 #: triply periodic box, and the wall-bounded decaying shear flow on the
 #: channel mesh.
 CASES = ("tgv", "channel")
-
-#: Element-partition strategies for sharding the stream over CUs.
-PARTITIONS = ("balanced", "contiguous")
 
 
 @dataclass(frozen=True)
@@ -168,21 +163,11 @@ class DesignPoint:
         return self.infeasibility() is None
 
     def element_partitions(self) -> list:
-        """Element shards of this point's strategy, one per CU.
-
-        ``"balanced"`` splits near-equally; ``"contiguous"`` cuts
-        fixed-size runs (the DDR-burst-friendly split), whose final
-        shard may be short. When the fixed-size cut cannot fill every
-        CU (its ceil-sized batches exhaust the mesh early), the
-        near-equal split — itself contiguous — stands in, so the shard
-        count always matches ``num_cus``.
-        """
-        if self.partition == "contiguous":
-            batch = -(-self.num_elements // self.num_cus)  # ceil division
-            parts = element_blocks(np.arange(self.num_elements), batch)
-            if len(parts) == self.num_cus:
-                return parts
-        return partition_elements_balanced(self.num_elements, self.num_cus)
+        """Element shards of this point's strategy, one per CU
+        (:func:`~repro.mesh.partition.partition_elements`)."""
+        return partition_elements(
+            self.num_elements, self.num_cus, self.partition
+        )
 
     def mesh(self):
         """Build the point's mesh (TGV periodic box or channel)."""

@@ -33,6 +33,9 @@ def pareto_indices(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.size == 0:
         raise DSEError("pareto_indices needs a non-empty (n, k) matrix")
+    # Copies of a row share its fate, so the cull runs over the distinct
+    # rows only; a priced grid repeats each objective row several times.
+    rows, inverse = np.unique(values, axis=0, return_inverse=True)
     # Lexicographic sort puts every dominator before what it dominates
     # (a dominating row is <= everywhere, hence lex-smaller unless the
     # rows are equal — and equal rows never dominate each other). So a
@@ -40,12 +43,11 @@ def pareto_indices(values: np.ndarray) -> np.ndarray:
     # running front plus the chunk itself, turning the naive (n, n, k)
     # comparison into (n, |front|, k) — milliseconds even when thousand-
     # point grids reduce to a few dozen survivors.
-    n = len(values)
-    order = np.lexsort(values.T[::-1])
-    ranked = values[order]
-    dominated = np.zeros(n, dtype=bool)
-    front = np.empty((0, values.shape[1]))
-    for start in range(0, n, _CHUNK):
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    dominated = np.zeros(len(rows), dtype=bool)
+    front = np.empty((0, rows.shape[1]))
+    for start in range(0, len(rows), _CHUNK):
         block = ranked[start : start + _CHUNK]
         # Dominated by an established front member?
         le_all = (front[None, :, :] <= block[:, None, :]).all(axis=2)
@@ -58,7 +60,7 @@ def pareto_indices(values: np.ndarray) -> np.ndarray:
         dead |= (le_all & lt_any).any(axis=1)
         dominated[order[start : start + _CHUNK]] = dead
         front = np.concatenate([front, block[~dead]])
-    return np.flatnonzero(~dominated)
+    return np.flatnonzero(~dominated[inverse.reshape(-1)])
 
 
 def pareto_front(

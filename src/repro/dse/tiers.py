@@ -16,7 +16,7 @@ front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from ..accel.cosim import (
     analytic_block_cycles,
@@ -25,17 +25,12 @@ from ..accel.cosim import (
     exact_rkl_stage_cycles,
     exact_rku_step_cycles,
 )
-from ..accel.designs import (
-    PROPOSED_OPTIONS,
-    AcceleratorDesign,
-    SHELL_RESOURCES,
-    custom_design,
-)
+from ..accel.designs import PROPOSED_OPTIONS, AcceleratorDesign, custom_design
 from ..accel.multi_cu import nodes_per_compute_unit
 from ..backend.registry import require_serial_workers
 from ..errors import DSEError
 from ..fpga.device import device_by_name
-from ..fpga.floorplan import clock_for_floorplan
+from ..mesh.partition import largest_part_size
 from ..pipeline.navier_stokes import navier_stokes_pipeline
 from ..timeint.butcher import RK4
 from .campaign import DesignPoint
@@ -161,28 +156,13 @@ class PointResult:
         )
 
     def to_dict(self) -> dict:
-        """JSON-ready form (the cache's on-disk payload)."""
+        """JSON-ready form (the cache's on-disk payload): every field in
+        declaration order but ``from_cache``, the point last as its
+        :meth:`~repro.dse.campaign.DesignPoint.spec`."""
         out = {
-            field: getattr(self, field)
-            for field in (
-                "tier",
-                "step_cycles",
-                "rkl_stage_cycles",
-                "rku_step_cycles",
-                "clock_mhz",
-                "step_seconds",
-                "run_seconds",
-                "num_nodes",
-                "num_elements",
-                "lut",
-                "ff",
-                "bram36",
-                "uram",
-                "dsp",
-                "state_max_rel_err",
-                "status",
-                "error",
-            )
+            field.name: getattr(self, field.name)
+            for field in fields(self)
+            if field.name not in ("point", "from_cache")
         }
         out["point"] = self.point.spec()
         return out
@@ -198,25 +178,6 @@ class PointResult:
             raise DSEError(f"malformed cached result: {exc}") from None
 
 
-def _clock_and_resources(
-    point: DesignPoint, design: AcceleratorDesign
-) -> tuple[float, dict[str, float]]:
-    """Achieved clock and post-P&R totals of the point's floorplan."""
-    clock = clock_for_floorplan(design.floorplan_for(point.num_cus))
-    total = (
-        design.rkl_resources.scaled(point.num_cus)
-        + design.rku_resources
-        + SHELL_RESOURCES
-    )
-    return clock, {
-        "lut": total.lut,
-        "ff": total.ff,
-        "bram36": total.bram36,
-        "uram": total.uram,
-        "dsp": total.dsp,
-    }
-
-
 def _result(
     point: DesignPoint,
     tier: str,
@@ -225,7 +186,8 @@ def _result(
     state_err: float | None = None,
 ) -> PointResult:
     design = design_for(point)
-    clock, resources = _clock_and_resources(point, design)
+    clock = design.clock_for(point.num_cus)
+    total = design.resources_for(point.num_cus)
     step_cycles = rkl_stage * RK4.num_stages + rku_step
     step_seconds = step_cycles / (clock * 1e6)
     return PointResult(
@@ -239,8 +201,12 @@ def _result(
         run_seconds=step_seconds * point.num_steps,
         num_nodes=point.num_nodes,
         num_elements=point.num_elements,
+        lut=total.lut,
+        ff=total.ff,
+        bram36=total.bram36,
+        uram=total.uram,
+        dsp=total.dsp,
         state_max_rel_err=state_err,
-        **resources,
     )
 
 
@@ -262,7 +228,7 @@ def evaluate_closed_form(point: DesignPoint) -> PointResult:
     rkl_stage = analytic_block_cycles(
         design,
         nodes_per_cu,
-        max(part.size for part in point.element_partitions()),
+        largest_part_size(point.num_elements, point.num_cus),
         point.block_size,
     )
     return _result(

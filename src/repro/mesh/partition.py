@@ -12,6 +12,9 @@ import numpy as np
 
 from ..errors import MeshError
 
+#: Element-partition strategies for sharding the stream over CUs.
+PARTITIONS = ("balanced", "contiguous")
+
 
 def slice_blocks(start: int, stop: int, block_size: int) -> list[slice]:
     """Cut the contiguous range ``[start, stop)`` into consecutive
@@ -59,6 +62,15 @@ def element_blocks(elements: np.ndarray, block_size: int) -> list[np.ndarray]:
     return [elements[s] for s in slice_blocks(0, elements.size, block_size)]
 
 
+def largest_part_size(num_elements: int, num_parts: int) -> int:
+    """``ceil(num_elements / num_parts)``: the first and largest shard
+    of every :func:`partition_elements` strategy, so a closed form can
+    price the slowest compute unit without building the shards."""
+    if num_parts < 1:
+        raise MeshError("num_parts must be >= 1")
+    return -(-num_elements // num_parts)
+
+
 def partition_elements_balanced(num_elements: int, num_parts: int) -> list[np.ndarray]:
     """Split elements into ``num_parts`` near-equal contiguous parts.
 
@@ -78,3 +90,26 @@ def partition_elements_balanced(num_elements: int, num_parts: int) -> list[np.nd
         parts.append(np.arange(start, start + size, dtype=np.int64))
         start += size
     return parts
+
+
+def partition_elements(
+    num_elements: int, num_parts: int, strategy: str
+) -> list[np.ndarray]:
+    """Element shards of one of the :data:`PARTITIONS` strategies.
+
+    ``"balanced"`` splits near-equally; ``"contiguous"`` cuts fixed-size
+    runs of :func:`largest_part_size` elements (the DDR-burst-friendly
+    split), whose final shard may be short. When those runs cannot fill
+    every part, the near-equal split — itself contiguous — stands in,
+    so the shard count always matches ``num_parts``.
+    """
+    if strategy not in PARTITIONS:
+        raise MeshError(
+            f"partition must be one of {PARTITIONS}, got {strategy!r}"
+        )
+    if strategy == "contiguous":
+        batch = largest_part_size(num_elements, num_parts)
+        parts = element_blocks(np.arange(num_elements), batch)
+        if len(parts) == num_parts:
+            return parts
+    return partition_elements_balanced(num_elements, num_parts)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.dse.campaign import DesignPoint
 from repro.dse.pareto import pareto_front, pareto_indices
@@ -82,3 +84,41 @@ def test_empty_and_invalid_inputs():
         pareto_indices(np.array([]))
     with pytest.raises(DSEError):
         pareto_indices(np.array([1.0, 2.0]))
+
+
+@st.composite
+def duplicated_matrices(draw):
+    """Integer objective matrices of 1-700 rows, each a pick from a pool
+    of 1-700 rows of small integers, so copies are the norm."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0)))
+    columns = draw(st.integers(min_value=1, max_value=4))
+    pool = rng.integers(
+        0,
+        draw(st.integers(min_value=1, max_value=10)),
+        size=(draw(st.integers(min_value=1, max_value=700)), columns),
+    )
+    picks = rng.integers(
+        0, len(pool), size=draw(st.integers(min_value=1, max_value=700))
+    )
+    return pool[picks].astype(float)
+
+
+_RNG = np.random.default_rng(22)
+#: Random draws seldom keep more distinct rows than one 256-row chunk
+#: of the cull, so two fixed draws do: 700 rows over 10^4 values (680
+#: distinct), and 700 picks from a pool of 300 rows (268 distinct).
+_SPREAD = _RNG.integers(0, 10, size=(700, 4)).astype(float)
+_HEAVY = _RNG.integers(0, 10, size=(300, 4))[
+    _RNG.integers(0, 300, size=700)
+].astype(float)
+
+
+@given(values=duplicated_matrices())
+@example(values=_SPREAD)
+@example(values=_HEAVY)
+@settings(max_examples=150, deadline=None)
+def test_matches_naive_domination(values):
+    le_all = (values[None, :, :] <= values[:, None, :]).all(axis=2)
+    lt_any = (values[None, :, :] < values[:, None, :]).any(axis=2)
+    survivors = np.flatnonzero(~(le_all & lt_any).any(axis=1))
+    assert pareto_indices(values).tolist() == survivors.tolist()

@@ -1,9 +1,14 @@
 """Tier agreement: closed form vs exact schedule solve vs co-simulation."""
 
 import dataclasses
+import itertools
+import random
 
 import pytest
 
+from repro.accel.designs import proposed_design, vitis_baseline_design
+from repro.accel.multi_cu import max_compute_units
+from repro.dse import tiers
 from repro.dse.campaign import DesignPoint
 from repro.dse.tiers import (
     TIER_AGREEMENT_BOUNDS,
@@ -16,6 +21,7 @@ from repro.dse.tiers import (
     tier_agreement,
 )
 from repro.errors import DSEError
+from repro.fpga.device import DEVICE_REGISTRY
 
 #: Sampled sub-grid spanning both cases, both devices, orders, CU
 #: counts, and block sizes — small enough for tier-1, wide enough to
@@ -194,3 +200,63 @@ def test_timing_tiers_ignore_cosim_options():
         point, "closed-form", backend="fast", verify=False
     )
     assert routed == default
+
+
+#: Every pricing input of the timing tiers crossed, small meshes only:
+#: order, elements, block, CUs, device, fusion, partition and case.
+MEMO_GRID = [
+    point
+    for point in (
+        DesignPoint(
+            polynomial_order=order,
+            elements_per_direction=elements,
+            block_size=block,
+            num_cus=cus,
+            device=device,
+            fusion=fusion,
+            partition=partition,
+            case=case,
+        )
+        for order, elements, block, cus, device, fusion, partition, case in (
+            itertools.product(
+                (1, 2),
+                (2, 3),
+                (1, 4),
+                (1, 2, 3),
+                ("u200", "hbm"),
+                ("none", "full"),
+                ("balanced", "contiguous"),
+                ("tgv", "channel"),
+            )
+        )
+    )
+    if point.is_feasible
+]
+
+
+@pytest.mark.parametrize("tier", ["closed-form", "exact"])
+def test_price_tables_key_every_input(tier, monkeypatch):
+    """A design's price table serves every point the same result as a
+    freshly built design, whatever order filled it — which fails if a
+    table key leaves out an input the priced value depends on."""
+    warm = [evaluate_point(point, tier).to_dict() for point in MEMO_GRID]
+    shuffled = random.Random(22).sample(range(len(MEMO_GRID)), len(MEMO_GRID))
+    again = {i: evaluate_point(MEMO_GRID[i], tier).to_dict() for i in shuffled}
+    for i, point in enumerate(MEMO_GRID):
+        monkeypatch.setattr(tiers, "_DESIGN_CACHE", {})
+        fresh = evaluate_point(point, tier).to_dict()
+        assert again[i] == warm[i] == fresh
+
+
+@pytest.mark.parametrize("build", [proposed_design, vitis_baseline_design])
+@pytest.mark.parametrize("device", sorted(DEVICE_REGISTRY))
+def test_floorplan_and_clock_tables_match_fresh_designs(build, device):
+    board = DEVICE_REGISTRY[device]
+    counts = range(1, max_compute_units(board) + 1)
+    warm = build(board)
+    for num_cus in reversed(counts):  # fill the table out of order
+        warm.clock_for(num_cus)
+    for num_cus in counts:
+        fresh = build(board)
+        assert warm.floorplan_for(num_cus) == fresh.floorplan_for(num_cus)
+        assert warm.clock_for(num_cus) == fresh.clock_for(num_cus)

@@ -5,7 +5,10 @@ import pytest
 
 from repro.errors import MeshError
 from repro.mesh.partition import (
+    PARTITIONS,
     element_blocks,
+    largest_part_size,
+    partition_elements,
     partition_elements_balanced,
     slice_blocks,
 )
@@ -87,3 +90,32 @@ class TestBalanced:
     def test_more_parts_than_elements(self):
         parts = partition_elements_balanced(2, 5)
         assert sum(len(p) for p in parts) == 2
+
+
+class TestStrategies:
+    @pytest.mark.parametrize("strategy", PARTITIONS)
+    def test_largest_part_size_is_the_largest_shard(self, strategy):
+        for num_elements in range(1, 601):
+            for num_parts in range(1, min(4, num_elements) + 1):
+                parts = partition_elements(num_elements, num_parts, strategy)
+                assert len(parts) == num_parts
+                assert np.array_equal(
+                    np.concatenate(parts), np.arange(num_elements)
+                )
+                assert max(part.size for part in parts) == (
+                    largest_part_size(num_elements, num_parts)
+                )
+
+    def test_contiguous_cuts_fixed_runs(self):
+        sizes = [p.size for p in partition_elements(10, 4, "contiguous")]
+        assert sizes == [3, 3, 3, 1]
+        # ceil(9 / 4) = 3 fills only three parts: the balanced split
+        # stands in.
+        sizes = [p.size for p in partition_elements(9, 4, "contiguous")]
+        assert sizes == [3, 2, 2, 2]
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(MeshError):
+            partition_elements(8, 2, "round-robin")
+        with pytest.raises(MeshError):
+            largest_part_size(8, 0)

@@ -36,6 +36,8 @@ class ChainDesign:
         self.options = SimpleNamespace(element_dataflow=True)
         self._roles = {f"t{i}": c for i, c in enumerate(role_cycles)}
         self._fill = fill
+        # The closed forms memoize through the design's price table.
+        self._prices = {}
 
     def rkl_element_cycles(self, num_nodes):
         return dict(self._roles)
