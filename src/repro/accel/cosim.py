@@ -374,8 +374,10 @@ def _rkl_actions(pipeline, blocks, ctx, state, accumulator):
     scatter of the batched store kernel would make streaming quadratic
     in mesh size). The state's dtype streams unchanged and the
     accumulator's dtype picks the reduction precision, as in the
-    backends. Raises :class:`~repro.errors.PipelineError` unless the
-    pipeline's one external payload is the global state.
+    backends. STORE's 1-D index and pre-cast values keep the 2-D call's
+    flat order and bits, off numpy's slow generic ``ufunc.at`` loop.
+    Raises :class:`~repro.errors.PipelineError` unless the pipeline's
+    one external payload is the global state.
     """
     externals = pipeline.external_inputs()
     if len(externals) != 1:
@@ -388,12 +390,10 @@ def _rkl_actions(pipeline, blocks, ctx, state, accumulator):
 
     def store(stage, value, block_ctx, block):
         start = int(stage.param("field_start", 0))
+        nodes = block_ctx.connectivity.ravel()
+        value = value.astype(accumulator.dtype, copy=False)
         for field in range(value.shape[0]):
-            np.add.at(
-                accumulator[start + field],
-                block_ctx.connectivity,
-                value[field],
-            )
+            np.add.at(accumulator[start + field], nodes, value[field].ravel())
 
     return streaming_actions(
         pipeline, blocks, ctx.element_block,

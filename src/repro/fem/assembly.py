@@ -46,15 +46,15 @@ def scatter_add(
 
     Shared nodes receive the *sum* of all element contributions
     (direct stiffness summation). By default accumulation happens in
-    float64 via ``bincount`` (substantially faster than ``np.add.at``
-    for large meshes) and the result is cast back so the input dtype is
-    preserved — float32 streams accumulate wide and store narrow, the
-    ``"mixed"`` precision mode.
+    float64 via ``bincount`` and the result is cast back so the input
+    dtype is preserved — float32 streams accumulate wide and store
+    narrow, the ``"mixed"`` precision mode.
 
     ``accumulate_dtype=np.float32`` instead sums with ``np.add.at`` in
     float32, in flat element order — the device-faithful ``"float32"``
     reduction, bitwise-deterministic because ``ufunc.at`` is unbuffered
-    and applies contributions in index order.
+    and applies contributions in index order (a raveled 1-D index:
+    numpy's fast loop).
     """
     element_values = np.asarray(element_values)
     if element_values.shape != connectivity.shape:
@@ -69,7 +69,7 @@ def scatter_add(
         out = np.bincount(flat_idx, weights=flat_val, minlength=num_nodes)
     else:
         out = np.zeros(num_nodes, dtype=acc)
-        np.add.at(out, connectivity, element_values)
+        np.add.at(out, connectivity.ravel(), element_values.ravel())
     if element_values.dtype != out.dtype:
         out = out.astype(element_values.dtype)
     return out

@@ -501,3 +501,91 @@ class TestMultiCUCosim:
         assert cosimulate_rk_stage(
             proposed, mesh, verify=False
         ).num_compute_units == 1
+
+
+class TestStoreMatchesTheTwoDimensionalScatter:
+    """Each CU's STORE accumulates, bit for bit, what the per-field 2-D
+    ``np.add.at`` over the same contributions, in stream order, would."""
+
+    @pytest.mark.parametrize("engine", ["event", "vectorized"])
+    @pytest.mark.parametrize("layout", ["slice", "shuffled"])
+    @pytest.mark.parametrize(
+        "dtype, value_dtype, acc_dtype",
+        [
+            ("float32", np.float32, np.float32),
+            ("mixed", np.float32, np.float64),
+            ("float64", np.float64, np.float64),
+        ],
+    )
+    def test_accumulators_equal_oracle(
+        self, proposed, monkeypatch, engine, layout, dtype, value_dtype,
+        acc_dtype,
+    ):
+        from repro.accel import cosim
+        from repro.dataflow.simulator import DataflowSimulator
+        from repro.pipeline import PipelineContext
+
+        mesh = periodic_box_mesh(3, 2)  # 27 elements
+        op = Simulation(mesh, DEFAULT_TGV, dtype=dtype).operator
+        stacked = np.asarray(
+            taylor_green_initial(mesh.coords, DEFAULT_TGV).as_stacked(),
+            dtype=op.precision.storage,
+        )
+        assert op.precision.accumulate_for(stacked.dtype) == acc_dtype
+        elements = np.random.default_rng(5).permutation(mesh.num_elements)
+        partitions = {
+            "slice": partition_elements_balanced(mesh.num_elements, 2),
+            "shuffled": [elements[:11], elements[11:]],
+        }[layout]
+        shards = _RKLShards(
+            proposed, mesh.num_nodes, mesh.num_elements, block_size=4,
+            num_cus=None, partitions=partitions,
+        )
+        assert all(
+            isinstance(token, slice) == (layout == "slice")
+            for blocks in shards.blocks
+            for token in blocks
+        )
+
+        stored = {id(blocks): [] for blocks in shards.blocks}
+        lower = cosim.streaming_actions
+
+        def recording(pipeline, blocks, view, load, store, prepare=None):
+            def spy(stage, value, context, block):
+                stored[id(blocks)].append((
+                    int(stage.param("field_start", 0)),
+                    value.copy(),
+                    context.connectivity.copy(),
+                    np.arange(mesh.num_elements)[block],
+                ))
+                store(stage, value, context, block)
+
+            return lower(pipeline, blocks, view, load, spy, prepare)
+
+        monkeypatch.setattr(cosim, "streaming_actions", recording)
+        accumulators = [
+            np.zeros((5, mesh.num_nodes), dtype=acc_dtype)
+            for _ in range(shards.num_cus)
+        ]
+        graph, iterations = shards.graph(
+            "store-oracle",
+            ctx=PipelineContext.from_operator(op),
+            state=stacked,
+            accumulators=accumulators,
+        )
+        DataflowSimulator(graph).run(iterations, engine=engine)
+
+        for part, blocks, accumulator in zip(
+            partitions, shards.blocks, accumulators
+        ):
+            oracle = np.zeros((5, mesh.num_nodes), dtype=acc_dtype)
+            seen = []
+            for start, value, connectivity, block in stored[id(blocks)]:
+                assert value.dtype == value_dtype
+                seen.append(block)
+                for field in range(value.shape[0]):
+                    np.add.at(oracle[start + field], connectivity, value[field])
+            # every element of the shard stored once, in shard order
+            assert np.array_equal(np.concatenate(seen), part)
+            assert np.abs(oracle).max() > 0.0
+            assert np.array_equal(accumulator, oracle)

@@ -77,6 +77,26 @@ class TestGatherScatter:
             single = scatter_add(values[i], mesh.connectivity, mesh.num_nodes)
             assert np.allclose(many[i], single)
 
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_float32_accumulate_equals_2d_add_at(self, assembled, shuffle):
+        """The f32 reduction is bitwise the per-element 2-D ``np.add.at``
+        in flat element order, for strided values and permuted rows."""
+        mesh, _geom, _ref = assembled
+        rng = np.random.default_rng(11)
+        connectivity = mesh.connectivity
+        if shuffle:
+            connectivity = connectivity[rng.permutation(mesh.num_elements)]
+        values = rng.normal(size=(mesh.num_elements, 27, 2)).astype(
+            np.float32
+        )[..., 0]
+        out = scatter_add(
+            values, connectivity, mesh.num_nodes, accumulate_dtype=np.float32
+        )
+        oracle = np.zeros(mesh.num_nodes, dtype=np.float32)
+        np.add.at(oracle, connectivity, values)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, oracle)
+
     def test_shape_mismatch_rejected(self, assembled):
         mesh, _geom, _ref = assembled
         with pytest.raises(FEMError):

@@ -45,7 +45,7 @@ SMOKE_ARGS: dict[str, list[str]] = {
     "functional_cosim.py": [
         "2", "3", "--block-size", "4", "--num-cus", "2",
         "--num-steps", "2", "--engine", "vectorized",
-        "--backend", "fast", "--no-verify",
+        "--backend", "fast", "--no-verify", "--dtype", "mixed",
     ],
     "dse_campaign.py": [
         "--orders", "2", "--meshes", "2,3", "--blocks", "1,2",
