@@ -12,7 +12,8 @@ at three fidelities; this package makes the *space* cheap to sweep:
 - :mod:`repro.dse.fingerprint` — stable content fingerprints of
   configuration objects (the cache address and BENCH metadata);
 - :mod:`repro.dse.cache` — the content-addressed result cache
-  (in-memory + atomic on-disk JSON, hit/miss accounting);
+  (in-memory + atomic on-disk segments of JSON rows, hit/miss
+  accounting);
 - :mod:`repro.dse.pareto` — vectorized Pareto-front extraction
   (cycles vs LUT/DSP/BRAM);
 - :mod:`repro.dse.pool` — the fault-tolerant

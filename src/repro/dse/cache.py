@@ -11,13 +11,19 @@ one float of the mesh arithmetic — misses by construction.
 Entries live in memory always and, when a directory is configured, in
 **segment files**, one per write: a pool batch's results, or the one
 result of :meth:`ResultCache.put`. Each line is a record,
-``<key> <crc32> <json body>``; the CRC32 and the closing newline detect
-a torn or bit-rotted record. A segment is published atomically (temp
-file, then :func:`os.replace` onto a name derived from its content), so
-concurrent writers can never expose a torn one. ``<key>.json`` files
-left by older versions are ignored. A reader indexes the directory on
-its first lookup and keeps parsed results; pool workers only write, so
-they never pay for the scan.
+``<key> <crc32> <row>``; the CRC32 and the closing newline detect a torn
+or bit-rotted record. The row is compact JSON in declaration order,
+``[[<DesignPoint fields>], <PointResult fields>]`` (the columns of
+:data:`~repro.dse.campaign.POINT_FIELDS` and
+:data:`~repro.dse.tiers.RESULT_FIELDS`), so no field name is spelled
+out per record. A segment is published atomically (temp file, then
+:func:`os.replace` onto a name derived from its content), so concurrent
+writers can never expose a torn one. Its name carries the schema,
+``<digest>.v<SCHEMA_VERSION>.seg``: a reader indexes only its own
+schema's segments and leaves other files — other schemas' segments, the
+``<key>.json`` files of older versions — alone. A reader indexes the
+directory on its first lookup and keeps parsed results; pool workers
+only write, so they never pay for the scan.
 
 The cache degrades instead of failing: a corrupted / truncated /
 unreadable record is a **miss** (counted in ``stats.corrupt``, then
@@ -42,18 +48,26 @@ from pathlib import Path
 
 from ..errors import DSEError
 from ..testing import faults
-from .campaign import DesignPoint
+from .campaign import POINT_FIELDS, DesignPoint
 from .fingerprint import fingerprint
-from .tiers import PointResult, TIERS
+from .tiers import RESULT_FIELDS, TIERS, PointResult
 
 #: Bump when the on-disk payload shape changes; part of every key, so a
 #: schema change invalidates (rather than misreads) old entries.
 #: 2: PointResult grew ``status``/``error`` (quarantined-failure fields).
 #: 3: segment files; closed-form cycles priced by the O(tasks) form.
-SCHEMA_VERSION = 3
+#: 4: records are fixed-order JSON rows; the schema tags the suffix.
+SCHEMA_VERSION = 4
 
-#: Suffix of a published segment file.
-_SEGMENT_SUFFIX = ".seg"
+#: Suffix of a published segment file of this schema.
+_SEGMENT_SUFFIX = f".v{SCHEMA_VERSION}.seg"
+
+#: Compact JSON, one encoder and one decoder for every record.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_DECODER = json.JSONDecoder()
+
+#: A row: the point's columns as one list, then the result's columns.
+_ROW_LENGTH = 1 + len(RESULT_FIELDS)
 
 
 @lru_cache(maxsize=65536)
@@ -84,10 +98,11 @@ def _served(result: PointResult) -> PointResult:
 
 
 def _record(key: str, result: PointResult) -> str:
-    """One segment line: key, CRC32 of the body, the JSON body."""
-    body = json.dumps(
-        result.to_dict(), sort_keys=True, separators=(",", ":")
-    )
+    """One segment line: key, CRC32 of the row, the row."""
+    point = result.point
+    row = [[getattr(point, name) for name in POINT_FIELDS]]
+    row += [getattr(result, name) for name in RESULT_FIELDS]
+    body = _ENCODER.encode(row)
     return f"{key} {zlib.crc32(body.encode()):08x} {body}\n"
 
 
@@ -97,8 +112,19 @@ def _parse(line: bytes) -> tuple[str, PointResult]:
     key, crc, body = line.split(b" ", 2)
     if int(crc, 16) != zlib.crc32(body):
         raise ValueError("record checksum mismatch")
-    data = dict(json.loads(body), from_cache=True)
-    return key.decode(), PointResult.from_dict(data)
+    # Rows are ASCII (the encoder escapes the rest), so decoding the
+    # bytes directly skips ``json.loads``'s encoding sniffing.
+    row = _DECODER.decode(body.decode())
+    if not (
+        type(row) is list
+        and len(row) == _ROW_LENGTH
+        and type(row[0]) is list
+        and len(row[0]) == len(POINT_FIELDS)
+    ):
+        raise DSEError("malformed cached result row")
+    # DesignPoint validates its fields, so a foreign row fails here.
+    point = DesignPoint(*row[0])
+    return key.decode(), PointResult(point, *row[1:], from_cache=True)
 
 
 @dataclass
@@ -154,7 +180,8 @@ class ResultCache:
         return self._directory
 
     def _index(self) -> None:
-        """Load every valid record of the directory's segments.
+        """Load every valid record of the directory's segments of this
+        schema (other files are left alone).
 
         Entries already in memory win (same content either way). A bad
         record counts in ``stats.corrupt``; a segment with no valid

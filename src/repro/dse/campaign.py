@@ -131,9 +131,7 @@ class DesignPoint:
     def spec(self) -> dict:
         """The point as a plain dict — the cache key and BENCH metadata
         form (field order fixed by the dataclass definition)."""
-        return {
-            field.name: getattr(self, field.name) for field in fields(self)
-        }
+        return {name: getattr(self, name) for name in POINT_FIELDS}
 
     # -- feasibility ---------------------------------------------------------
 
@@ -175,6 +173,12 @@ class DesignPoint:
 
         build = periodic_box_mesh if self.case == "tgv" else channel_mesh
         return build(self.elements_per_direction, self.polynomial_order)
+
+
+#: The :class:`DesignPoint` fields in declaration order — the key order
+#: of :meth:`DesignPoint.spec` and the column order of a point in the
+#: cache's record rows.
+POINT_FIELDS = tuple(field.name for field in fields(DesignPoint))
 
 
 @dataclass(frozen=True)
@@ -235,13 +239,12 @@ class CampaignSpec:
                     f"unknown campaign backend {self.backend!r}; "
                     f"available: {', '.join(known)}"
                 )
-        point_fields = {field.name for field in fields(DesignPoint)}
         seen: set[str] = set()
         for axis_name, values in self.axes:
-            if axis_name not in point_fields:
+            if axis_name not in POINT_FIELDS:
                 raise DSEError(
                     f"unknown campaign axis {axis_name!r}; design-point "
-                    f"fields: {', '.join(sorted(point_fields))}"
+                    f"fields: {', '.join(sorted(POINT_FIELDS))}"
                 )
             if axis_name in seen:
                 raise DSEError(f"duplicate campaign axis {axis_name!r}")

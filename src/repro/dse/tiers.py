@@ -156,26 +156,22 @@ class PointResult:
         )
 
     def to_dict(self) -> dict:
-        """JSON-ready form (the cache's on-disk payload): every field in
-        declaration order but ``from_cache``, the point last as its
+        """JSON-ready form: every field in declaration order but
+        ``from_cache``, the point last as its
         :meth:`~repro.dse.campaign.DesignPoint.spec`."""
-        out = {
-            field.name: getattr(self, field.name)
-            for field in fields(self)
-            if field.name not in ("point", "from_cache")
-        }
+        out = {name: getattr(self, name) for name in RESULT_FIELDS}
         out["point"] = self.point.spec()
         return out
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PointResult":
-        """Inverse of :meth:`to_dict`."""
-        try:
-            data = dict(payload)
-            point = DesignPoint(**data.pop("point"))
-            return cls(point=point, **data)
-        except (KeyError, TypeError) as exc:
-            raise DSEError(f"malformed cached result: {exc}") from None
+
+#: The :class:`PointResult` fields a result carries besides its point
+#: and provenance, in declaration order — the column order of
+#: :meth:`PointResult.to_dict` and of the cache's record rows.
+RESULT_FIELDS = tuple(
+    field.name
+    for field in fields(PointResult)
+    if field.name not in ("point", "from_cache")
+)
 
 
 def _result(

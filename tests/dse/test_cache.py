@@ -7,11 +7,27 @@ import multiprocessing
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.dse.cache import ResultCache, cache_key
-from repro.dse.campaign import DesignPoint
-from repro.dse.tiers import evaluate_closed_form
+from repro.dse.cache import (
+    _SEGMENT_SUFFIX,
+    ResultCache,
+    _parse,
+    _record,
+    cache_key,
+)
+from repro.dse.campaign import CASES, PARTITIONS, POINT_FIELDS, DesignPoint
+from repro.dse.tiers import (
+    RESULT_FIELDS,
+    TIERS,
+    PointResult,
+    evaluate_closed_form,
+)
 from repro.errors import DSEError
+from repro.fpga.device import DEVICE_REGISTRY
+from repro.pipeline.navier_stokes import FUSIONS
+from repro.precision import DTYPE_MODES
 
 POINT = DesignPoint(polynomial_order=2, elements_per_direction=2)
 
@@ -102,15 +118,149 @@ def _segment_line(key, body):
     return f"{key} {zlib.crc32(body.encode()):08x} {body}\n"
 
 
+def _row(result):
+    """The record row of a result, built from the public field orders."""
+    spec = result.point.spec()
+    fields = result.to_dict()
+    return [[spec[name] for name in POINT_FIELDS]] + [
+        fields[name] for name in RESULT_FIELDS
+    ]
+
+
+def _roundtrip(key, result):
+    return _parse(_record(key, result).rstrip("\n").encode())
+
+
 def test_put_writes_one_checksummed_segment(tmp_path):
     cache = ResultCache(tmp_path)
     result = evaluate_closed_form(POINT)
     cache.store(POINT, "closed-form", result)
     (segment,) = _segments(tmp_path)
+    assert segment.name.endswith(".v4.seg")
     key, crc, body = segment.read_text().rstrip("\n").split(" ", 2)
     assert key == cache_key(POINT, "closed-form")
     assert int(crc, 16) == zlib.crc32(body.encode())
-    assert json.loads(body) == result.to_dict()
+    assert json.loads(body) == _row(result)
+    assert body == json.dumps(_row(result), separators=(",", ":"))
+
+
+def test_point_result_roundtrips_through_a_record():
+    fresh = evaluate_closed_form(DesignPoint(elements_per_direction=2))
+    key, back = _roundtrip("k", fresh)
+    assert key == "k"
+    assert back == dataclasses.replace(fresh, from_cache=True)
+    with pytest.raises(DSEError, match="malformed"):
+        line = _segment_line("k", '{"tier":"closed-form"}')
+        _parse(line.rstrip("\n").encode())
+
+
+_points = st.builds(
+    DesignPoint,
+    polynomial_order=st.integers(1, 5),
+    elements_per_direction=st.integers(1, 6),
+    block_size=st.integers(1, 64),
+    num_cus=st.integers(1, 4),
+    device=st.sampled_from(sorted(DEVICE_REGISTRY)),
+    fusion=st.sampled_from(FUSIONS),
+    partition=st.sampled_from(PARTITIONS),
+    num_steps=st.integers(1, 100),
+    case=st.sampled_from(CASES),
+    precision=st.sampled_from(DTYPE_MODES),
+)
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_ok_results = st.builds(
+    PointResult,
+    point=_points,
+    tier=st.sampled_from(TIERS),
+    step_cycles=_floats,
+    rkl_stage_cycles=_floats,
+    rku_step_cycles=_floats,
+    clock_mhz=_floats,
+    step_seconds=_floats,
+    run_seconds=_floats,
+    num_nodes=st.integers(1, 10**9),
+    num_elements=st.integers(1, 10**9),
+    lut=_floats,
+    ff=_floats,
+    bram36=_floats,
+    uram=_floats,
+    dsp=_floats,
+    state_max_rel_err=st.none() | _floats,
+)
+_errors = st.text() | st.sampled_from(
+    [
+        'worker died: "SIGKILL"',
+        "line one\nline two",
+        "pr\u00e9cision \u2260 \u8a2d\u8a08",
+    ]
+)
+_failed_results = st.builds(
+    PointResult.failed, _points, st.sampled_from(TIERS), _errors
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(result=_ok_results | _failed_results)
+def test_record_roundtrip_property(result):
+    """Every result, ok or failed, on every tier, survives the codec:
+    one line per record, every field equal, served as cached."""
+    key = cache_key(result.point, result.tier)
+    line = _record(key, result)
+    assert line.endswith("\n") and line.count("\n") == 1
+    parsed_key, back = _roundtrip(key, result)
+    assert parsed_key == key
+    assert back.to_dict() == result.to_dict()
+    assert back.from_cache
+
+
+def test_flipping_any_body_byte_fails_the_parse():
+    line = _record("k", evaluate_closed_form(POINT)).rstrip("\n").encode()
+    start = line.index(b" ", line.index(b" ") + 1) + 1
+    for position in range(start, len(line)):
+        for mask in range(1, 256):
+            bad = bytearray(line)
+            bad[position] ^= mask
+            with pytest.raises((ValueError, TypeError, DSEError)):
+                _parse(bytes(bad))
+
+
+@pytest.mark.parametrize(
+    "reshape",
+    [
+        lambda row: row + [None],
+        lambda row: row[:-1],
+        lambda row: [row[0][:-1]] + row[1:],
+        lambda row: [row[0] + ["extra"]] + row[1:],
+        lambda row: [dict(zip(POINT_FIELDS, row[0]))] + row[1:],
+    ],
+    ids=["long", "short", "short-point", "long-point", "dict-point"],
+)
+def test_wrong_shape_row_is_a_counted_miss(tmp_path, reshape):
+    key = cache_key(POINT, "closed-form")
+    row = reshape(_row(evaluate_closed_form(POINT)))
+    (tmp_path / f"reshaped{_SEGMENT_SUFFIX}").write_text(
+        _segment_line(key, json.dumps(row, separators=(",", ":")))
+    )
+    cache = ResultCache(tmp_path)
+    assert cache.get(key) is None
+    assert cache.stats.corrupt == 1
+
+
+def test_other_schema_segments_are_left_alone(tmp_path):
+    """A segment of an older schema (a schema-3 ``<digest>.seg`` of
+    sorted-key JSON objects) is neither read nor counted nor removed."""
+    key = cache_key(POINT, "closed-form")
+    body = json.dumps(
+        evaluate_closed_form(POINT).to_dict(),
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    old = tmp_path / ("0" * 32 + ".seg")
+    old.write_text(_segment_line(key, body))
+    cache = ResultCache(tmp_path)
+    assert cache.get(key) is None
+    assert cache.stats.corrupt == 0
+    assert old.exists()
 
 
 def test_put_many_writes_one_segment_per_batch(tmp_path):
@@ -154,7 +304,7 @@ def test_corrupt_entry_is_a_miss_and_recovers(tmp_path):
     exception."""
     cache = ResultCache(tmp_path)
     key = cache_key(POINT, "closed-form")
-    path = tmp_path / "garbage.seg"
+    path = tmp_path / f"garbage{_SEGMENT_SUFFIX}"
     path.write_text("{not json")
     assert cache.get(key) is None
     assert cache.stats.corrupt == 1
@@ -177,9 +327,12 @@ def test_bad_record_spares_its_segment_mates(tmp_path):
         for p in points
     )
     (segment,) = _segments(tmp_path)
-    lines = segment.read_text().splitlines(keepends=True)
-    lines[1] = lines[1].replace('"tier"', '"tieR"')  # CRC now mismatches
-    segment.write_text("".join(lines))
+    lines = segment.read_bytes().splitlines(keepends=True)
+    bad = bytearray(lines[1])
+    body_start = bad.index(b"[")
+    bad[body_start + 5] ^= 0x01  # a body byte: the CRC now mismatches
+    lines[1] = bytes(bad)
+    segment.write_bytes(b"".join(lines))
     fresh = ResultCache(tmp_path)
     assert fresh.lookup(points[1], "closed-form") is None
     assert fresh.lookup(points[0], "closed-form") is not None
@@ -207,7 +360,7 @@ def test_wrong_schema_payload_is_a_miss(tmp_path):
     crash."""
     cache = ResultCache(tmp_path)
     key = cache_key(POINT, "closed-form")
-    (tmp_path / "foreign.seg").write_text(
+    (tmp_path / f"foreign{_SEGMENT_SUFFIX}").write_text(
         _segment_line(key, '{"tier": "closed-form"}')
     )
     assert cache.get(key) is None
@@ -219,7 +372,7 @@ def test_unreadable_entry_is_a_miss(tmp_path):
     miss rather than raising."""
     cache = ResultCache(tmp_path)
     key = cache_key(POINT, "closed-form")
-    path = tmp_path / "unreadable.seg"
+    path = tmp_path / f"unreadable{_SEGMENT_SUFFIX}"
     path.write_text(_segment_line(key, "{}"))
     path.chmod(0)
     try:

@@ -12,7 +12,6 @@ from repro.dse import tiers
 from repro.dse.campaign import DesignPoint
 from repro.dse.tiers import (
     TIER_AGREEMENT_BOUNDS,
-    PointResult,
     design_for,
     evaluate_closed_form,
     evaluate_cosim,
@@ -134,14 +133,6 @@ def test_run_seconds_scales_with_steps():
     three = evaluate_closed_form(dataclasses.replace(one.point, num_steps=3))
     assert three.step_cycles == one.step_cycles
     assert three.run_seconds == pytest.approx(3 * one.run_seconds)
-
-
-def test_point_result_roundtrips_through_dict():
-    fresh = evaluate_closed_form(DesignPoint(elements_per_direction=2))
-    back = PointResult.from_dict(fresh.to_dict())
-    assert back == fresh
-    with pytest.raises(DSEError, match="malformed"):
-        PointResult.from_dict({"tier": "closed-form"})
 
 
 def _spy_on_fast_many_kernels(monkeypatch):
