@@ -223,5 +223,7 @@ def test_artifact_written(timings, recovery):
     }
     ARTIFACT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True))
     written = json.loads(ARTIFACT_PATH.read_text())
-    assert written["supervision_overhead"] <= MAX_OVERHEAD
+    # The artifact records the ratio; its floor is asserted once, by
+    # test_supervision_overhead_floor.
+    assert written["supervision_overhead"] == overhead
     assert written["recovery"]["num_failed"] == 0

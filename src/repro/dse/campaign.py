@@ -284,12 +284,25 @@ class CampaignSpec:
         :class:`~repro.errors.DSEError` if the whole grid is
         infeasible.
         """
+        # Each check of ``DesignPoint.__post_init__`` reads one field, so
+        # checking (and canonicalizing) each axis value once checks every
+        # grid point. Checking the first point, then the rest last axis
+        # first, raises the error of the first bad point in grid order.
+        first = replace(self.base, **{a: vs[0] for a, vs in self.axes})
+        grids = [
+            [getattr(replace(first, **{axis: v}), axis) for v in values]
+            for axis, values in reversed(self.axes)
+        ][::-1]
         names = [axis for axis, _ in self.axes]
-        grids = [values for _, values in self.axes]
+        row = first.spec()
         points: list[DesignPoint] = []
         skipped: list[tuple[DesignPoint, str]] = []
         for combo in itertools.product(*grids):
-            point = replace(self.base, **dict(zip(names, combo)))
+            row.update(zip(names, combo))
+            # Declaration order, as ``__init__``: a compact attribute dict.
+            point = object.__new__(DesignPoint)
+            for name in POINT_FIELDS:
+                object.__setattr__(point, name, row[name])
             reason = point.infeasibility()
             if reason is None:
                 points.append(point)

@@ -35,30 +35,23 @@ def pareto_indices(values: np.ndarray) -> np.ndarray:
         raise DSEError("pareto_indices needs a non-empty (n, k) matrix")
     # Copies of a row share its fate, so the cull runs over the distinct
     # rows only; a priced grid repeats each objective row several times.
+    # ``np.unique`` sorts them lexicographically, every dominator before
+    # what it dominates, and between distinct rows <= in every column
+    # means < in one. So one pass over sorted chunks tests each row with
+    # <= against the running front and its own chunk: (n, |front|, k)
+    # comparisons, not the naive (n, n, k).
     rows, inverse = np.unique(values, axis=0, return_inverse=True)
-    # Lexicographic sort puts every dominator before what it dominates
-    # (a dominating row is <= everywhere, hence lex-smaller unless the
-    # rows are equal — and equal rows never dominate each other). So a
-    # single pass over sorted chunks only ever needs to test against the
-    # running front plus the chunk itself, turning the naive (n, n, k)
-    # comparison into (n, |front|, k) — milliseconds even when thousand-
-    # point grids reduce to a few dozen survivors.
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
     dominated = np.zeros(len(rows), dtype=bool)
     front = np.empty((0, rows.shape[1]))
     for start in range(0, len(rows), _CHUNK):
-        block = ranked[start : start + _CHUNK]
-        # Dominated by an established front member?
-        le_all = (front[None, :, :] <= block[:, None, :]).all(axis=2)
-        lt_any = (front[None, :, :] < block[:, None, :]).any(axis=2)
-        dead = (le_all & lt_any).any(axis=1)
-        # ... or by another row of this chunk (transitivity makes a
-        # dominated dominator equivalent to its own dominator).
-        le_all = (block[:, None, :] >= block[None, :, :]).all(axis=2)
-        lt_any = (block[:, None, :] > block[None, :, :]).any(axis=2)
-        dead |= (le_all & lt_any).any(axis=1)
-        dominated[order[start : start + _CHUNK]] = dead
+        block = rows[start : start + _CHUNK]
+        # Dominated by a front member or another row of this chunk? (A
+        # dominated dominator's own dominator dominates the row too.)
+        dead = (front[None] <= block[:, None]).all(axis=2).any(axis=1)
+        within = (block[None] <= block[:, None]).all(axis=2)
+        np.fill_diagonal(within, False)
+        dead |= within.any(axis=1)
+        dominated[start : start + _CHUNK] = dead
         front = np.concatenate([front, block[~dead]])
     return np.flatnonzero(~dominated[inverse.reshape(-1)])
 

@@ -15,6 +15,7 @@ from repro.dse.cache import (
     ResultCache,
     _parse,
     _record,
+    _served,
     cache_key,
 )
 from repro.dse.campaign import CASES, PARTITIONS, POINT_FIELDS, DesignPoint
@@ -65,6 +66,8 @@ def test_memory_hit_miss_accounting():
     assert cache.stats.writes == 1
     hit = cache.lookup(POINT, "closed-form")
     assert hit is not None and hit.from_cache
+    assert hit == dataclasses.replace(result, from_cache=True)
+    assert not result.from_cache
     assert cache.stats.hits == 1
     assert cache.stats.hit_rate == 0.5
 
@@ -211,6 +214,51 @@ def test_record_roundtrip_property(result):
     assert parsed_key == key
     assert back.to_dict() == result.to_dict()
     assert back.from_cache
+
+
+@settings(max_examples=100, deadline=None)
+@given(result=_ok_results | _failed_results)
+def test_row_filled_results_equal_constructed_ones(result):
+    """Results filled straight from their columns (a parsed record, the
+    memory layer's served copy) are the ``PointResult(...)``-built
+    result: equal, field for field, and flagged as cached."""
+    columns = [getattr(result, name) for name in RESULT_FIELDS]
+    built = PointResult(result.point, *columns, from_cache=True)
+    _, parsed = _roundtrip("k", result)
+    for back in (parsed, _served(result.point, columns)):
+        assert back == built
+        assert [getattr(back, f.name) for f in dataclasses.fields(back)] == [
+            getattr(built, f.name) for f in dataclasses.fields(built)
+        ]
+        assert back.from_cache is True
+        assert list(vars(back)) == list(vars(built))
+        assert hash(back.point) == hash(built.point)
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [
+        ("device", "versal"),
+        ("num_cus", 0),
+        ("fusion", "warp"),
+        ("precision", "f16"),
+        ("polynomial_order", "2"),
+    ],
+)
+def test_foreign_point_row_fails_the_parse(column, value):
+    row = _row(evaluate_closed_form(POINT))
+    row[0][POINT_FIELDS.index(column)] = value
+    body = json.dumps(row, separators=(",", ":"))
+    with pytest.raises(DSEError):
+        _parse(_segment_line("k", body).rstrip("\n").encode())
+
+
+def test_parsed_point_is_canonicalized():
+    row = _row(evaluate_closed_form(POINT))
+    row[0][POINT_FIELDS.index("precision")] = "f32"
+    body = json.dumps(row, separators=(",", ":"))
+    _, back = _parse(_segment_line("k", body).rstrip("\n").encode())
+    assert back.point.precision == "float32"
 
 
 def test_flipping_any_body_byte_fails_the_parse():

@@ -1,10 +1,24 @@
 """Design points and campaign expansion: arithmetic, validation, feasibility."""
 
+import dataclasses
+import itertools
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.dse.campaign import CampaignSpec, DesignPoint
+from repro.dse.campaign import (
+    CASES,
+    PARTITIONS,
+    POINT_FIELDS,
+    CampaignSpec,
+    DesignPoint,
+)
 from repro.errors import DSEError
+from repro.fpga.device import DEVICE_REGISTRY
+from repro.pipeline.navier_stokes import FUSIONS
 
 
 def test_default_point_is_feasible():
@@ -147,3 +161,135 @@ def test_spec_dict_is_json_ready():
 
     spec = CampaignSpec(name="t", axes=(("num_cus", (1, 2)),))
     json.dumps(spec.spec())
+
+
+#: Candidate values per field: every valid value of the string fields
+#: (every precision spelling included), small and large ints, and a few
+#: invalid members.
+_CANDIDATES = {
+    "polynomial_order": (0, 1, 2, 3, 5),
+    "elements_per_direction": (0, 1, 2, 3, 8),
+    "block_size": (0, 1, 8, 64),
+    "num_cus": (0, 1, 2, 3, 4, 5),
+    "device": (*sorted(DEVICE_REGISTRY), "versal"),
+    "fusion": (*FUSIONS, "warp"),
+    "partition": (*PARTITIONS, "striped"),
+    "num_steps": (0, 1, 100),
+    "case": (*CASES, "cavity"),
+    "precision": (
+        "float64", "f64", "fp64", "double", "float32", "f32", "fp32",
+        "single", "mixed", " Mixed ", "f16",
+    ),
+}
+
+
+def _valid(name, value):
+    try:
+        DesignPoint(**{name: value})
+    except DSEError:
+        return False
+    return True
+
+
+#: The individually valid candidates of each field.
+_VALID = {
+    name: [v for v in values if _valid(name, v)]
+    for name, values in _CANDIDATES.items()
+}
+
+
+def _longhand(spec):
+    """Expansion the obvious way: build and validate every grid point."""
+    names = [axis for axis, _ in spec.axes]
+    points, skipped = [], []
+    for combo in itertools.product(*(values for _, values in spec.axes)):
+        point = dataclasses.replace(spec.base, **dict(zip(names, combo)))
+        reason = point.infeasibility()
+        if reason is None:
+            points.append(point)
+        else:
+            skipped.append((point, reason))
+    if not points:
+        raise DSEError(
+            f"campaign {spec.name!r} expands to no feasible points "
+            f"({len(skipped)} skipped)"
+        )
+    return points, skipped
+
+
+def _outcome(expand):
+    try:
+        return expand()
+    except DSEError as exc:
+        return str(exc)
+
+
+@st.composite
+def _specs(draw):
+    base = DesignPoint(
+        **{name: draw(st.sampled_from(vs)) for name, vs in _VALID.items()}
+    )
+    names = draw(
+        st.lists(st.sampled_from(POINT_FIELDS), max_size=5, unique=True)
+    )
+    # Mostly valid axis values; now and then an invalid one, so the
+    # error a bad value raises is compared too.
+    axes = tuple(
+        (
+            name,
+            tuple(
+                draw(
+                    st.lists(
+                        st.sampled_from(_VALID[name])
+                        | st.sampled_from(_CANDIDATES[name]),
+                        min_size=1,
+                        max_size=4,
+                    )
+                )
+            ),
+        )
+        for name in names
+    )
+    return CampaignSpec(name="prop", axes=axes, base=base)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_specs())
+def test_expand_matches_a_point_by_point_build(spec):
+    """Checking each axis value once and filling the product points
+    directly gives exactly the points, order, skipped reasons and errors
+    of building and validating every point."""
+    got = _outcome(spec.expand)
+    want = _outcome(lambda: _longhand(spec))
+    if isinstance(want, str):
+        assert got == want
+        return
+    (points, skipped), (want_points, want_skipped) = got, want
+    assert points == want_points
+    assert [reason for _, reason in skipped] == [
+        reason for _, reason in want_skipped
+    ]
+    assert [point for point, _ in skipped] == [
+        point for point, _ in want_skipped
+    ]
+    for point, built in zip(
+        points + [p for p, _ in skipped],
+        want_points + [p for p, _ in want_skipped],
+    ):
+        assert repr(point) == repr(built)
+        rebuilt = DesignPoint(*point.spec().values())
+        assert point == rebuilt
+        assert hash(point) == hash(rebuilt)
+        assert repr(point) == repr(rebuilt)
+        assert list(vars(point)) == list(POINT_FIELDS)
+        assert pickle.loads(pickle.dumps(point)) == point
+
+
+def test_every_pair_of_valid_fields_makes_a_valid_point():
+    """``CampaignSpec.expand`` checks each axis value on its own and
+    never validates the product points: sound only while every check of
+    ``DesignPoint.__post_init__`` reads one field. A check spanning two
+    fields would reject some pair of individually valid values here."""
+    for first, second in itertools.combinations(POINT_FIELDS, 2):
+        for a, b in itertools.product(_VALID[first], _VALID[second]):
+            DesignPoint(**{first: a, second: b})

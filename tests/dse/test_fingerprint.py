@@ -8,6 +8,7 @@ import pytest
 from repro.config import SolverConfig
 from repro.dse.fingerprint import canonicalize, fingerprint
 from repro.dse.campaign import DesignPoint
+from repro.dse.tiers import TIERS
 from repro.errors import DSEError
 
 
@@ -91,3 +92,36 @@ def test_canonical_form_is_json_ready():
         {"point": DesignPoint(), "values": (1, 2.5, np.float64(3.5))}
     )
     json.dumps(canonical)  # must not raise
+
+
+def test_cache_keys_are_pinned():
+    """The cache keys of the default point, one per tier, as published
+    under schema 4: a change to the canonical form that moves a digest
+    orphans every cache on disk."""
+    from repro.dse.cache import SCHEMA_VERSION, cache_key
+
+    assert SCHEMA_VERSION == 4
+    assert {tier: cache_key(DesignPoint(), tier) for tier in TIERS} == {
+        "closed-form": "cf51eb07d9ec8520ddd555da24b7ce32"
+        "2392fd80528e9b441ad3a6283f905a70",
+        "exact": "30626e0fd5f8e62a934fb7cc5ce3c7e6"
+        "19c00b5c17474ad2c2c9fba561b98d92",
+        "cosim": "6f2b2fc742409a003e23d6c79039b88a"
+        "9522724b6daea3d5c024a867c834baf3",
+    }
+
+
+def test_subclass_values_canonicalize_like_their_base_type():
+    """Mapping subclasses and numpy scalars canonicalize to the same
+    form as the plain dict and Python values they stand for."""
+    import collections
+
+    plain = {"b": [1, "x", True, None], "a": 2}
+    ordered = collections.OrderedDict(
+        [
+            ("a", np.int64(2)),
+            ("b", (np.int32(1), np.str_("x"), np.bool_(True), None)),
+        ]
+    )
+    assert canonicalize(ordered) == canonicalize(plain)
+    assert fingerprint(ordered) == fingerprint(plain)

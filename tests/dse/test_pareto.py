@@ -111,11 +111,15 @@ _SPREAD = _RNG.integers(0, 10, size=(700, 4)).astype(float)
 _HEAVY = _RNG.integers(0, 10, size=(300, 4))[
     _RNG.integers(0, 300, size=700)
 ].astype(float)
+#: Signed, fractional objectives: the cull leans on ``np.unique``'s
+#: lexicographic row order, which must hold below zero too.
+_SIGNED = _RNG.normal(size=(600, 3)).round(1)
 
 
 @given(values=duplicated_matrices())
 @example(values=_SPREAD)
 @example(values=_HEAVY)
+@example(values=_SIGNED)
 @settings(max_examples=150, deadline=None)
 def test_matches_naive_domination(values):
     le_all = (values[None, :, :] <= values[:, None, :]).all(axis=2)
