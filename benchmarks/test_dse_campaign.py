@@ -11,9 +11,9 @@ just recorded:
 * **Cache speedup** — re-running the identical campaign against the
   populated content-addressed cache must be at least ``MIN_WARM_SPEEDUP``
   faster and serve at least ``MIN_WARM_HIT_RATE`` of lookups from cache.
-* **Parallel speedup** — the closed-form sweep with 4 pool workers must
-  beat the serial sweep by ``MIN_PARALLEL_SPEEDUP`` (only checked on
-  machines with >= 4 CPUs; CI runners qualify).
+* **Parallel speedup** — the supervised pool with 4 workers must price
+  the closed-form grid ``MIN_PARALLEL_SPEEDUP`` faster than with one
+  (only checked on machines with >= 4 CPUs; CI runners qualify).
 * **Tier agreement** — no promoted point may violate the ladder's
   agreement bounds (closed-form vs exact < 2%, exact vs cosim < 5%).
 
@@ -36,6 +36,7 @@ import pytest
 from repro.dse import (
     CampaignSpec,
     ResultCache,
+    SupervisedPool,
     prewarm_designs,
     run_campaign,
 )
@@ -99,16 +100,24 @@ def campaign(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def parallel_seconds():
-    """Serial vs pooled closed-form sweep on fresh (memory-only) caches.
+    """The supervised pool at 1 vs ``PARALLEL_WORKERS`` workers over the
+    campaign's closed-form grid in 32-point batches.
 
-    Designs are prewarmed first so both timings measure sweep execution,
-    not the shared one-off design builds."""
-    prewarm_designs(CAMPAIGN.expand()[0])
+    Campaigns price the grid in the parent and run only their cosim
+    tier on the pool, so the floor times the pool itself. Designs are
+    prewarmed first so both timings measure sweep execution, not the
+    shared one-off design builds."""
+    points = CAMPAIGN.expand()[0]
+    prewarm_designs(points)
+    items = list(enumerate(points))
+    batches = [items[start : start + 32] for start in range(0, len(items), 32)]
     timings = {}
     for workers in (1, PARALLEL_WORKERS):
         start = time.perf_counter()
-        run_campaign(CAMPAIGN, workers=workers, highest_tier="closed-form")
+        with SupervisedPool(workers) as pool:
+            priced, failures = pool.run("closed-form", batches)
         timings[workers] = time.perf_counter() - start
+        assert len(priced) == len(points) and not failures
     return timings
 
 
@@ -177,7 +186,7 @@ def test_warm_results_match_cold(campaign):
 def test_parallel_sweep_floor(parallel_seconds):
     speedup = parallel_seconds[1] / parallel_seconds[PARALLEL_WORKERS]
     print(
-        f"closed-form sweep: serial {parallel_seconds[1]:.2f}s -> "
+        f"pooled closed-form sweep: 1 worker {parallel_seconds[1]:.2f}s -> "
         f"{PARALLEL_WORKERS} workers "
         f"{parallel_seconds[PARALLEL_WORKERS]:.2f}s ({speedup:.2f}x)"
     )

@@ -2,12 +2,15 @@
 
 The supervised pool (per-batch deadlines, dead-worker respawn, retry
 with backoff, quarantine) replaced the bare ``ProcessPoolExecutor``
-sweep. Robustness must not tax the happy path, so this benchmark
-enforces:
+sweep. Campaigns now run only their cosim tier on it, but the pool
+itself stays tier-agnostic, and its fixed cost shows best on many cheap
+points, so this benchmark times the pool directly on a chunked
+closed-form workload and enforces:
 
 * **Supervision overhead** — a fault-free 960-point closed-form sweep
-  under the supervised pool must cost at most ``MAX_OVERHEAD`` more
-  wall time than an inline reconstruction of the old unsupervised
+  on :meth:`SupervisedPool.run <repro.dse.pool.SupervisedPool.run>`
+  plus its Pareto front must cost at most ``MAX_OVERHEAD`` more wall
+  time than an inline reconstruction of the old unsupervised
   ``ProcessPoolExecutor`` sweep over the identical chunked workload.
 * **Recovery works at scale** — the same sweep with two injected
   worker crashes still completes with zero casualties and results
@@ -31,8 +34,8 @@ import pytest
 from repro.dse import (
     CampaignSpec,
     RetryPolicy,
+    SupervisedPool,
     prewarm_designs,
-    run_campaign,
 )
 from repro.dse.pareto import pareto_front
 from repro.dse.tiers import evaluate_point
@@ -87,6 +90,22 @@ def _baseline_sweep(points):
     return results, pareto_front(results)
 
 
+def _supervised_sweep(points):
+    """The same chunked sweep on the supervised pool: index-tagged
+    batches, results merged in grid order, then the same front.
+
+    Returns ``(results, front, failures, stats)``.
+    """
+    items = list(enumerate(points))
+    batches = [
+        items[start : start + CHUNK] for start in range(0, len(items), CHUNK)
+    ]
+    with SupervisedPool(WORKERS, retry=RETRY) as pool:
+        priced, failures = pool.run("closed-form", batches)
+    results = [priced[index] for index in sorted(priced)]
+    return results, pareto_front(results), failures, pool.stats
+
+
 @pytest.fixture(scope="module")
 def points():
     feasible, _ = CAMPAIGN.expand()
@@ -100,7 +119,7 @@ def points():
 @pytest.fixture(scope="module")
 def timings(points):
     """Best-of-N wall times for the unsupervised baseline and the
-    supervised campaign over the identical workload."""
+    supervised sweep over the identical workload."""
     baseline_seconds, supervised_seconds = [], []
     supervised = baseline = None
     for _ in range(REPEATS):
@@ -109,13 +128,7 @@ def timings(points):
         baseline_seconds.append(time.perf_counter() - start)
 
         start = time.perf_counter()
-        supervised = run_campaign(
-            CAMPAIGN,
-            workers=WORKERS,
-            highest_tier="closed-form",
-            chunk_size=CHUNK,
-            retry=RETRY,
-        )
+        supervised = _supervised_sweep(points)
         supervised_seconds.append(time.perf_counter() - start)
     return {
         "baseline_seconds": min(baseline_seconds),
@@ -138,13 +151,7 @@ def recovery(points, timings):
     ]
     with injected_faults(*plan) as active:
         start = time.perf_counter()
-        result = run_campaign(
-            CAMPAIGN,
-            workers=WORKERS,
-            highest_tier="closed-form",
-            chunk_size=CHUNK,
-            retry=RETRY,
-        )
+        result = _supervised_sweep(points)
         seconds = time.perf_counter() - start
     assert active.total_fired() == 2, "both crashes must actually fire"
     return {
@@ -158,14 +165,12 @@ def test_supervised_matches_baseline_results(timings):
     """Supervision must be numerically invisible: identical per-point
     pricing and identical Pareto front."""
     base_results, base_front = timings["baseline"]
-    supervised = timings["supervised"]
-    assert [r.to_dict() for r in supervised.results] == [
+    results, front, failures, _ = timings["supervised"]
+    assert [r.to_dict() for r in results] == [
         r.to_dict() for r in base_results
     ]
-    assert [r.point for r in supervised.front] == [
-        r.point for r in base_front
-    ]
-    assert not supervised.failures
+    assert [r.point for r in front] == [r.point for r in base_front]
+    assert not failures
 
 
 def test_supervision_overhead_floor(timings):
@@ -185,15 +190,15 @@ def test_supervision_overhead_floor(timings):
 
 
 def test_crashed_campaign_recovers_identically(timings, recovery):
-    """Two mid-sweep worker crashes: the campaign respawns, retries, and
+    """Two mid-sweep worker crashes: the pool respawns, retries, and
     finishes with zero casualties and bitwise-identical pricing."""
-    supervised = timings["supervised"]
-    result = recovery["result"]
-    assert not result.failures
-    assert result.supervision.crashes >= 2
-    assert result.supervision.respawns >= 2
-    assert [r.to_dict() for r in result.results] == [
-        r.to_dict() for r in supervised.results
+    supervised_results = timings["supervised"][0]
+    results, _, failures, stats = recovery["result"]
+    assert not failures
+    assert stats.crashes >= 2
+    assert stats.respawns >= 2
+    assert [r.to_dict() for r in results] == [
+        r.to_dict() for r in supervised_results
     ]
     print(
         f"recovered sweep (2 crashes at batches {recovery['crash_batches']})"
@@ -203,11 +208,12 @@ def test_crashed_campaign_recovers_identically(timings, recovery):
 
 
 def test_artifact_written(timings, recovery):
-    supervised = timings["supervised"]
+    supervised_results = timings["supervised"][0]
+    _, _, failures, stats = recovery["result"]
     overhead = timings["supervised_seconds"] / timings["baseline_seconds"]
     payload = {
         "benchmark": "fault_tolerance",
-        "num_feasible": len(supervised.results),
+        "num_feasible": len(supervised_results),
         "workers": WORKERS,
         "chunk_size": CHUNK,
         "baseline_seconds": timings["baseline_seconds"],
@@ -217,8 +223,8 @@ def test_artifact_written(timings, recovery):
         "recovery": {
             "seconds": recovery["seconds"],
             "crash_batches": recovery["crash_batches"],
-            "supervision": recovery["result"].supervision.to_dict(),
-            "num_failed": len(recovery["result"].failures),
+            "supervision": stats.to_dict(),
+            "num_failed": len(failures),
         },
     }
     ARTIFACT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True))

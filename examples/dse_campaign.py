@@ -9,13 +9,14 @@ vectorized schedule solve, and co-simulates the finalists with real
 payloads — reporting the front, the cross-tier agreement, and the
 cache economics of a warm re-run.
 
-``--workers`` shards the grid sweep over a supervised process pool
-(crashed or hung workers are respawned and their batches retried, so a
-bad point is quarantined instead of killing the sweep); ``--tier``
+The grid prices in this process; ``--workers`` sizes the supervised
+process pool the co-simulated finalists run on (crashed or hung
+workers are respawned and their points retried, so a bad point is
+quarantined instead of killing the sweep); ``--tier``
 caps the evaluation ladder; ``--cache-dir`` persists results across
 runs (content-addressed, so any changed parameter re-prices);
 ``--resume`` continues a killed campaign from its checkpoint journal
-(requires ``--cache-dir``) with pure cache hits on completed batches;
+(requires ``--cache-dir``) with pure cache hits on persisted work;
 ``--retries`` and ``--batch-timeout`` tune the supervision policy;
 ``--json`` writes the campaign summary for downstream tooling.
 
@@ -108,7 +109,8 @@ def main() -> None:
         "--workers",
         type=int,
         default=1,
-        help="process-pool width for the grid sweep (1 = in-process)",
+        help="supervised-pool width for the cosim tier (the grid "
+        "prices in this process)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -120,21 +122,21 @@ def main() -> None:
         "--resume",
         action="store_true",
         help="resume a killed campaign from its checkpoint journal "
-        "(requires --cache-dir); completed batches replay from cache",
+        "(requires --cache-dir); persisted points replay from cache",
     )
     parser.add_argument(
         "--retries",
         type=int,
         default=2,
-        help="supervised-pool retry budget per batch before bisection "
-        "and quarantine",
+        help="supervised-pool retry budget per cosim point before "
+        "quarantine",
     )
     parser.add_argument(
         "--batch-timeout",
         type=float,
         default=120.0,
-        help="per-batch deadline in seconds; a batch still running when "
-        "it expires is treated as hung and retried (0 disables)",
+        help="per-point cosim deadline in seconds; a point still running "
+        "when it expires is treated as hung and retried (0 disables)",
     )
     parser.add_argument(
         "--json",

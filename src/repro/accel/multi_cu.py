@@ -43,7 +43,7 @@ def max_compute_units(device: FPGADevice = ALVEO_U200) -> int:
     constant — an HBM-class board with more memory-attached SLRs admits
     ``N > 2`` configurations with no code change here.
     """
-    return len(device.ddr_attached_slrs())
+    return device.num_ddr_attached_slrs
 
 
 def nodes_per_compute_unit(num_nodes: int, num_compute_units: int) -> int:

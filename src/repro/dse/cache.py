@@ -115,11 +115,14 @@ def _parse(line: bytes) -> tuple[str, PointResult]:
     key, crc, body = line.split(b" ", 2)
     if int(crc, 16) != zlib.crc32(body):
         raise ValueError("record checksum mismatch")
-    # Rows are ASCII (the encoder escapes the rest), so decoding the
-    # bytes directly skips ``json.loads``'s encoding sniffing.
-    row = _DECODER.decode(body.decode())
+    # Rows are ASCII (the encoder escapes the rest) and never padded:
+    # ``raw_decode`` skips the sniffing and whitespace scans of
+    # ``json.loads``, and any byte after the row is a bad record.
+    text = body.decode()
+    row, end = _DECODER.raw_decode(text)
     if not (
-        type(row) is list
+        end == len(text)
+        and type(row) is list
         and len(row) == _ROW_LENGTH
         and type(row[0]) is list
         and len(row[0]) == len(POINT_FIELDS)

@@ -138,7 +138,7 @@ class DesignPoint:
     def infeasibility(self) -> str | None:
         """Why this point cannot be realized, or ``None`` if it can."""
         device = DEVICE_REGISTRY[self.device]
-        limit = len(device.ddr_attached_slrs())
+        limit = device.num_ddr_attached_slrs
         if self.num_cus > limit:
             return (
                 f"{self.num_cus} CUs exceed the {limit} memory-attached "

@@ -1,38 +1,34 @@
-"""Campaign execution: the supervised tiered sweep and its checkpoints.
+"""Campaign execution: the tiered sweep, its supervision and checkpoints.
 
 :func:`run_campaign` drives the whole ladder for one
 :class:`~repro.dse.campaign.CampaignSpec`:
 
-1. **closed-form tier** over every feasible grid point, sharded in
-   chunked batches over a :class:`~repro.dse.pool.SupervisedPool` —
-   dead workers are respawned, hung batches hit per-batch deadlines,
-   faulted batches retry with capped exponential backoff and bisect
-   down to the offending point, and points that exhaust the retry
-   budget are **quarantined** as structured
-   :class:`~repro.dse.tiers.PointResult` failures. A campaign always
-   completes with an explicit casualty list, never an unhandled worker
-   exception. Batches are index-tagged and merged in campaign order,
-   so the result list is deterministic regardless of worker count,
-   retries, or completion order.
+1. **closed-form tier** over every feasible grid point;
 2. **exact tier** on the Pareto front's best ``max_survivors`` points
    (the vectorized schedule solve), each checked against its
-   closed-form pricing within the <2% parity bound.
+   closed-form pricing within the <2% parity bound;
 3. **cosim tier** on the best ``max_cosim`` exact survivors (full
    payload-carrying co-simulation), each checked against its exact
    pricing within the <5% bound.
 
-Promoted-tier evaluations run in the parent under the same quarantine
-rule: a raising point becomes a ``status="failed"`` casualty, not a
-dead campaign.
+Where a tier's misses run is one rule, in :func:`_evaluate_tier`. The
+cosim tier — whole-mesh numerics, the work that can crash or wedge a
+process — runs on a :class:`~repro.dse.pool.SupervisedPool` at every
+``workers`` value, one point per batch: dead workers are respawned,
+hung points hit deadlines, faulted points retry with backoff, and
+points that exhaust the budget are **quarantined** as structured
+:class:`~repro.dse.tiers.PointResult` failures. The timing tiers price
+in the parent under the same quarantine rule: a raising point becomes a
+``status="failed"`` casualty, not a dead campaign. Results merge by
+index, so they never depend on worker count or completion order.
 
-**Checkpoint/resume** — with a disk-backed cache, every completed
-pool batch is one segment file of the content-addressed cache
-(:mod:`repro.dse.cache`), written by its worker before it replies, and
-every quarantined failure is journaled (:mod:`repro.dse.checkpoint`)
-next to the segments. ``run_campaign(..., resume=True)`` replays a
-killed campaign: cached points are served without recomputation (100%
-hits on completed batches), journaled quarantines are restored without
-re-failing, and only genuinely unpriced points are dispatched.
+**Checkpoint/resume** — with a disk-backed cache, every grid chunk and
+every promoted point is one segment file of the content-addressed cache
+(:mod:`repro.dse.cache`), and every quarantined failure is journaled
+(:mod:`repro.dse.checkpoint`) next to the segments.
+``run_campaign(..., resume=True)`` replays a killed campaign: cached
+points are served without recomputation, journaled quarantines are
+restored without re-failing, and only unpriced points are priced.
 """
 
 from __future__ import annotations
@@ -41,6 +37,7 @@ from dataclasses import asdict, dataclass, field
 
 from ..backend import resolve_backend_name
 from ..errors import DSEError
+from ..testing import faults
 from .cache import CacheStats, ResultCache, cache_key
 from .campaign import CampaignSpec, DesignPoint
 from .checkpoint import CampaignJournal, JournalState, journal_path
@@ -98,7 +95,8 @@ class CampaignResult:
     agreement: list[AgreementCheck] = field(default_factory=list)
     #: Cache accounting of the run (``None`` when uncached).
     cache_stats: CacheStats | None = None
-    #: Supervised-pool accounting (``None`` when no pool ran).
+    #: Supervision accounting: the cosim pool's counters, plus every
+    #: point quarantined in the parent in ``quarantined``.
     supervision: PoolStats | None = None
     #: True when this run resumed from a checkpoint journal.
     resumed: bool = False
@@ -158,18 +156,16 @@ def _evaluate_tier(
     retry: RetryPolicy | None = None,
     journal: CampaignJournal | None = None,
     journaled: JournalState | None = None,
-    supervision: PoolStats | None = None,
+    supervision: PoolStats,
 ) -> list[PointResult]:
     """Price points at one tier: journal-first, cache-second, then the
-    supervised pool (grid tier) or the in-process quarantine loop
-    (promoted tiers).
+    misses — on the supervised pool for the cosim tier, in the parent
+    for the timing tiers.
 
-    The parent resolves journaled quarantines and cache hits up front
-    and ships only genuine misses to the pool; batches come back
-    index-tagged and slot into the campaign-order result list, so merge
-    order never depends on scheduling, retries, or bisection.
-    ``options`` are forwarded to :func:`~repro.dse.tiers.evaluate_point`
-    (the cosim tier's backend / verify configuration).
+    ``workers`` sizes the cosim pool; ``chunk_size`` is the parent's
+    points per persisted segment. Results slot in by index, so merge
+    order never depends on scheduling or retries. ``options`` are
+    forwarded to :func:`~repro.dse.tiers.evaluate_point`.
     """
     options = options or {}
     results: list[PointResult | None] = [None] * len(points)
@@ -187,63 +183,59 @@ def _evaluate_tier(
         else:
             missing.append((index, point))
 
-    if missing and tier == "closed-form":
-        # The grid tier always runs under supervision (workers >= 1):
-        # a crashing or hanging evaluation must never take the campaign
-        # (or, at workers=1, the caller's process) down with it. Build
-        # every needed design in the parent first — fork-started
-        # workers inherit the populated cache instead of
-        # re-elaborating.
+    def quarantine(index: int, point: DesignPoint, error: str) -> None:
+        results[index] = PointResult.failed(point, tier, error)
+        if journal is not None:
+            journal.failure(tier, index, point, error)
+
+    if missing and tier == "cosim":
+        # Whole-mesh numerics always run supervised: even at workers=1 a
+        # crashing or hanging point must not take the caller down. One
+        # point per batch; the forked workers inherit the built designs.
         try:
             prewarm_designs(point for _, point in missing)
         except Exception:  # noqa: BLE001 - workers re-raise per point
             pass
-        cache_dir = None if cache is None else cache.directory
-        batches = [
-            missing[start : start + chunk_size]
-            for start in range(0, len(missing), chunk_size)
-        ]
         pool = SupervisedPool(
-            max(1, workers), cache_dir=cache_dir, retry=retry
+            min(workers, len(missing)),
+            cache_dir=None if cache is None else cache.directory,
+            retry=retry,
         )
         try:
-            priced, quarantined = pool.run(tier, batches, options)
+            priced, failed = pool.run(
+                tier, [[item] for item in missing], options
+            )
         finally:
             pool.close()
-            if supervision is not None:
-                supervision.merge(pool.stats)
-        if cache is not None:
-            # Workers already persisted to the shared directory; fill
-            # the parent's memory layer only.
+            supervision.merge(pool.stats)
+        if cache is not None:  # the workers wrote the segments
             cache.put_many(
-                (
-                    (cache_key(points[index], tier), result)
-                    for index, result in priced.items()
-                ),
+                [(cache_key(points[i], tier), r) for i, r in priced.items()],
                 persist=False,
             )
         for index, result in priced.items():
             results[index] = result
-        for index, (point, error) in quarantined.items():
-            results[index] = PointResult.failed(point, tier, error)
-            if journal is not None:
-                journal.failure(tier, index, point, error)
-    elif missing:
-        # Promoted tiers run in the parent (their point counts are
-        # bounded by max_survivors/max_cosim) under the same quarantine
-        # rule: a raising evaluation becomes a casualty, not a crash.
-        for index, point in missing:
+        for index, (point, error) in failed.items():
+            quarantine(index, point, error)
+        return results  # type: ignore[return-value]
+
+    # The timing tiers price in the parent, where a pool costs more than
+    # the microseconds it ships. A chunk is persisted before the next
+    # starts, so a killed campaign loses at most one chunk.
+    for count, start in enumerate(range(0, len(missing), chunk_size), 1):
+        priced = []
+        for index, point in missing[start : start + chunk_size]:
             try:
                 result = evaluate_one(index, point, tier, options)
             except Exception as exc:  # noqa: BLE001 - quarantined
-                error = f"{type(exc).__name__}: {exc}"
-                results[index] = PointResult.failed(point, tier, error)
-                if journal is not None:
-                    journal.failure(tier, index, point, error)
+                supervision.quarantined += 1
+                quarantine(index, point, f"{type(exc).__name__}: {exc}")
                 continue
-            if cache is not None:
-                cache.store(point, tier, result)
             results[index] = result
+            priced.append(result)
+        if cache is not None:
+            cache.put_many((cache_key(r.point, tier), r) for r in priced)
+        faults.trip("dse.batch", context=count)
     return results  # type: ignore[return-value]
 
 
@@ -264,10 +256,10 @@ def run_campaign(
     spec:
         The sweep definition.
     workers:
-        Supervised-pool width for the closed-form grid sweep. The grid
-        tier runs under supervision even at ``workers=1``; promoted
-        tiers run in-process either way (their point counts are bounded
-        by ``max_survivors``/``max_cosim``).
+        Supervised-pool width for the cosim tier (capped at its
+        missing point count). The cosim tier runs under supervision
+        even at ``workers=1``; the closed-form and exact tiers price in
+        the calling process.
     cache:
         Content-addressed result store; misses are computed and stored,
         hits are served (and flagged ``from_cache``) without
@@ -278,16 +270,17 @@ def run_campaign(
         grid only, ``"exact"`` adds the schedule-solve tier, ``"cosim"``
         (default) runs the full ladder.
     chunk_size:
-        Points per pool batch (amortizes dispatch overhead).
+        Grid points per persisted cache segment: a killed campaign
+        loses at most one chunk of closed-form pricing.
     retry:
-        The :class:`~repro.dse.pool.RetryPolicy` of the supervised pool
-        (max retries, per-batch deadline, backoff); defaults are
-        production-safe.
+        The :class:`~repro.dse.pool.RetryPolicy` of the cosim tier's
+        supervised pool (max retries, per-point deadline, backoff);
+        defaults are production-safe.
     resume:
         Resume a killed or interrupted run of this same spec from its
         checkpoint journal: completed points are pure cache hits,
         journaled quarantines are restored, only unpriced points are
-        dispatched. Requires a disk-backed ``cache``.
+        priced. Requires a disk-backed ``cache``.
 
     Raises
     ------
@@ -359,7 +352,7 @@ def run_campaign(
         candidates = sorted(front, key=lambda r: r.step_cycles)
         promoted = [r.point for r in candidates[: spec.max_survivors]]
         result.survivors = _evaluate_tier(
-            promoted, "exact", cache, 1, chunk_size, **tier_kwargs
+            promoted, "exact", cache, workers, 1, **tier_kwargs
         )
         for exact in result.survivors:
             if not exact.ok:
@@ -392,7 +385,7 @@ def run_campaign(
             "verify": spec.cosim_verify,
         }
         result.cosim = _evaluate_tier(
-            promoted, "cosim", cache, 1, chunk_size, cosim_options,
+            promoted, "cosim", cache, workers, 1, cosim_options,
             **tier_kwargs,
         )
         for cosim in result.cosim:

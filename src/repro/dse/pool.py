@@ -1,9 +1,10 @@
-"""Supervised process pool for campaign sweeps.
+"""Supervised process pool for campaign evaluations.
 
-The PR-6 executor sharded grid batches over a bare
-``ProcessPoolExecutor`` — one segfaulting worker, one hung batch, and
-the whole campaign (and every priced point) died with it. This module
-replaces it with the supervision loop a batch scheduler would run:
+A bare ``ProcessPoolExecutor`` dies with its first segfaulting worker
+or hung batch, and takes every priced point with it. This pool runs
+the supervision loop a batch scheduler would run instead. It is
+tier-agnostic: it prices ``(index, point)`` batches at whatever tier it
+is given; the executor hands it the cosim tier, one point per batch.
 
 - **per-batch deadlines** — a dispatched batch that does not reply
   within :attr:`RetryPolicy.batch_timeout` seconds has its worker
@@ -38,8 +39,9 @@ installed): ``"dse.worker"`` fires in a worker as it picks up a batch
 (context = batch id; crash / hang / poison), ``"dse.point"`` fires
 before each point evaluation (context = point index; error / crash),
 and ``"dse.batch"`` fires in the parent after each completed batch
-(context = completed-batch count; the kill-then-resume tests crash the
-*campaign* there, with every completed batch already persisted).
+(context = completed-batch count; the executor's in-parent grid trips
+it after each persisted chunk, where the kill-then-resume tests crash
+the *campaign*).
 """
 
 from __future__ import annotations
@@ -260,13 +262,6 @@ class SupervisedPool:
             self._ctx = multiprocessing.get_context()
 
     # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def pool_active(self) -> bool:
-        return bool(self._workers)
-
-    def worker_pids(self) -> list[int]:
-        return [proc.pid for proc in self._workers if proc is not None]
 
     def __enter__(self) -> "SupervisedPool":
         return self

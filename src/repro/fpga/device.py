@@ -11,6 +11,7 @@ modeled with the published per-SLR splits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..errors import FPGAError
 from ..hls.resources import ResourceVector
@@ -74,6 +75,11 @@ class FPGADevice:
     def ddr_attached_slrs(self) -> list[SLR]:
         """SLRs with a direct DDR memory-controller attachment."""
         return [slr for slr in self.slrs if slr.has_ddr_attach]
+
+    @cached_property
+    def num_ddr_attached_slrs(self) -> int:
+        """``len(ddr_attached_slrs())``, counted once per device."""
+        return sum(slr.has_ddr_attach for slr in self.slrs)
 
 
 def _u200_slr(name: str, has_ddr: bool) -> SLR:

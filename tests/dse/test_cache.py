@@ -7,7 +7,7 @@ import multiprocessing
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dse.cache import (
@@ -203,13 +203,23 @@ _failed_results = st.builds(
 
 
 @settings(max_examples=200, deadline=None)
-@given(result=_ok_results | _failed_results)
-def test_record_roundtrip_property(result):
+@given(
+    result=_ok_results | _failed_results,
+    tail=st.sampled_from(["", "", "", " ", "0", "[]", ',"x"']),
+)
+@example(result=PointResult.failed(POINT, "exact", "boom"), tail=" [1]")
+def test_record_roundtrip_property(result, tail):
     """Every result, ok or failed, on every tier, survives the codec:
-    one line per record, every field equal, served as cached."""
+    one line per record, every field equal, served as cached. Bytes
+    after the row are a bad record even under a CRC that covers them."""
     key = cache_key(result.point, result.tier)
     line = _record(key, result)
     assert line.endswith("\n") and line.count("\n") == 1
+    if tail:
+        body = line.rstrip("\n").split(" ", 2)[2] + tail
+        with pytest.raises((ValueError, DSEError)):
+            _parse(_segment_line(key, body).rstrip("\n").encode())
+        return
     parsed_key, back = _roundtrip(key, result)
     assert parsed_key == key
     assert back.to_dict() == result.to_dict()

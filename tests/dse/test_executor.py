@@ -1,6 +1,7 @@
 """Campaign execution: the ladder, the pool, the cache."""
 
 import dataclasses
+import multiprocessing
 
 import pytest
 
@@ -8,8 +9,10 @@ from repro.dse import (
     CampaignSpec,
     DesignPoint,
     ResultCache,
+    SupervisedPool,
     run_campaign,
 )
+from repro.dse.cache import cache_key
 from repro.errors import DSEError
 
 SPEC = CampaignSpec(
@@ -83,13 +86,13 @@ def test_warm_cache_serves_everything(tmp_path):
     assert warm.to_dict()["pareto_front"] == cold.to_dict()["pareto_front"]
 
 
-def test_pool_workers_persist_to_shared_cache(tmp_path):
+def test_grid_persists_to_shared_cache(tmp_path):
     cache = ResultCache(tmp_path)
     result = run_campaign(
         SPEC, workers=2, cache=cache, highest_tier="closed-form"
     )
-    # Every priced point landed on disk (written by the pool workers),
-    # so a fresh instance sees a fully warm cache.
+    # Every priced point landed on disk, so a fresh instance sees a
+    # fully warm cache.
     fresh = ResultCache(tmp_path)
     warm = run_campaign(SPEC, cache=fresh, highest_tier="closed-form")
     assert fresh.stats.misses == 0
@@ -98,9 +101,9 @@ def test_pool_workers_persist_to_shared_cache(tmp_path):
     ]
 
 
-def test_one_segment_per_pool_batch(tmp_path):
-    """A pool batch is the unit of persistence: one segment file per
-    batch, one record per priced point."""
+def test_one_segment_per_grid_chunk(tmp_path):
+    """A grid chunk is the unit of persistence: one segment file per
+    chunk, one record per priced point."""
     chunk = 5
     result = run_campaign(
         SPEC, workers=2, cache=ResultCache(tmp_path),
@@ -111,6 +114,58 @@ def test_one_segment_per_pool_batch(tmp_path):
     assert sum(
         len(seg.read_text().splitlines()) for seg in segments
     ) == len(result.results)
+
+
+def test_grid_segments_are_chunked_put_many_segments(tmp_path):
+    """The grid's segments are, name for name and byte for byte, those
+    of one ``put_many`` per ``chunk_size`` chunk of its results."""
+    chunk = 7
+    result = run_campaign(
+        SPEC, cache=ResultCache(tmp_path / "grid"),
+        highest_tier="closed-form", chunk_size=chunk,
+    )
+    reference = ResultCache(tmp_path / "reference")
+    for start in range(0, len(result.results), chunk):
+        reference.put_many(
+            (cache_key(r.point, r.tier), r)
+            for r in result.results[start : start + chunk]
+        )
+
+    def segments(directory):
+        return {
+            path.name: path.read_bytes()
+            for path in directory.glob("*.seg")
+        }
+
+    written = segments(tmp_path / "grid")
+    assert len(written) == -(-len(result.results) // chunk)
+    assert written == segments(tmp_path / "reference")
+
+
+def test_closed_form_campaign_spawns_no_worker(monkeypatch):
+    """The grid prices in the parent: no pool worker is ever started,
+    at any width."""
+
+    def refuse(self, slot):
+        raise AssertionError("a closed-form campaign spawned a worker")
+
+    monkeypatch.setattr(SupervisedPool, "_spawn", refuse)
+    for workers in (1, 4):
+        result = run_campaign(
+            SPEC, workers=workers, highest_tier="closed-form"
+        )
+        assert len(result.results) == len(SPEC.expand()[0])
+        assert result.supervision.dispatched == 0
+
+
+def test_cosim_tier_dispatches_one_batch_per_point():
+    """The cosim tier runs supervised even at workers=1, one batch per
+    missing point; the timing tiers dispatch nothing."""
+    result = run_campaign(SPEC, workers=1, highest_tier="cosim")
+    assert len(result.cosim) == SPEC.max_cosim
+    assert result.supervision.dispatched == SPEC.max_cosim
+    assert result.supervision.completed == SPEC.max_cosim
+    assert not result.failures
 
 
 def test_campaign_result_to_dict_is_json_ready(tmp_path):
@@ -129,18 +184,21 @@ def test_campaign_backend_and_verify_configure_the_cosim_tier(monkeypatch):
     without moving any priced cycle."""
     from repro.backend.fast import FastBackend
 
-    calls = {"weak_divergence_many": 0}
+    # The cosim tier runs in pool workers, which inherit the spy; the
+    # count lives in shared memory so the parent sees their calls.
+    calls = multiprocessing.Value("i", 0)
     original = FastBackend.weak_divergence_many
 
     def spy(self, *args, **kwargs):
-        calls["weak_divergence_many"] += 1
+        with calls.get_lock():
+            calls.value += 1
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(FastBackend, "weak_divergence_many", spy)
 
     spec = dataclasses.replace(SPEC, name="exec-fast", backend="fast")
     routed = run_campaign(spec, highest_tier="cosim")
-    assert calls["weak_divergence_many"] > 0
+    assert calls.value > 0
     assert routed.violations == []
     assert all(r.state_max_rel_err is None for r in routed.cosim)
 

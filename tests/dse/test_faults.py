@@ -1,11 +1,15 @@
-"""Fault-injection matrix over the supervised campaign pool.
+"""Fault-injection matrix over campaign execution.
 
 The acceptance bar of the fault-tolerance layer: a campaign with
 injected worker crashes, hangs, and poisoned pipe messages completes
 with the SAME priced points as a fault-free run (minus explicitly
 quarantined casualties), and never surfaces an unhandled exception.
-Faults are deterministic (:mod:`repro.testing.faults`), so every
-recovery path is exercised by construction, not by luck.
+Worker faults are injected where workers run — the cosim tier's
+supervised pool, and the pool itself on closed-form batches for
+bisection; in-band evaluation errors are injected into the grid, which
+prices in the parent. Faults are deterministic
+(:mod:`repro.testing.faults`), so every recovery path is exercised by
+construction, not by luck.
 """
 
 from __future__ import annotations
@@ -17,8 +21,10 @@ from repro.dse import (
     DesignPoint,
     ResultCache,
     RetryPolicy,
+    SupervisedPool,
     run_campaign,
 )
+from repro.dse.cache import cache_key
 from repro.errors import DSEError
 from repro.testing import FaultPlan, FaultSpec, injected_faults
 
@@ -28,31 +34,49 @@ SPEC = CampaignSpec(
     axes=[("block_size", (1, 2, 4, 8)), ("num_cus", (1, 2))],
     base=BASE,
 )
-#: chunk_size=1 -> one batch per feasible point, so batch positions
-#: (first / mid / last) are exact.
-CHUNK = 1
+#: A campaign whose whole grid is its Pareto front, so all four points
+#: reach the cosim tier: the pool prices one point per batch, and batch
+#: positions (first / mid / last) are exact.
+COSIM_SPEC = CampaignSpec(
+    name="cosim-faults",
+    axes=[("num_cus", (1, 2, 3, 4))],
+    base=DesignPoint(device="hbm"),
+    max_survivors=4,
+    max_cosim=4,
+)
 
 #: Fast supervision knobs: tiny backoff, short deadline (the injected
 #: hang sleeps far longer than the deadline, so detection is causal).
 RETRY = RetryPolicy(max_retries=2, batch_timeout=3.0, backoff_base=0.01)
 
 
-def _num_batches() -> int:
-    points, _ = SPEC.expand()
-    return len(points)
+def _view(result) -> list:
+    """Every priced point of every tier of a campaign."""
+    return [
+        [r.to_dict() for r in tier]
+        for tier in (result.results, result.survivors, result.cosim)
+    ]
 
 
 @pytest.fixture(scope="module")
 def fault_free():
     result = run_campaign(
-        SPEC, workers=2, highest_tier="closed-form", chunk_size=CHUNK,
-        retry=RETRY,
+        SPEC, workers=2, highest_tier="closed-form", retry=RETRY
     )
     return [r.to_dict() for r in result.results]
 
 
+@pytest.fixture(scope="module")
+def cosim_fault_free():
+    result = run_campaign(
+        COSIM_SPEC, workers=2, highest_tier="cosim", retry=RETRY
+    )
+    assert len(result.cosim) == COSIM_SPEC.max_cosim
+    return _view(result)
+
+
 def _positions():
-    last = _num_batches() - 1
+    last = COSIM_SPEC.max_cosim - 1
     return {"first": 0, "mid": last // 2, "last": last}
 
 
@@ -60,27 +84,26 @@ def _positions():
 @pytest.mark.parametrize("position", ["first", "mid", "last"])
 @pytest.mark.parametrize("kind", ["crash", "hang", "poison"])
 def test_matrix_single_fault_recovers_identically(
-    kind, position, workers, fault_free
+    kind, position, workers, cosim_fault_free
 ):
     """One worker fault (crash / hang / poisoned reply) at the first,
-    middle, or last batch, at workers 1 and 4: the campaign retries and
-    completes with results identical to the fault-free run — zero
-    casualties."""
+    middle, or last cosim batch, at workers 1 and 4: the campaign
+    retries and completes with results identical to the fault-free run
+    — zero casualties."""
     batch = _positions()[position]
     spec = FaultSpec(
         site="dse.worker", kind=kind, at=(batch,), hang_seconds=30.0
     )
     with injected_faults(spec) as plan:
         result = run_campaign(
-            SPEC,
+            COSIM_SPEC,
             workers=workers,
-            highest_tier="closed-form",
-            chunk_size=CHUNK,
+            highest_tier="cosim",
             retry=RETRY,
         )
     assert plan.total_fired() == 1, "the fault must actually fire"
     assert not result.failures
-    assert [r.to_dict() for r in result.results] == fault_free
+    assert _view(result) == cosim_fault_free
     sup = result.supervision
     assert sup.retries >= 1
     if kind == "crash":
@@ -119,41 +142,46 @@ def test_crashy_point_bisected_to_singleton_quarantine(fault_free):
     batch retries, gets bisected out, and is quarantined alone — its
     batchmates still price."""
     bad = 2
+    points, _ = SPEC.expand()
+    items = list(enumerate(points))
+    batches = [items[start : start + 4] for start in range(0, len(items), 4)]
+    pool = SupervisedPool(
+        2,
+        retry=RetryPolicy(
+            max_retries=1, batch_timeout=10.0, backoff_base=0.0
+        ),
+    )
     with injected_faults(
         FaultSpec(site="dse.point", kind="crash", at=(bad,), times=0)
     ):
-        result = run_campaign(
-            SPEC,
-            workers=2,
-            highest_tier="closed-form",
-            chunk_size=4,
-            retry=RetryPolicy(
-                max_retries=1, batch_timeout=10.0, backoff_base=0.0
-            ),
-        )
-    assert len(result.failures) == 1
-    assert result.results[bad].status == "failed"
-    assert result.supervision.splits >= 1
-    assert result.supervision.quarantined == 1
-    survivors = [
-        r.to_dict() for i, r in enumerate(result.results) if i != bad
-    ]
+        try:
+            priced, failures = pool.run("closed-form", batches)
+        finally:
+            pool.close()
+    assert list(failures) == [bad]
+    assert failures[bad][0] == points[bad]
+    assert pool.stats.splits >= 1
+    assert pool.stats.quarantined == 1
+    survivors = [priced[i].to_dict() for i in sorted(priced)]
     expected = [d for i, d in enumerate(fault_free) if i != bad]
     assert survivors == expected
 
 
-def test_combined_crash_hang_and_corrupt_cache(tmp_path, fault_free):
+def test_combined_crash_hang_and_corrupt_cache(tmp_path, cosim_fault_free):
     """The acceptance scenario: crashes + a hang + a corrupted cache
     file in ONE campaign — it completes, recovers everything, and
     reports the corruption in cache stats."""
     cache = ResultCache(tmp_path)
     warm = run_campaign(
-        SPEC, cache=cache, highest_tier="closed-form", chunk_size=CHUNK,
-        retry=RETRY,
+        COSIM_SPEC, cache=cache, highest_tier="cosim", retry=RETRY
     )
-    # Corrupt one persisted segment (one batch, one record at CHUNK=1),
-    # then re-run with injected faults.
-    entry = sorted(tmp_path.glob("*.seg"))[0]
+    # Corrupt the segment of the first cosim finalist (one record), so
+    # the re-run prices it again on the pool, under injected faults.
+    key = cache_key(warm.cosim[0].point, "cosim")
+    (entry,) = [
+        seg for seg in tmp_path.glob("*.seg")
+        if seg.read_text().startswith(key)
+    ]
     entry.write_text("{torn")
     plan = FaultPlan(
         FaultSpec(site="dse.worker", kind="crash", at=(0,)),
@@ -162,19 +190,17 @@ def test_combined_crash_hang_and_corrupt_cache(tmp_path, fault_free):
     fresh = ResultCache(tmp_path)
     with injected_faults(plan):
         result = run_campaign(
-            SPEC,
+            COSIM_SPEC,
             workers=2,
             cache=fresh,
-            highest_tier="closed-form",
-            chunk_size=CHUNK,
+            highest_tier="cosim",
             retry=RETRY,
         )
+    assert plan.total_fired() >= 1, "the faults must actually fire"
     assert not result.failures
     assert fresh.stats.corrupt == 1
-    assert [r.to_dict() for r in result.results] == [
-        r.to_dict() for r in warm.results
-    ]
-    assert [r.to_dict() for r in result.results] == fault_free
+    assert _view(result) == _view(warm)
+    assert _view(result) == cosim_fault_free
 
 
 def test_campaign_completes_when_every_point_fails():
