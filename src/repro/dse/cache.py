@@ -249,9 +249,9 @@ class ResultCache:
     def put_many(self, items, *, persist: bool = True) -> None:
         """Store ``(key, result)`` pairs, on disk as one segment.
 
-        ``persist=False`` fills only the in-memory layer — the parallel
-        executor's merge path uses it when pool workers already wrote
-        the segment to the shared directory themselves.
+        ``persist=False`` fills only the in-memory layer — the
+        executor's cosim tier uses it because its pool workers already
+        wrote their segments to the shared directory themselves.
         """
         items = list(items)
         for key, result in items:

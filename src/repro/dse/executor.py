@@ -149,10 +149,10 @@ def _evaluate_tier(
     points: list[DesignPoint],
     tier: str,
     cache: ResultCache | None,
-    workers: int,
-    chunk_size: int,
     options: dict | None = None,
     *,
+    workers: int = 1,
+    chunk_size: int = 1,
     retry: RetryPolicy | None = None,
     journal: CampaignJournal | None = None,
     journaled: JournalState | None = None,
@@ -163,8 +163,9 @@ def _evaluate_tier(
     for the timing tiers.
 
     ``workers`` sizes the cosim pool; ``chunk_size`` is the parent's
-    points per persisted segment. Results slot in by index, so merge
-    order never depends on scheduling or retries. ``options`` are
+    points per persisted segment, after each of which the ``dse.batch``
+    seam trips at ``(tier, chunk count)``. Results slot in by index, so
+    merge order never depends on scheduling or retries. ``options`` are
     forwarded to :func:`~repro.dse.tiers.evaluate_point`.
     """
     options = options or {}
@@ -235,7 +236,7 @@ def _evaluate_tier(
             priced.append(result)
         if cache is not None:
             cache.put_many((cache_key(r.point, tier), r) for r in priced)
-        faults.trip("dse.batch", context=count)
+        faults.trip("dse.batch", context=(tier, count))
     return results  # type: ignore[return-value]
 
 
@@ -332,7 +333,8 @@ def run_campaign(
     try:
         points, skipped = spec.expand()
         closed = _evaluate_tier(
-            points, "closed-form", cache, workers, chunk_size, **tier_kwargs
+            points, "closed-form", cache, chunk_size=chunk_size,
+            **tier_kwargs,
         )
         ok_closed = [r for r in closed if r.ok]
         front = pareto_front(ok_closed) if ok_closed else []
@@ -352,7 +354,7 @@ def run_campaign(
         candidates = sorted(front, key=lambda r: r.step_cycles)
         promoted = [r.point for r in candidates[: spec.max_survivors]]
         result.survivors = _evaluate_tier(
-            promoted, "exact", cache, workers, 1, **tier_kwargs
+            promoted, "exact", cache, **tier_kwargs
         )
         for exact in result.survivors:
             if not exact.ok:
@@ -385,7 +387,7 @@ def run_campaign(
             "verify": spec.cosim_verify,
         }
         result.cosim = _evaluate_tier(
-            promoted, "cosim", cache, workers, 1, cosim_options,
+            promoted, "cosim", cache, cosim_options, workers=workers,
             **tier_kwargs,
         )
         for cosim in result.cosim:

@@ -39,9 +39,9 @@ installed): ``"dse.worker"`` fires in a worker as it picks up a batch
 (context = batch id; crash / hang / poison), ``"dse.point"`` fires
 before each point evaluation (context = point index; error / crash),
 and ``"dse.batch"`` fires in the parent after each completed batch
-(context = completed-batch count; the executor's in-parent grid trips
-it after each persisted chunk, where the kill-then-resume tests crash
-the *campaign*).
+(context = ``(tier, completed batches)``; the executor's in-parent
+tiers trip it after each persisted chunk, so a kill-then-resume test
+crashes the *campaign* in the tier it names).
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ class _Attempt:
 
 def evaluate_one(index: int, point, tier: str, options: dict):
     """Price one point (the shared per-point seam of the pool worker and
-    the executor's in-process promoted-tier path)."""
+    the executor's in-parent grid and exact tiers)."""
     faults.trip("dse.point", context=index)
     return evaluate_point(point, tier, **options)
 
@@ -480,7 +480,7 @@ class SupervisedPool:
                     else:
                         failures[index] = (points_by_index[index], payload)
                         self.stats.quarantined += 1
-                faults.trip("dse.batch", context=self.stats.completed)
+                faults.trip("dse.batch", context=(tier, self.stats.completed))
             # Deadline enforcement on whoever is still out.
             now = time.monotonic()
             for slot in list(busy):

@@ -29,6 +29,15 @@ SPEC = CampaignSpec(
     axes=[("block_size", (1, 2, 4, 8)), ("num_cus", (1, 2))],
     base=BASE,
 )
+#: Every grid point is on the Pareto front, so all four reach the cosim
+#: tier, which the pool prices one point per batch.
+COSIM_SPEC = CampaignSpec(
+    name="cosim-checkpointed",
+    axes=[("num_cus", (1, 2, 3, 4))],
+    base=DesignPoint(device="hbm"),
+    max_survivors=4,
+    max_cosim=4,
+)
 RETRY = RetryPolicy(max_retries=2, batch_timeout=10.0, backoff_base=0.01)
 
 
@@ -98,28 +107,42 @@ def test_resume_requires_disk_cache():
 # -- kill-then-resume --------------------------------------------------------
 
 
-def _killed_campaign(cache_dir: str, crash_after: int) -> None:
-    """Child process: run the campaign with a parent-side crash fault
-    after ``crash_after`` completed batches — ``os._exit``, the
-    SIGKILL-equivalent (no cleanup, no exception handling)."""
+def _killed_campaign(
+    cache_dir: str, spec: CampaignSpec, tier: str, crash_after: int
+) -> None:
+    """Child process: run the campaign up to ``tier`` with a parent-side
+    crash fault after ``crash_after`` completed batches of that tier —
+    ``os._exit``, the SIGKILL-equivalent (no cleanup, no exception
+    handling)."""
     from repro.testing import FaultPlan, FaultSpec, install_faults
 
     install_faults(
         FaultPlan(
             FaultSpec(
-                site="dse.batch", kind="crash", at=(crash_after,),
-                exit_code=17,
+                site="dse.batch", kind="crash",
+                at=((tier, crash_after),), exit_code=17,
             )
         )
     )
     run_campaign(
-        SPEC,
+        spec,
         workers=1,
         cache=ResultCache(cache_dir),
-        highest_tier="closed-form",
+        highest_tier=tier,
         chunk_size=1,
         retry=RETRY,
     )
+
+
+def _without_provenance(result) -> list:
+    """Every priced point of every tier, minus the ``from_cache`` flag."""
+    return [
+        [
+            {k: v for k, v in r.to_dict().items() if k != "from_cache"}
+            for r in tier
+        ]
+        for tier in (result.results, result.survivors, result.cosim)
+    ]
 
 
 def test_sigkilled_campaign_resumes_with_pure_cache_hits(tmp_path):
@@ -129,7 +152,8 @@ def test_sigkilled_campaign_resumes_with_pure_cache_hits(tmp_path):
     crash_after = 4
     ctx = multiprocessing.get_context("fork")
     child = ctx.Process(
-        target=_killed_campaign, args=(str(tmp_path), crash_after)
+        target=_killed_campaign,
+        args=(str(tmp_path), SPEC, "closed-form", crash_after),
     )
     child.start()
     child.join(120)
@@ -170,6 +194,44 @@ def test_sigkilled_campaign_resumes_with_pure_cache_hits(tmp_path):
         for r in rs
     ]
     assert as_dicts(result.results) == as_dicts(clean.results)
+
+
+def test_sigkilled_cosim_campaign_reprices_only_unpublished_points(tmp_path):
+    """Kill the campaign after the pool's first completed cosim batch.
+    The worker published that point's segment before it replied, so the
+    resumed run serves the grid, the exact tier and that point from the
+    cache, sends only the other cosim points to the pool, and matches a
+    never-killed run."""
+    ctx = multiprocessing.get_context("fork")
+    child = ctx.Process(
+        target=_killed_campaign,
+        args=(str(tmp_path), COSIM_SPEC, "cosim", 1),
+    )
+    child.start()
+    child.join(120)
+    assert child.exitcode == 17, "the campaign must actually die"
+
+    cache = ResultCache(tmp_path)
+    result = run_campaign(
+        COSIM_SPEC,
+        workers=1,
+        cache=cache,
+        highest_tier="cosim",
+        resume=True,
+        retry=RETRY,
+    )
+    assert result.resumed
+    assert not result.failures
+    assert len(result.cosim) == COSIM_SPEC.max_cosim
+    assert all(r.from_cache for r in result.results + result.survivors)
+    assert sum(1 for r in result.cosim if r.from_cache) == 1
+    assert cache.stats.misses == COSIM_SPEC.max_cosim - 1
+    assert result.supervision.dispatched == COSIM_SPEC.max_cosim - 1
+
+    clean = run_campaign(
+        COSIM_SPEC, workers=1, highest_tier="cosim", retry=RETRY
+    )
+    assert _without_provenance(result) == _without_provenance(clean)
 
 
 def test_resume_of_completed_campaign_is_pure_replay(tmp_path):
