@@ -9,8 +9,8 @@ entry, and changing any swept parameter — block size, device, fusion,
 one float of the mesh arithmetic — misses by construction.
 
 Entries live in memory always and, when a directory is configured, in
-**segment files**, one per write: a pool batch's results, or the one
-result of :meth:`ResultCache.put`. Each line is a record,
+**segment files**, one per :meth:`ResultCache.put_many`: a grid chunk's
+or a pool batch's results. Each line is a record,
 ``<key> <crc32> <row>``; the CRC32 and the closing newline detect a torn
 or bit-rotted record. The row is compact JSON in declaration order,
 ``[[<DesignPoint fields>], <PointResult fields>]`` (the columns of
@@ -43,6 +43,7 @@ import warnings
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 
 from ..errors import DSEError
@@ -88,24 +89,25 @@ def cache_key(point: DesignPoint, tier: str) -> str:
     return _content_key(point, tier)
 
 
-def _served(point: DesignPoint, columns) -> PointResult:
-    """The ``from_cache=True`` result of a point and its columns, filled
-    in field order (``PointResult`` checks nothing; ``__init__`` is ~3x
-    slower)."""
-    result = object.__new__(PointResult)
-    attributes = result.__dict__
-    attributes["point"] = point
-    attributes.update(zip(RESULT_FIELDS, columns))
-    attributes["from_cache"] = True
-    return result
+#: A point's and a result's columns, in field order.
+_point_columns = attrgetter(*POINT_FIELDS)
+_result_columns = attrgetter(*RESULT_FIELDS)
 
 
-def _record(key: str, result: PointResult) -> str:
-    """One segment line: key, CRC32 of the row, the row."""
-    point = result.point
-    row = [[getattr(point, name) for name in POINT_FIELDS]]
-    row += [getattr(result, name) for name in RESULT_FIELDS]
-    body = _ENCODER.encode(row)
+def _record(key: str, result: PointResult, texts: dict) -> str:
+    """One segment line: key, CRC32 of the row, the row.
+
+    ``texts`` memoizes the result columns' text across one segment's
+    records. Its key holds the columns, so no other object can take
+    their ids: rows share text only when their columns are the very
+    same objects, never merely equal ones (``-0.0`` and ``0.0``, ``1``
+    and ``1.0``, two NaNs)."""
+    columns = _result_columns(result)
+    memo = (tuple(map(id, columns)), columns)
+    text = texts.get(memo)
+    if text is None:
+        text = texts[memo] = _ENCODER.encode(columns)[1:]
+    body = f"[{_ENCODER.encode(_point_columns(result.point))},{text}"
     return f"{key} {zlib.crc32(body.encode()):08x} {body}\n"
 
 
@@ -130,7 +132,7 @@ def _parse(line: bytes) -> tuple[str, PointResult]:
         raise DSEError("malformed cached result row")
     # DesignPoint validates its fields, so a foreign row fails here.
     point = DesignPoint(*row[0])
-    return key.decode(), _served(point, row[1:])
+    return key.decode(), PointResult.filled(point, row[1:], True)
 
 
 @dataclass
@@ -258,12 +260,13 @@ class ResultCache:
             # The memory layer holds the served (from_cache=True)
             # variant so the lookup hot path returns it without copying;
             # the on-disk body carries no provenance flag either way.
-            columns = [getattr(result, name) for name in RESULT_FIELDS]
-            self._memory[key] = _served(result.point, columns)
+            served = self._memory[key] = object.__new__(PointResult)
+            served.__dict__.update(vars(result), from_cache=True)
         self.stats.writes += len(items)
         if self._directory is None or not persist or not items:
             return
-        payload = "".join(_record(key, result) for key, result in items)
+        texts: dict = {}
+        payload = "".join(_record(key, r, texts) for key, r in items)
         # Atomic publish: readers see either no segment or a complete
         # one, never a torn write. A failed write (disk full,
         # permissions) degrades to memory-only: the campaign keeps
@@ -299,22 +302,6 @@ class ResultCache:
                 RuntimeWarning,
                 stacklevel=2,
             )
-
-    def put(
-        self, key: str, result: PointResult, *, persist: bool = True
-    ) -> None:
-        """Store one result: a one-record :meth:`put_many`."""
-        self.put_many([(key, result)], persist=persist)
-
-    def lookup(self, point: DesignPoint, tier: str) -> PointResult | None:
-        """:meth:`get` keyed by content (:func:`cache_key`)."""
-        return self.get(cache_key(point, tier))
-
-    def store(
-        self, point: DesignPoint, tier: str, result: PointResult
-    ) -> None:
-        """:meth:`put` keyed by content (:func:`cache_key`)."""
-        self.put(cache_key(point, tier), result)
 
     def __len__(self) -> int:
         """Entries in memory, after indexing the directory."""

@@ -171,6 +171,7 @@ def _evaluate_tier(
     options = options or {}
     results: list[PointResult | None] = [None] * len(points)
     missing: list[tuple[int, DesignPoint]] = []
+    keys: dict[int, str] = {}  # looked up once, reused to store
     for index, point in enumerate(points):
         if journaled is not None and (tier, index) in journaled.failures:
             # A quarantine recorded by the killed run: restore it
@@ -178,10 +179,10 @@ def _evaluate_tier(
             _, error = journaled.failures[(tier, index)]
             results[index] = PointResult.failed(point, tier, error)
             continue
-        hit = cache.lookup(point, tier) if cache is not None else None
-        if hit is not None:
-            results[index] = hit
-        else:
+        if cache is not None:
+            keys[index] = cache_key(point, tier)
+            results[index] = cache.get(keys[index])
+        if results[index] is None:
             missing.append((index, point))
 
     def quarantine(index: int, point: DesignPoint, error: str) -> None:
@@ -211,8 +212,7 @@ def _evaluate_tier(
             supervision.merge(pool.stats)
         if cache is not None:  # the workers wrote the segments
             cache.put_many(
-                [(cache_key(points[i], tier), r) for i, r in priced.items()],
-                persist=False,
+                [(keys[i], r) for i, r in priced.items()], persist=False
             )
         for index, result in priced.items():
             results[index] = result
@@ -233,9 +233,9 @@ def _evaluate_tier(
                 quarantine(index, point, f"{type(exc).__name__}: {exc}")
                 continue
             results[index] = result
-            priced.append(result)
+            priced.append((keys.get(index), result))
         if cache is not None:
-            cache.put_many((cache_key(r.point, tier), r) for r in priced)
+            cache.put_many(priced)
         faults.trip("dse.batch", context=(tier, count))
     return results  # type: ignore[return-value]
 

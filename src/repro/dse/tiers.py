@@ -25,7 +25,8 @@ from ..accel.cosim import (
     exact_rkl_stage_cycles,
     exact_rku_step_cycles,
 )
-from ..accel.designs import PROPOSED_OPTIONS, AcceleratorDesign, custom_design
+from ..accel.designs import PROPOSED_OPTIONS, AcceleratorDesign
+from ..accel.designs import custom_design, priced
 from ..accel.multi_cu import nodes_per_compute_unit
 from ..backend.registry import require_serial_workers
 from ..errors import DSEError
@@ -135,25 +136,26 @@ class PointResult:
     ) -> "PointResult":
         """A quarantined casualty: zeroed numerics, the failure reason
         in ``error``, and ``status="failed"``."""
-        return cls(
-            point=point,
-            tier=tier,
-            step_cycles=0.0,
-            rkl_stage_cycles=0.0,
-            rku_step_cycles=0.0,
-            clock_mhz=0.0,
-            step_seconds=0.0,
-            run_seconds=0.0,
-            num_nodes=point.num_nodes,
-            num_elements=point.num_elements,
-            lut=0.0,
-            ff=0.0,
-            bram36=0.0,
-            uram=0.0,
-            dsp=0.0,
-            status="failed",
-            error=error,
+        timing, resources = (0.0,) * 6, (0.0,) * 5
+        columns = (
+            tier, *timing, point.num_nodes, point.num_elements, *resources,
+            None, "failed", error,
         )
+        return cls.filled(point, columns)
+
+    @classmethod
+    def filled(
+        cls, point: DesignPoint, columns, from_cache: bool = False
+    ) -> "PointResult":
+        """The result of a point and its :data:`RESULT_FIELDS` columns,
+        filled straight into its attribute dict in field order (the
+        class checks nothing, and ``__init__`` is ~3x slower)."""
+        result = object.__new__(cls)
+        attributes = result.__dict__
+        attributes["point"] = point
+        attributes.update(zip(RESULT_FIELDS, columns))
+        attributes["from_cache"] = from_cache
+        return result
 
     def to_dict(self) -> dict:
         """JSON-ready form: every field in declaration order but
@@ -174,35 +176,55 @@ RESULT_FIELDS = tuple(
 )
 
 
-def _result(
-    point: DesignPoint,
-    tier: str,
-    rkl_stage: float,
-    rku_step: float,
+def _columns(
+    design: AcceleratorDesign, tier: str, num_nodes: int, num_elements: int,
+    num_cus: int, num_steps: int, rkl_stage: float, rku_step: float,
     state_err: float | None = None,
-) -> PointResult:
-    design = design_for(point)
-    clock = design.clock_for(point.num_cus)
-    total = design.resources_for(point.num_cus)
+) -> tuple:
+    """One ok pricing's columns, in :data:`RESULT_FIELDS` order: the
+    step arithmetic of every tier."""
+    clock = design.clock_for(num_cus)
+    total = design.resources_for(num_cus)
     step_cycles = rkl_stage * RK4.num_stages + rku_step
     step_seconds = step_cycles / (clock * 1e6)
-    return PointResult(
-        point=point,
-        tier=tier,
-        step_cycles=float(step_cycles),
-        rkl_stage_cycles=float(rkl_stage),
-        rku_step_cycles=float(rku_step),
-        clock_mhz=clock,
-        step_seconds=step_seconds,
-        run_seconds=step_seconds * point.num_steps,
-        num_nodes=point.num_nodes,
-        num_elements=point.num_elements,
-        lut=total.lut,
-        ff=total.ff,
-        bram36=total.bram36,
-        uram=total.uram,
-        dsp=total.dsp,
-        state_max_rel_err=state_err,
+    return (
+        tier, float(step_cycles), float(rkl_stage), float(rku_step), clock,
+        step_seconds, step_seconds * num_steps, num_nodes, num_elements,
+        total.lut, total.ff, total.bram36, total.uram, total.dsp,
+        state_err, "ok", None,
+    )
+
+
+def _result(
+    point: DesignPoint, tier: str, rkl_stage: float, rku_step: float,
+    state_err: float | None = None,
+) -> PointResult:
+    columns = _columns(
+        design_for(point), tier, point.num_nodes, point.num_elements,
+        point.num_cus, point.num_steps, rkl_stage, rku_step, state_err,
+    )
+    return PointResult.filled(point, columns)
+
+
+@priced
+def _closed_form_columns(
+    design: AcceleratorDesign, num_nodes: int, num_elements: int,
+    num_cus: int, block_size: int, num_steps: int,
+) -> tuple:
+    """The closed-form tier's columns: a function of exactly these
+    inputs, so one price-table entry serves every point sharing them
+    (fusion, partition and precision do not enter the closed form)."""
+    # The law grows with the element count, so the largest shard is
+    # the slowest compute unit.
+    rkl_stage = analytic_block_cycles(
+        design,
+        nodes_per_compute_unit(num_nodes, num_cus),
+        largest_part_size(num_elements, num_cus),
+        block_size,
+    )
+    return _columns(
+        design, "closed-form", num_nodes, num_elements, num_cus, num_steps,
+        rkl_stage, analytic_rku_step_cycles(design, num_nodes),
     )
 
 
@@ -217,22 +239,11 @@ def evaluate_closed_form(point: DesignPoint) -> PointResult:
     axis does not move this tier (role-group sums are fusion-invariant
     by construction) — asserted as a property by the tier tests.
     """
-    design = design_for(point)
-    nodes_per_cu = nodes_per_compute_unit(point.num_nodes, point.num_cus)
-    # The law grows with the element count, so the largest shard is
-    # the slowest compute unit.
-    rkl_stage = analytic_block_cycles(
-        design,
-        nodes_per_cu,
-        largest_part_size(point.num_elements, point.num_cus),
-        point.block_size,
+    columns = _closed_form_columns(
+        design_for(point), point.num_nodes, point.num_elements,
+        point.num_cus, point.block_size, point.num_steps,
     )
-    return _result(
-        point,
-        "closed-form",
-        rkl_stage,
-        analytic_rku_step_cycles(design, point.num_nodes),
-    )
+    return PointResult.filled(point, columns)
 
 
 def evaluate_exact(point: DesignPoint) -> PointResult:

@@ -182,12 +182,6 @@ class FaultPlan:
         self.specs.append(spec)
         return self
 
-    def find(self, site: str, context) -> FaultSpec | None:
-        for spec in self.specs:
-            if spec.matches(site, context):
-                return spec
-        return None
-
     def total_fired(self) -> int:
         return sum(spec.fired for spec in self.specs)
 
@@ -254,15 +248,17 @@ class injected_faults:
 def trip(site: str, context=None) -> FaultSpec | None:
     """The seam call production code places at a fault site.
 
-    Returns ``None`` (after possibly crashing / hanging / raising) for
-    centrally-executed kinds, or the matched spec for kinds the seam
-    handles itself (``"poison"``, ``"truncate"``). With no plan
+    Fires the first spec, in plan order, that matches the site and
+    context and still has budget, so specs sharing a site and context
+    fire in turn. Returns ``None`` (after possibly crashing / hanging /
+    raising) for centrally-executed kinds, or the fired spec for kinds
+    the seam handles itself (``"poison"``, ``"truncate"``). With no plan
     installed this is a single global ``None`` check.
     """
     plan = _PLAN
     if plan is None:
         return None
-    spec = plan.find(site, context)
-    if spec is None or not spec.claim():
-        return None
-    return spec.execute()
+    for spec in plan.specs:
+        if spec.matches(site, context) and spec.claim():
+            return spec.execute()
+    return None

@@ -14,8 +14,8 @@ from repro.dse.cache import (
     _SEGMENT_SUFFIX,
     ResultCache,
     _parse,
+    _ENCODER,
     _record,
-    _served,
     cache_key,
 )
 from repro.dse.campaign import CASES, PARTITIONS, POINT_FIELDS, DesignPoint
@@ -31,6 +31,7 @@ from repro.pipeline.navier_stokes import FUSIONS
 from repro.precision import DTYPE_MODES
 
 POINT = DesignPoint(polynomial_order=2, elements_per_direction=2)
+KEY = cache_key(POINT, "closed-form")
 
 
 def test_key_depends_on_tier_and_every_point_field():
@@ -59,12 +60,12 @@ def test_unknown_tier_raises():
 
 def test_memory_hit_miss_accounting():
     cache = ResultCache()
-    assert cache.lookup(POINT, "closed-form") is None
+    assert cache.get(KEY) is None
     assert cache.stats.misses == 1 and cache.stats.hits == 0
     result = evaluate_closed_form(POINT)
-    cache.store(POINT, "closed-form", result)
+    cache.put_many([(KEY, result)])
     assert cache.stats.writes == 1
-    hit = cache.lookup(POINT, "closed-form")
+    hit = cache.get(KEY)
     assert hit is not None and hit.from_cache
     assert hit == dataclasses.replace(result, from_cache=True)
     assert not result.from_cache
@@ -75,11 +76,11 @@ def test_memory_hit_miss_accounting():
 def test_cached_result_is_bitwise_identical(tmp_path):
     cache = ResultCache(tmp_path)
     fresh = evaluate_closed_form(POINT)
-    cache.store(POINT, "closed-form", fresh)
+    cache.put_many([(KEY, fresh)])
 
     # A separate instance must read back through the segment file.
     other = ResultCache(tmp_path)
-    cached = other.lookup(POINT, "closed-form")
+    cached = other.get(KEY)
     assert cached is not None and cached.from_cache
     for field in (
         "step_cycles",
@@ -100,9 +101,9 @@ def test_cached_result_is_bitwise_identical(tmp_path):
 
 def test_parameter_change_invalidates(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.store(POINT, "closed-form", evaluate_closed_form(POINT))
+    cache.put_many([(KEY, evaluate_closed_form(POINT))])
     changed = dataclasses.replace(POINT, block_size=2)
-    assert cache.lookup(changed, "closed-form") is None
+    assert cache.get(cache_key(changed, "closed-form")) is None
 
 
 def test_directory_must_be_a_directory(tmp_path):
@@ -131,13 +132,13 @@ def _row(result):
 
 
 def _roundtrip(key, result):
-    return _parse(_record(key, result).rstrip("\n").encode())
+    return _parse(_record(key, result, {}).rstrip("\n").encode())
 
 
 def test_put_writes_one_checksummed_segment(tmp_path):
     cache = ResultCache(tmp_path)
     result = evaluate_closed_form(POINT)
-    cache.store(POINT, "closed-form", result)
+    cache.put_many([(KEY, result)])
     (segment,) = _segments(tmp_path)
     assert segment.name.endswith(".v4.seg")
     key, crc, body = segment.read_text().rstrip("\n").split(" ", 2)
@@ -213,7 +214,7 @@ def test_record_roundtrip_property(result, tail):
     one line per record, every field equal, served as cached. Bytes
     after the row are a bad record even under a CRC that covers them."""
     key = cache_key(result.point, result.tier)
-    line = _record(key, result)
+    line = _record(key, result, {})
     assert line.endswith("\n") and line.count("\n") == 1
     if tail:
         body = line.rstrip("\n").split(" ", 2)[2] + tail
@@ -235,7 +236,7 @@ def test_row_filled_results_equal_constructed_ones(result):
     columns = [getattr(result, name) for name in RESULT_FIELDS]
     built = PointResult(result.point, *columns, from_cache=True)
     _, parsed = _roundtrip("k", result)
-    for back in (parsed, _served(result.point, columns)):
+    for back in (parsed, PointResult.filled(result.point, columns, True)):
         assert back == built
         assert [getattr(back, f.name) for f in dataclasses.fields(back)] == [
             getattr(built, f.name) for f in dataclasses.fields(built)
@@ -243,6 +244,77 @@ def test_row_filled_results_equal_constructed_ones(result):
         assert back.from_cache is True
         assert list(vars(back)) == list(vars(built))
         assert hash(back.point) == hash(built.point)
+
+
+def _twin(value):
+    """An equal value in a new object, with other JSON text where one
+    exists: ``0.0``/``-0.0`` swap, integral values change type, and the
+    rest (NaN, infinities, other floats, ints) are re-made from text."""
+    if isinstance(value, int):
+        as_float = float(value)
+        return as_float if as_float == value else int(str(value))
+    if value == 0:
+        return -value
+    if value.is_integer():
+        return int(value)
+    return float(repr(value))
+
+
+def _copy(value):
+    """An equal value with the same JSON text, in a new object unless
+    the interpreter interns it."""
+    return float(repr(value)) if isinstance(value, float) else int(str(value))
+
+
+#: Result-column values whose equal twins print differently.
+_tricky = (
+    st.sampled_from([0.0, -0.0, 1, 1.0, 2**60, float("nan"), float("inf")])
+    | st.floats()
+    | st.integers()
+)
+#: The numeric columns of a result: ``step_cycles`` through ``dsp``,
+#: then ``state_max_rel_err``.
+_NUMERIC = slice(1, 15)
+_NUMERIC_COUNT = len(RESULT_FIELDS[_NUMERIC])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        _tricky, min_size=_NUMERIC_COUNT, max_size=_NUMERIC_COUNT
+    ),
+    rows=st.lists(
+        st.tuples(_points, st.sampled_from(["same", "twin", "copy"])),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@example(
+    values=[0.0, 1] + [-float("inf"), float("nan")] * 6,
+    rows=[(POINT, "twin"), (POINT, "same"), (POINT, "copy")],
+)
+@example(
+    values=[-0.0, 1.0] + [2**60, 0.5] * 6,
+    rows=[(POINT, "same"), (POINT, "twin")],
+)
+def test_shared_record_text_is_byte_exact(values, rows):
+    """Records of one segment share result-column text only between
+    rows holding the very same column objects: every line equals the one
+    encoded from its own row, whatever equal-valued neighbor (``-0.0``
+    beside ``0.0``, ``1`` beside ``1.0``, NaN, infinities, equal values
+    in distinct objects) came first."""
+    base = ("closed-form", *values, "ok", None)
+    variants = {"twin": _twin, "copy": _copy}
+    texts = {}
+    for index, (point, variant) in enumerate(rows + [(POINT, "same")]):
+        columns = list(base)
+        if variant != "same":
+            columns[_NUMERIC] = map(variants[variant], base[_NUMERIC])
+        result = PointResult.filled(point, columns)
+        row = [[getattr(point, name) for name in POINT_FIELDS], *columns]
+        assert _record(str(index), result, texts) == _segment_line(
+            str(index), _ENCODER.encode(row)
+        )
 
 
 @pytest.mark.parametrize(
@@ -272,7 +344,8 @@ def test_parsed_point_is_canonicalized():
 
 
 def test_flipping_any_body_byte_fails_the_parse():
-    line = _record("k", evaluate_closed_form(POINT)).rstrip("\n").encode()
+    line = _record("k", evaluate_closed_form(POINT), {})
+    line = line.rstrip("\n").encode()
     start = line.index(b" ", line.index(b" ") + 1) + 1
     for position in range(start, len(line)):
         for mask in range(1, 256):
@@ -332,17 +405,15 @@ def test_put_many_writes_one_segment_per_batch(tmp_path):
     assert len(segment.read_text().splitlines()) == len(points)
     reader = ResultCache(tmp_path)
     assert len(reader) == len(points)
-    assert all(reader.lookup(p, "closed-form") for p in points)
+    assert all(reader.get(cache_key(p, "closed-form")) for p in points)
 
 
 def test_reader_indexes_lazily(tmp_path):
     """A segment published after construction but before the first
     lookup is seen: the directory is scanned on the first lookup."""
     reader = ResultCache(tmp_path)
-    ResultCache(tmp_path).store(
-        POINT, "closed-form", evaluate_closed_form(POINT)
-    )
-    assert reader.lookup(POINT, "closed-form") is not None
+    ResultCache(tmp_path).put_many([(KEY, evaluate_closed_form(POINT))])
+    assert reader.get(KEY) is not None
 
 
 def test_legacy_json_entries_are_ignored(tmp_path):
@@ -368,10 +439,10 @@ def test_corrupt_entry_is_a_miss_and_recovers(tmp_path):
     assert cache.stats.corrupt == 1
     assert cache.stats.misses == 1
     assert not path.exists()  # bad segment dropped
-    cache.store(POINT, "closed-form", evaluate_closed_form(POINT))
+    cache.put_many([(KEY, evaluate_closed_form(POINT))])
     assert len(_segments(tmp_path)) == 1
     fresh = ResultCache(tmp_path)
-    served = fresh.lookup(POINT, "closed-form")
+    served = fresh.get(KEY)
     assert served is not None and served.from_cache
     assert fresh.stats.corrupt == 0
 
@@ -392,9 +463,9 @@ def test_bad_record_spares_its_segment_mates(tmp_path):
     lines[1] = bytes(bad)
     segment.write_bytes(b"".join(lines))
     fresh = ResultCache(tmp_path)
-    assert fresh.lookup(points[1], "closed-form") is None
-    assert fresh.lookup(points[0], "closed-form") is not None
-    assert fresh.lookup(points[2], "closed-form") is not None
+    assert fresh.get(cache_key(points[1], "closed-form")) is None
+    assert fresh.get(cache_key(points[0], "closed-form")) is not None
+    assert fresh.get(cache_key(points[2], "closed-form")) is not None
     assert fresh.stats.corrupt == 1
     assert segment.exists()
 
@@ -403,7 +474,7 @@ def test_truncated_entry_is_a_miss(tmp_path):
     """The torn tail of a killed writer (or a partial copy) behaves
     exactly like corruption: miss, count, recover."""
     cache = ResultCache(tmp_path)
-    cache.store(POINT, "closed-form", evaluate_closed_form(POINT))
+    cache.put_many([(KEY, evaluate_closed_form(POINT))])
     key = cache_key(POINT, "closed-form")
     (path,) = _segments(tmp_path)
     path.write_text(path.read_text()[: len(path.read_text()) // 2])
@@ -455,15 +526,15 @@ def test_failed_disk_write_degrades_to_memory(tmp_path):
         FaultSpec(site="cache.write", kind="disk-full", times=1)
     ):
         with pytest.warns(RuntimeWarning, match="cache write failed"):
-            cache.store(POINT, "closed-form", result)
+            cache.put_many([(KEY, result)])
     assert cache.stats.write_errors == 1
     assert not _segments(tmp_path)
     assert not list(tmp_path.glob("*.tmp"))
-    assert cache.lookup(POINT, "closed-form") is not None  # memory layer
+    assert cache.get(KEY) is not None  # memory layer
     # The filesystem healed: the next write persists.
-    cache.store(POINT, "closed-form", result)
+    cache.put_many([(KEY, result)])
     assert len(_segments(tmp_path)) == 1
-    assert ResultCache(tmp_path).lookup(POINT, "closed-form") is not None
+    assert ResultCache(tmp_path).get(KEY) is not None
 
 
 def test_truncated_write_fault_recovers_on_read(tmp_path):
@@ -475,20 +546,21 @@ def test_truncated_write_fault_recovers_on_read(tmp_path):
     with injected_faults(
         FaultSpec(site="cache.write", kind="truncate", times=1)
     ):
-        cache.store(POINT, "closed-form", evaluate_closed_form(POINT))
+        cache.put_many([(KEY, evaluate_closed_form(POINT))])
     fresh = ResultCache(tmp_path)
-    assert fresh.lookup(POINT, "closed-form") is None
+    assert fresh.get(KEY) is None
     assert fresh.stats.corrupt == 1
     assert not _segments(tmp_path)  # no valid record: segment removed
-    fresh.store(POINT, "closed-form", evaluate_closed_form(POINT))
-    assert ResultCache(tmp_path).lookup(POINT, "closed-form") is not None
+    fresh.put_many([(KEY, evaluate_closed_form(POINT))])
+    assert ResultCache(tmp_path).get(KEY) is not None
 
 
 def _write_entries(args):
     directory, points = args
     cache = ResultCache(directory)
     for point in points:
-        cache.store(point, "closed-form", evaluate_closed_form(point))
+        key = cache_key(point, "closed-form")
+        cache.put_many([(key, evaluate_closed_form(point))])
     cache.put_many(
         (cache_key(point, "closed-form"), evaluate_closed_form(point))
         for point in points
@@ -509,7 +581,7 @@ def test_concurrent_writers_never_tear_entries(tmp_path):
         pool.map(_write_entries, [(str(tmp_path), points)] * 3)
     reader = ResultCache(tmp_path)
     for point in points:
-        result = reader.lookup(point, "closed-form")
+        result = reader.get(cache_key(point, "closed-form"))
         assert result is not None
         fresh = evaluate_closed_form(point)
         assert result.step_cycles == fresh.step_cycles

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -11,7 +12,9 @@ from repro.accel.multi_cu import max_compute_units
 from repro.dse import tiers
 from repro.dse.campaign import DesignPoint
 from repro.dse.tiers import (
+    RESULT_FIELDS,
     TIER_AGREEMENT_BOUNDS,
+    PointResult,
     design_for,
     evaluate_closed_form,
     evaluate_cosim,
@@ -194,31 +197,23 @@ def test_timing_tiers_ignore_cosim_options():
 
 
 #: Every pricing input of the timing tiers crossed, small meshes only:
-#: order, elements, block, CUs, device, fusion, partition and case.
+#: order, elements, block, CUs, device, fusion, partition, steps,
+#: precision and case.
 MEMO_GRID = [
     point
     for point in (
-        DesignPoint(
-            polynomial_order=order,
-            elements_per_direction=elements,
-            block_size=block,
-            num_cus=cus,
-            device=device,
-            fusion=fusion,
-            partition=partition,
-            case=case,
-        )
-        for order, elements, block, cus, device, fusion, partition, case in (
-            itertools.product(
-                (1, 2),
-                (2, 3),
-                (1, 4),
-                (1, 2, 3),
-                ("u200", "hbm"),
-                ("none", "full"),
-                ("balanced", "contiguous"),
-                ("tgv", "channel"),
-            )
+        DesignPoint(*values)
+        for values in itertools.product(
+            (1, 2),
+            (2, 3),
+            (1, 4),
+            (1, 2, 3),
+            ("u200", "hbm"),
+            ("none", "full"),
+            ("balanced", "contiguous"),
+            (1, 2),
+            ("tgv", "channel"),
+            ("float64", "float32"),
         )
     )
     if point.is_feasible
@@ -237,6 +232,42 @@ def test_price_tables_key_every_input(tier, monkeypatch):
         monkeypatch.setattr(tiers, "_DESIGN_CACHE", {})
         fresh = evaluate_point(point, tier).to_dict()
         assert again[i] == warm[i] == fresh
+
+
+def test_memo_filled_closed_form_results_are_built_results():
+    """A closed-form result filled from its price-table columns is the
+    ``PointResult(...)``-built one, whichever pricing-mate filled the
+    table first."""
+    for point in MEMO_GRID[:48]:
+        filled = evaluate_closed_form(point)
+        built = PointResult(
+            point, *(getattr(filled, name) for name in RESULT_FIELDS)
+        )
+        back = pickle.loads(pickle.dumps(filled))
+        for same in (filled, back):
+            assert same == built
+            assert hash(same) == hash(built)
+            assert repr(same) == repr(built)
+            assert same.to_dict() == built.to_dict()
+        assert vars(back) == vars(built)
+
+
+def test_failed_result_is_the_keyword_built_one():
+    point = MEMO_GRID[0]
+    zeros = dict.fromkeys(
+        ("step_cycles", "rkl_stage_cycles", "rku_step_cycles", "clock_mhz",
+         "step_seconds", "run_seconds", "lut", "ff", "bram36", "uram", "dsp"),
+        0.0,
+    )
+    built = PointResult(
+        point=point, tier="exact", num_nodes=point.num_nodes,
+        num_elements=point.num_elements, status="failed", error="boom",
+        **zeros,
+    )
+    failed = PointResult.failed(point, "exact", "boom")
+    assert failed == built
+    assert repr(failed) == repr(built)
+    assert list(vars(failed).items()) == list(vars(built).items())
 
 
 @pytest.mark.parametrize("build", [proposed_design, vitis_baseline_design])

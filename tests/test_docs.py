@@ -97,6 +97,18 @@ def test_readme_documents_environment_variables():
         assert needle in text, f"README.md env-var table lost {needle!r}"
 
 
+def test_architecture_documents_the_grid_miss_path():
+    """Each cold grid miss is priced, keyed and encoded once."""
+    text = " ".join((REPO_ROOT / "ARCHITECTURE.md").read_text().split())
+    for needle in (
+        "The closed-form tier prices each distinct input once, through the "
+        "design's price table",
+        "A miss is keyed once",
+        "Record text is shared, and exact.",
+    ):
+        assert needle in text, f"ARCHITECTURE.md lost its {needle!r} coverage"
+
+
 def test_architecture_documents_the_precision_modes():
     text = (REPO_ROOT / "ARCHITECTURE.md").read_text()
     for needle in (

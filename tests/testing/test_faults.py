@@ -89,6 +89,17 @@ def test_times_budget_exhausts():
     assert spec.fired == 2
 
 
+def test_specs_sharing_a_site_and_context_fire_in_order():
+    """A spent spec does not shadow the next one at the same seam."""
+    first = FaultSpec(site="s", kind="poison", at=(0,))
+    second = FaultSpec(site="s", kind="truncate", at=(0,))
+    with injected_faults(first, second):
+        assert trip("s", 0) is first
+        assert trip("s", 0) is second
+        assert trip("s", 0) is None
+    assert first.fired == second.fired == 1
+
+
 def test_context_manager_scopes_install():
     with injected_faults(FaultSpec(site="s", kind="poison")) as plan:
         assert active_plan() is plan
