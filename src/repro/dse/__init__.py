@@ -18,8 +18,10 @@ at three fidelities; this package makes the *space* cheap to sweep:
   (cycles vs LUT/DSP/BRAM);
 - :mod:`repro.dse.pool` — the fault-tolerant
   :class:`~repro.dse.pool.SupervisedPool` (dead-worker respawn,
-  per-batch deadlines, backoff retries, bisection quarantine) and its
-  :class:`~repro.dse.pool.RetryPolicy`;
+  per-batch deadlines, backoff retries, bisection quarantine), its
+  :class:`~repro.dse.pool.RetryPolicy`, and
+  :func:`~repro.dse.pool.shared_pool`, the one live pool per process
+  that every campaign's cosim tier reuses;
 - :mod:`repro.dse.checkpoint` — the append-only campaign progress
   journal behind ``run_campaign(..., resume=True)``;
 - :mod:`repro.dse.executor` — :func:`~repro.dse.executor.run_campaign`

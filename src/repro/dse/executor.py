@@ -17,10 +17,14 @@ process — runs on a :class:`~repro.dse.pool.SupervisedPool` at every
 ``workers`` value, one point per batch: dead workers are respawned,
 hung points hit deadlines, faulted points retry with backoff, and
 points that exhaust the budget are **quarantined** as structured
-:class:`~repro.dse.tiers.PointResult` failures. The timing tiers price
-in the parent under the same quarantine rule: a raising point becomes a
-``status="failed"`` casualty, not a dead campaign. Results merge by
-index, so they never depend on worker count or completion order.
+:class:`~repro.dse.tiers.PointResult` failures. The pool is the
+process's shared one (:func:`~repro.dse.pool.shared_pool`): forked by
+the first campaign and reused, warm, by every later one until a change
+of width, fault plan, backends or process forks a new one. The timing
+tiers price in the parent under the same quarantine rule: a raising
+point becomes a ``status="failed"`` casualty, not a dead campaign.
+Results merge by index, so they never depend on worker count or
+completion order.
 
 **Checkpoint/resume** — with a disk-backed cache, every grid chunk and
 every promoted point is one segment file of the content-addressed cache
@@ -33,7 +37,7 @@ restored without re-failing, and only unpriced points are priced.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from ..backend import resolve_backend_name
 from ..errors import DSEError
@@ -42,7 +46,7 @@ from .cache import CacheStats, ResultCache, cache_key
 from .campaign import CampaignSpec, DesignPoint
 from .checkpoint import CampaignJournal, JournalState, journal_path
 from .pareto import pareto_front
-from .pool import PoolStats, RetryPolicy, SupervisedPool, evaluate_one
+from .pool import PoolStats, RetryPolicy, evaluate_one, shared_pool
 from .tiers import (
     TIER_AGREEMENT_BOUNDS,
     TIERS,
@@ -95,8 +99,9 @@ class CampaignResult:
     agreement: list[AgreementCheck] = field(default_factory=list)
     #: Cache accounting of the run (``None`` when uncached).
     cache_stats: CacheStats | None = None
-    #: Supervision accounting: the cosim pool's counters, plus every
-    #: point quarantined in the parent in ``quarantined``.
+    #: Supervision accounting: what this campaign's cosim tier cost the
+    #: shared pool, plus every point quarantined in the parent in
+    #: ``quarantined``.
     supervision: PoolStats | None = None
     #: True when this run resumed from a checkpoint journal.
     resumed: bool = False
@@ -162,11 +167,12 @@ def _evaluate_tier(
     misses — on the supervised pool for the cosim tier, in the parent
     for the timing tiers.
 
-    ``workers`` sizes the cosim pool; ``chunk_size`` is the parent's
-    points per persisted segment, after each of which the ``dse.batch``
-    seam trips at ``(tier, chunk count)``. Results slot in by index, so
-    merge order never depends on scheduling or retries. ``options`` are
-    forwarded to :func:`~repro.dse.tiers.evaluate_point`.
+    ``workers`` is the width of the shared cosim pool; ``chunk_size``
+    is the parent's points per persisted segment, after each of which
+    the ``dse.batch`` seam trips at ``(tier, chunk count)``. Results
+    slot in by index, so merge order never depends on scheduling or
+    retries. ``options`` are forwarded to
+    :func:`~repro.dse.tiers.price_feasible`.
     """
     options = options or {}
     results: list[PointResult | None] = [None] * len(points)
@@ -193,23 +199,24 @@ def _evaluate_tier(
     if missing and tier == "cosim":
         # Whole-mesh numerics always run supervised: even at workers=1 a
         # crashing or hanging point must not take the caller down. One
-        # point per batch; the forked workers inherit the built designs.
-        try:
-            prewarm_designs(point for _, point in missing)
-        except Exception:  # noqa: BLE001 - workers re-raise per point
-            pass
-        pool = SupervisedPool(
-            min(workers, len(missing)),
-            cache_dir=None if cache is None else cache.directory,
-            retry=retry,
-        )
-        try:
-            priced, failed = pool.run(
-                tier, [[item] for item in missing], options
-            )
-        finally:
-            pool.close()
-            supervision.merge(pool.stats)
+        # point per batch; a pool about to fork inherits the built
+        # designs, a reused one builds what it lacks.
+        with shared_pool(workers, retry) as pool:
+            if not pool.forked:
+                try:
+                    prewarm_designs(point for _, point in missing)
+                except Exception:  # noqa: BLE001 - workers re-raise per point
+                    pass
+            before = replace(pool.stats)
+            try:
+                priced, failed = pool.run(
+                    tier,
+                    [[item] for item in missing],
+                    options,
+                    cache_dir=None if cache is None else cache.directory,
+                )
+            finally:
+                supervision.merge(pool.stats.since(before))
         if cache is not None:  # the workers wrote the segments
             cache.put_many(
                 [(keys[i], r) for i, r in priced.items()], persist=False
@@ -257,10 +264,12 @@ def run_campaign(
     spec:
         The sweep definition.
     workers:
-        Supervised-pool width for the cosim tier (capped at its
-        missing point count). The cosim tier runs under supervision
-        even at ``workers=1``; the closed-form and exact tiers price in
-        the calling process.
+        Width of the supervised pool the cosim tier runs on. The pool
+        is the process's shared one: forked by the first campaign and
+        reused by later ones, re-forked when ``workers`` (or the fault
+        plan, the registered backends or the process) changes. The
+        cosim tier runs under supervision even at ``workers=1``; the
+        closed-form and exact tiers price in the calling process.
     cache:
         Content-addressed result store; misses are computed and stored,
         hits are served (and flagged ``from_cache``) without

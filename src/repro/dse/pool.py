@@ -39,23 +39,37 @@ installed): ``"dse.worker"`` fires in a worker as it picks up a batch
 (context = batch id; crash / hang / poison), ``"dse.point"`` fires
 before each point evaluation (context = point index; error / crash),
 and ``"dse.batch"`` fires in the parent after each completed batch
-(context = ``(tier, completed batches)``; the executor's in-parent
-tiers trip it after each persisted chunk, so a kill-then-resume test
-crashes the *campaign* in the tier it names).
+(context = ``(tier, batches completed in this run)``; the executor's
+in-parent tiers trip it after each persisted chunk, so a
+kill-then-resume test crashes the *campaign* in the tier it names).
+
+**One pool per process.** :func:`shared_pool` hands every campaign's
+cosim tier the same live pool, so only the first campaign pays for the
+fork, the teardown and the cold first point of each worker. It forks a
+new pool only when the old one's workers would no longer match what a
+fresh fork inherits: in a forked child (another pid), at another width,
+under another installed fault plan, or with another set of registered
+backends. A worker builds any design it lacks on demand and writes each
+batch's segment to the directory named in that batch's message, so one
+pool serves campaigns over any cache directory.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
+import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from multiprocessing import connection
 
+from ..backend.registry import available_backends
 from ..errors import DSEError
 from ..testing import faults
 from .cache import ResultCache, cache_key
-from .tiers import evaluate_point
+from .tiers import price_feasible
 
 #: Graceful close: seconds a worker gets to acknowledge ``("close",)``
 #: before join escalates to ``terminate()`` and then ``kill()``.
@@ -125,6 +139,15 @@ class PoolStats:
         for name in self.to_dict():
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
+    def since(self, earlier: "PoolStats") -> "PoolStats":
+        """The counts accrued after the snapshot ``earlier``."""
+        return PoolStats(
+            **{
+                name: value - getattr(earlier, name)
+                for name, value in self.to_dict().items()
+            }
+        )
+
 
 @dataclass
 class _Attempt:
@@ -137,22 +160,27 @@ class _Attempt:
 
 
 def evaluate_one(index: int, point, tier: str, options: dict):
-    """Price one point (the shared per-point seam of the pool worker and
-    the executor's in-parent grid and exact tiers)."""
+    """Price one campaign point (the shared per-point seam of the pool
+    worker and the executor's in-parent grid and exact tiers). Campaign
+    points passed :meth:`CampaignSpec.expand
+    <repro.dse.campaign.CampaignSpec.expand>`'s feasibility filter, so
+    it is not checked again here."""
     faults.trip("dse.point", context=index)
-    return evaluate_point(point, tier, **options)
+    return price_feasible(point, tier, **options)
 
 
-def _pool_worker(channel, cache_dir, inherited_fds=()) -> None:
+def _pool_worker(channel, inherited_fds=()) -> None:
     """Worker main loop: price batches, report per-point outcomes.
 
     Every point is priced under ``try/except``: a deterministic
     evaluation error becomes a structured ``("error", message)`` entry
     instead of killing the worker, so only genuine process faults
     (crash, hang, kill) ever cost the supervisor a retry. The batch's
-    successful results are persisted to the shared cache directory as
-    one segment before the reply, so a parent crash after this batch
-    loses nothing.
+    successful results are persisted as one segment to the cache
+    directory its message names, before the reply, so a parent crash
+    after this batch loses nothing. Each batch writes through a fresh
+    :class:`~repro.dse.cache.ResultCache`: a reused worker keeps no
+    result in memory from one batch to the next.
 
     ``inherited_fds`` are the parent-side pipe ends this fork-started
     worker inherited copies of — its own channel's parent end and those
@@ -166,7 +194,6 @@ def _pool_worker(channel, cache_dir, inherited_fds=()) -> None:
             os.close(fd)
         except OSError:
             pass
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
     while True:
         try:
             msg = channel.recv()
@@ -178,7 +205,7 @@ def _pool_worker(channel, cache_dir, inherited_fds=()) -> None:
             except (BrokenPipeError, OSError):
                 pass
             break
-        _, batch_id, tier, items, options = msg
+        _, batch_id, tier, items, options, cache_dir = msg
         fired = faults.trip("dse.worker", context=batch_id)
         if fired is not None and fired.kind == "poison":
             # A poisoned pipe message: garbage instead of the protocol
@@ -198,8 +225,8 @@ def _pool_worker(channel, cache_dir, inherited_fds=()) -> None:
             else:
                 priced.append((cache_key(point, tier), result))
                 entries.append((index, "ok", result))
-        if cache is not None and priced:
-            cache.put_many(priced)
+        if cache_dir is not None and priced:
+            ResultCache(cache_dir).put_many(priced)
         try:
             channel.send(("done", batch_id, entries))
         except (BrokenPipeError, OSError):
@@ -232,9 +259,6 @@ class SupervisedPool:
     ----------
     num_workers:
         Worker process count (>= 1).
-    cache_dir:
-        Shared on-disk cache directory workers persist results to
-        (``None`` disables worker-side persistence).
     retry:
         The :class:`RetryPolicy`; defaults to the module default.
     """
@@ -243,13 +267,11 @@ class SupervisedPool:
         self,
         num_workers: int,
         *,
-        cache_dir=None,
         retry: RetryPolicy | None = None,
     ) -> None:
         if num_workers < 1:
             raise DSEError("num_workers must be >= 1")
         self.num_workers = int(num_workers)
-        self.cache_dir = None if cache_dir is None else str(cache_dir)
         self.retry = retry or RetryPolicy()
         self.stats = PoolStats()
         self._workers: list = []
@@ -268,6 +290,11 @@ class SupervisedPool:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    @property
+    def forked(self) -> bool:
+        """True once the workers have been started."""
+        return bool(self._workers)
 
     def close(self) -> None:
         """Tear the pool down: ask every worker to exit, then reap it."""
@@ -294,7 +321,7 @@ class SupervisedPool:
         ] + [parent_end.fileno()]
         proc = self._ctx.Process(
             target=_pool_worker,
-            args=(child_end, self.cache_dir, inherited),
+            args=(child_end, inherited),
             daemon=True,
             name=f"dse-pool-{slot}",
         )
@@ -304,11 +331,17 @@ class SupervisedPool:
         self._channels[slot] = parent_end
 
     def _ensure(self) -> None:
+        """Fork the workers on first use; on reuse, respawn any worker
+        that died while the pool was idle."""
         if not self._workers:
             self._workers = [None] * self.num_workers
             self._channels = [None] * self.num_workers
             for slot in range(self.num_workers):
                 self._spawn(slot)
+            return
+        for slot, proc in enumerate(self._workers):
+            if proc is None or not proc.is_alive():
+                self._replace(slot)
 
     def _replace(self, slot: int) -> None:
         """Kill slot's worker (it is dead or compromised) and respawn."""
@@ -331,8 +364,13 @@ class SupervisedPool:
         tier: str,
         batches: list[list],
         options: dict | None = None,
+        *,
+        cache_dir=None,
     ):
         """Price every ``(index, point)`` item of every batch.
+
+        Workers persist each batch's results as one segment in
+        ``cache_dir`` (``None``: no worker-side persistence).
 
         Returns ``(results, failures)``: ``results`` maps point index to
         its :class:`~repro.dse.tiers.PointResult`; ``failures`` maps
@@ -340,7 +378,9 @@ class SupervisedPool:
         points.
         """
         options = options or {}
+        cache_dir = None if cache_dir is None else str(cache_dir)
         self._ensure()
+        completed = 0
         results: dict[int, object] = {}
         failures: dict[int, tuple] = {}
         points_by_index = {
@@ -403,7 +443,10 @@ class SupervisedPool:
                     slot = idle.pop()
                     try:
                         self._channels[slot].send(
-                            ("run", att.batch_id, tier, att.items, options)
+                            (
+                                "run", att.batch_id, tier, att.items,
+                                options, cache_dir,
+                            )
                         )
                     except (BrokenPipeError, OSError):
                         self.stats.crashes += 1
@@ -473,6 +516,7 @@ class SupervisedPool:
                     continue
                 idle.append(slot)
                 self.stats.completed += 1
+                completed += 1
                 entries = msg[2]
                 for index, status, payload in entries:
                     if status == "ok":
@@ -480,7 +524,7 @@ class SupervisedPool:
                     else:
                         failures[index] = (points_by_index[index], payload)
                         self.stats.quarantined += 1
-                faults.trip("dse.batch", context=(tier, self.stats.completed))
+                faults.trip("dse.batch", context=(tier, completed))
             # Deadline enforcement on whoever is still out.
             now = time.monotonic()
             for slot in list(busy):
@@ -497,3 +541,88 @@ class SupervisedPool:
                         f"(attempt {att.attempt + 1})",
                     )
         return results, failures
+
+
+# -- the process's shared pool ------------------------------------------------
+
+#: The live pool every campaign's cosim tier reuses, and the state its
+#: workers inherited at their fork: ``(pid, width, fault plan,
+#: registered backends)``.
+_shared: SupervisedPool | None = None
+_shared_state: tuple | None = None
+#: Serialises the cosim tiers of concurrent campaigns in one process.
+_shared_lock = threading.Lock()
+
+
+def _inherited_state(num_workers: int) -> tuple:
+    # A fault plan compares by identity: a new plan object needs workers
+    # that hold it, even if it lists the same specs.
+    return (
+        os.getpid(),
+        num_workers,
+        faults.active_plan(),
+        available_backends(),
+    )
+
+
+def _drop_shared() -> None:
+    """Forget the shared pool; close it if this process forked it."""
+    global _shared, _shared_state
+    pool, state = _shared, _shared_state
+    _shared = _shared_state = None
+    if pool is None:
+        return
+    if state[0] == os.getpid():
+        pool.close()
+        return
+    # A forked child holds copies of the parent's pipe ends: close the
+    # copies, and never signal, message or reap the parent's workers.
+    for chan in pool._channels:
+        if chan is not None:
+            chan.close()
+
+
+@contextmanager
+def shared_pool(num_workers: int, retry: RetryPolicy | None = None):
+    """Hold the process's live pool, ``num_workers`` wide, for one run.
+
+    The pool is forked on its first :meth:`SupervisedPool.run` and then
+    reused. A new one replaces it when any state its workers inherited
+    at the fork has changed: the process (a forked child gets its own
+    pool), the width, the installed fault plan, or the registered
+    backends. ``retry`` is parent-side supervision, so it is set per
+    run and never forces a fork. Any exception escaping the block
+    closes and drops the pool, so the next run starts from fresh
+    workers.
+    """
+    global _shared, _shared_state
+    with _shared_lock:
+        state = _inherited_state(num_workers)
+        if _shared is not None and _shared_state != state:
+            _drop_shared()
+        if _shared is None:
+            _shared, _shared_state = SupervisedPool(num_workers), state
+        _shared.retry = retry or RetryPolicy()
+        try:
+            yield _shared
+        except BaseException:
+            _drop_shared()
+            raise
+
+
+def close_shared_pool() -> None:
+    """Close the process's shared pool, if any (idempotent; also run
+    at interpreter exit)."""
+    with _shared_lock:
+        _drop_shared()
+
+
+def _reset_lock_in_child() -> None:
+    # A fork taken while another thread held the lock must not leave the
+    # child a lock nobody will release.
+    global _shared_lock
+    _shared_lock = threading.Lock()
+
+
+atexit.register(close_shared_pool)
+os.register_at_fork(after_in_child=_reset_lock_in_child)

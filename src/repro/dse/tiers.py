@@ -76,10 +76,10 @@ def design_for(point: DesignPoint) -> AcceleratorDesign:
 def prewarm_designs(points) -> None:
     """Build every design the points need, in the calling process.
 
-    Called by the parallel executor *before* creating its process pool:
-    under the fork start method the workers inherit the populated
-    :data:`_DESIGN_CACHE`, so no worker pays the per-design elaboration
-    again.
+    Called by the executor just before the shared cosim pool forks:
+    the workers inherit the populated :data:`_DESIGN_CACHE`, so no
+    worker pays these elaborations again. A reused pool's workers build
+    any other design on demand and keep it.
     """
     for point in points:
         design_for(point)
@@ -333,6 +333,31 @@ _EVALUATORS = {
 }
 
 
+def price_feasible(
+    point: DesignPoint,
+    tier: str,
+    *,
+    backend: str | None = None,
+    verify: bool = True,
+) -> PointResult:
+    """Price one point already known to be feasible at one tier.
+
+    The campaign path: :meth:`CampaignSpec.expand
+    <repro.dse.campaign.CampaignSpec.expand>` has filtered every point a
+    campaign prices, so the feasibility check is not repeated per point.
+    Direct callers use :func:`evaluate_point`, which checks it.
+    """
+    try:
+        evaluator = _EVALUATORS[tier]
+    except KeyError:
+        raise DSEError(
+            f"unknown tier {tier!r}; tiers: {', '.join(TIERS)}"
+        ) from None
+    if tier == "cosim":
+        return evaluator(point, backend=backend, verify=verify)
+    return evaluator(point)
+
+
 def evaluate_point(
     point: DesignPoint,
     tier: str,
@@ -353,18 +378,10 @@ def evaluate_point(
     infeasible point.
     """
     require_serial_workers(num_workers)
-    try:
-        evaluator = _EVALUATORS[tier]
-    except KeyError:
-        raise DSEError(
-            f"unknown tier {tier!r}; tiers: {', '.join(TIERS)}"
-        ) from None
     reason = point.infeasibility()
     if reason is not None:
         raise DSEError(f"cannot evaluate infeasible point: {reason}")
-    if tier == "cosim":
-        return evaluator(point, backend=backend, verify=verify)
-    return evaluator(point)
+    return price_feasible(point, tier, backend=backend, verify=verify)
 
 
 def tier_agreement(a: PointResult, b: PointResult) -> float:

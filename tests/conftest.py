@@ -2,6 +2,11 @@
 
 Design construction and meshes are session-scoped: they are deterministic
 pure functions of the library's constants, and many tests only read them.
+
+The process's shared cosim pool is closed around every test: its workers
+keep whatever code and state they inherited at their fork, so a test
+that monkeypatches code the workers run must start from fresh workers,
+and must not leave its patch behind in workers a later test reuses.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from repro.accel.designs import (
     proposed_design,
     vitis_baseline_design,
 )
+from repro.dse.pool import close_shared_pool
 from repro.fem.reference import reference_hex
 from repro.mesh.hexmesh import HexMesh, box_mesh, periodic_box_mesh
 from repro.physics.taylor_green import DEFAULT_TGV, TGVCase
@@ -71,3 +77,11 @@ def vitis() -> AcceleratorDesign:
 def rng() -> np.random.Generator:
     """Deterministic RNG for randomized-but-reproducible tests."""
     return np.random.default_rng(20250611)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_cosim_pool():
+    """Start and end every test without a live shared cosim pool."""
+    close_shared_pool()
+    yield
+    close_shared_pool()

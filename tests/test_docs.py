@@ -109,6 +109,21 @@ def test_architecture_documents_the_grid_miss_path():
         assert needle in text, f"ARCHITECTURE.md lost its {needle!r} coverage"
 
 
+def test_architecture_documents_the_shared_cosim_pool():
+    """One cosim pool per process, and the rule that re-forks it."""
+    text = " ".join((REPO_ROOT / "ARCHITECTURE.md").read_text().split())
+    for needle in (
+        "**One pool per process.**",
+        "The pool is forked once per process and reused by every later "
+        "campaign",
+        "the pool is re-forked when any of that changes: the process id",
+        "the width, the installed fault plan (compared by identity), or "
+        "the set of registered backends",
+        "respawns any worker that died while idle",
+    ):
+        assert needle in text, f"ARCHITECTURE.md lost its {needle!r} coverage"
+
+
 def test_architecture_documents_the_precision_modes():
     text = (REPO_ROOT / "ARCHITECTURE.md").read_text()
     for needle in (
