@@ -32,7 +32,6 @@ import pytest
 from repro.accel.cosim import cosimulate_rk_stage
 from repro.dataflow import clear_schedule_cache, set_schedule_cache
 from repro.dse import CampaignSpec, run_campaign
-from repro.dse.pool import close_shared_pool
 from repro.mesh.hexmesh import periodic_box_mesh
 
 #: Payload cosim tier workload: 8^3 = 512 elements at p=3, full RK step.
@@ -160,9 +159,6 @@ def ladder_times():
     }
     for label, spec in specs.items():
         _set_caches(label == "fast_path")
-        # Cosim workers keep the cache switch they were forked with:
-        # each configuration gets a pool forked under its own setting.
-        close_shared_pool()
         start = time.perf_counter()
         result = run_campaign(spec, highest_tier="cosim")
         results[label] = {
@@ -172,7 +168,6 @@ def ladder_times():
         }
         assert not result.violations, label
     _set_caches(True)
-    close_shared_pool()
     return results
 
 

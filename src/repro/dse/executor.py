@@ -20,7 +20,8 @@ points that exhaust the budget are **quarantined** as structured
 :class:`~repro.dse.tiers.PointResult` failures. The pool is the
 process's shared one (:func:`~repro.dse.pool.shared_pool`): forked by
 the first campaign and reused, warm, by every later one until a change
-of width, fault plan, backends or process forks a new one. The timing
+of width, fault plan, backend registry or schedule-cache switch forks a
+new one; a forked child forks its own. The timing
 tiers price in the parent under the same quarantine rule: a raising
 point becomes a ``status="failed"`` casualty, not a dead campaign.
 Results merge by index, so they never depend on worker count or
@@ -264,12 +265,14 @@ def run_campaign(
     spec:
         The sweep definition.
     workers:
-        Width of the supervised pool the cosim tier runs on. The pool
-        is the process's shared one: forked by the first campaign and
-        reused by later ones, re-forked when ``workers`` (or the fault
-        plan, the registered backends or the process) changes. The
-        cosim tier runs under supervision even at ``workers=1``; the
-        closed-form and exact tiers price in the calling process.
+        Width of the supervised pool the cosim tier runs on (a
+        campaign with fewer missing finalists forks no idle workers).
+        The pool is the process's shared one: forked by the first
+        campaign and reused by later ones, re-forked when ``workers``
+        (or the fault plan, the backend registry or the schedule-cache
+        switch) changes. The cosim tier runs under supervision even at
+        ``workers=1``; the closed-form and exact tiers price in the
+        calling process.
     cache:
         Content-addressed result store; misses are computed and stored,
         hits are served (and flagged ``from_cache``) without

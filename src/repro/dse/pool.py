@@ -47,25 +47,38 @@ kill-then-resume test crashes the *campaign* in the tier it names).
 cosim tier the same live pool, so only the first campaign pays for the
 fork, the teardown and the cold first point of each worker. It forks a
 new pool only when the old one's workers would no longer match what a
-fresh fork inherits: in a forked child (another pid), at another width,
-under another installed fault plan, or with another set of registered
-backends. A worker builds any design it lacks on demand and writes each
-batch's segment to the directory named in that batch's message, so one
-pool serves campaigns over any cache directory.
+fresh fork inherits: at another width, under another installed fault
+plan, with other registered backends (names or factories), or with the
+schedule cache switched. A pool forks a worker only when a run has a
+batch for it, so a campaign with fewer finalists than ``workers`` forks
+no idle ones. A worker builds any design it lacks on demand and writes
+each batch's segment to the directory named in that batch's message,
+so one pool serves campaigns over any cache directory.
+
+**Forked children.** Every child forked from a process that holds pools
+(a pool's own workers included) drops, at the fork, its copies of every
+pool's pipe ends and worker handles, and forgets the shared pool: it
+forks its own when it needs one, and it never messages, signals or
+reaps its parent's workers, not even from ``multiprocessing``'s exit
+handler.
 """
 
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import os
 import threading
 import time
+import weakref
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from multiprocessing import connection
+from multiprocessing import process as mp_process
 
-from ..backend.registry import available_backends
+from ..backend import registry
+from ..dataflow import schedule
 from ..errors import DSEError
 from ..testing import faults
 from .cache import ResultCache, cache_key
@@ -169,7 +182,7 @@ def evaluate_one(index: int, point, tier: str, options: dict):
     return price_feasible(point, tier, **options)
 
 
-def _pool_worker(channel, inherited_fds=()) -> None:
+def _pool_worker(channel) -> None:
     """Worker main loop: price batches, report per-point outcomes.
 
     Every point is priced under ``try/except``: a deterministic
@@ -182,18 +195,12 @@ def _pool_worker(channel, inherited_fds=()) -> None:
     :class:`~repro.dse.cache.ResultCache`: a reused worker keeps no
     result in memory from one batch to the next.
 
-    ``inherited_fds`` are the parent-side pipe ends this fork-started
-    worker inherited copies of — its own channel's parent end and those
-    of its siblings. They MUST be closed here: a worker holding a copy
-    of its own parent end would never see EOF after a parent crash
-    (``os._exit``, SIGKILL) and would orphan forever instead of
-    exiting.
+    The at-fork hook has already closed this worker's copies of every
+    pool's parent-side pipe ends, its own channel's included: a worker
+    holding a copy of its own parent end would never see EOF after a
+    parent crash (``os._exit``, SIGKILL) and would orphan forever
+    instead of exiting.
     """
-    for fd in inherited_fds:
-        try:
-            os.close(fd)
-        except OSError:
-            pass
     while True:
         try:
             msg = channel.recv()
@@ -276,8 +283,6 @@ class SupervisedPool:
         self.stats = PoolStats()
         self._workers: list = []
         self._channels: list = []
-        import multiprocessing
-
         try:
             self._ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
@@ -293,11 +298,12 @@ class SupervisedPool:
 
     @property
     def forked(self) -> bool:
-        """True once the workers have been started."""
-        return bool(self._workers)
+        """True once a worker has been started."""
+        return any(proc is not None for proc in self._workers)
 
     def close(self) -> None:
         """Tear the pool down: ask every worker to exit, then reap it."""
+        _pools.discard(self)
         workers, self._workers = self._workers, []
         channels, self._channels = self._channels, []
         for chan in channels:
@@ -316,32 +322,45 @@ class SupervisedPool:
 
     def _spawn(self, slot: int) -> None:
         parent_end, child_end = self._ctx.Pipe()
-        inherited = [
-            chan.fileno() for chan in self._channels if chan is not None
-        ] + [parent_end.fileno()]
+        # Registered before the fork, so the worker's at-fork hook
+        # closes its copy of its own parent end too.
+        self._channels[slot] = parent_end
+        _pools.add(self)
         proc = self._ctx.Process(
             target=_pool_worker,
-            args=(child_end, inherited),
+            args=(child_end,),
             daemon=True,
             name=f"dse-pool-{slot}",
         )
         proc.start()
         child_end.close()
         self._workers[slot] = proc
-        self._channels[slot] = parent_end
 
-    def _ensure(self) -> None:
-        """Fork the workers on first use; on reuse, respawn any worker
-        that died while the pool was idle."""
+    def _ensure(self, count: int) -> None:
+        """Have live workers in the first ``count`` slots: fork the ones
+        never started, respawn any that died while the pool was idle."""
         if not self._workers:
             self._workers = [None] * self.num_workers
             self._channels = [None] * self.num_workers
-            for slot in range(self.num_workers):
+        for slot in range(count):
+            proc = self._workers[slot]
+            if proc is None:
                 self._spawn(slot)
-            return
-        for slot, proc in enumerate(self._workers):
-            if proc is None or not proc.is_alive():
+            elif not proc.is_alive():
                 self._replace(slot)
+
+    def _forget(self) -> None:
+        """In a forked child: drop this process's copies of the pool's
+        pipe ends and worker handles. The workers are the parent's, so
+        ``multiprocessing``'s exit handler must not see them as this
+        process's children and terminate them."""
+        for chan in self._channels:
+            if chan is not None:
+                chan.close()
+        for proc in self._workers:
+            if proc is not None:
+                mp_process._children.discard(proc)
+        self._workers, self._channels = [], []
 
     def _replace(self, slot: int) -> None:
         """Kill slot's worker (it is dead or compromised) and respawn."""
@@ -370,7 +389,9 @@ class SupervisedPool:
         """Price every ``(index, point)`` item of every batch.
 
         Workers persist each batch's results as one segment in
-        ``cache_dir`` (``None``: no worker-side persistence).
+        ``cache_dir`` (``None``: no worker-side persistence). The run
+        uses one worker per non-empty batch, at most ``num_workers``,
+        and forks any of them not yet started.
 
         Returns ``(results, failures)``: ``results`` maps point index to
         its :class:`~repro.dse.tiers.PointResult`; ``failures`` maps
@@ -379,7 +400,8 @@ class SupervisedPool:
         """
         options = options or {}
         cache_dir = None if cache_dir is None else str(cache_dir)
-        self._ensure()
+        width = min(self.num_workers, sum(1 for items in batches if items))
+        self._ensure(width)
         completed = 0
         results: dict[int, object] = {}
         failures: dict[int, tuple] = {}
@@ -393,7 +415,7 @@ class SupervisedPool:
         )
         next_batch_id = len(batches)
         busy: dict[int, tuple[_Attempt, float | None]] = {}
-        idle = list(range(self.num_workers))
+        idle = list(range(width))
 
         def fault(att: _Attempt, reason: str) -> None:
             """A pool-level fault on a dispatched batch: retry with
@@ -546,54 +568,53 @@ class SupervisedPool:
 # -- the process's shared pool ------------------------------------------------
 
 #: The live pool every campaign's cosim tier reuses, and the state its
-#: workers inherited at their fork: ``(pid, width, fault plan,
-#: registered backends)``.
+#: workers inherited at their fork (see :func:`_inherited_state`).
 _shared: SupervisedPool | None = None
 _shared_state: tuple | None = None
 #: Serialises the cosim tiers of concurrent campaigns in one process.
 _shared_lock = threading.Lock()
+#: Every pool with started workers, shared or not: a forked child drops
+#: its copies of them.
+_pools: "weakref.WeakSet[SupervisedPool]" = weakref.WeakSet()
 
 
 def _inherited_state(num_workers: int) -> tuple:
-    # A fault plan compares by identity: a new plan object needs workers
-    # that hold it, even if it lists the same specs.
+    """What a pool's workers took from this process at their fork.
+
+    The fault plan compares by identity: a new plan object needs workers
+    that hold it, even if it lists the same specs. The backend registry
+    compares by its ``(name, factory)`` items, so a factory registered
+    over an existing name counts, and holding the factories keeps their
+    identities from being reused.
+    """
     return (
-        os.getpid(),
         num_workers,
         faults.active_plan(),
-        available_backends(),
+        tuple(sorted(registry._REGISTRY.items())),
+        schedule._SCHEDULE_CACHE_ENABLED,
     )
 
 
 def _drop_shared() -> None:
-    """Forget the shared pool; close it if this process forked it."""
+    """Forget the shared pool and close it."""
     global _shared, _shared_state
-    pool, state = _shared, _shared_state
-    _shared = _shared_state = None
-    if pool is None:
-        return
-    if state[0] == os.getpid():
+    pool, _shared, _shared_state = _shared, None, None
+    if pool is not None:
         pool.close()
-        return
-    # A forked child holds copies of the parent's pipe ends: close the
-    # copies, and never signal, message or reap the parent's workers.
-    for chan in pool._channels:
-        if chan is not None:
-            chan.close()
 
 
 @contextmanager
 def shared_pool(num_workers: int, retry: RetryPolicy | None = None):
-    """Hold the process's live pool, ``num_workers`` wide, for one run.
+    """Hold the process's live pool, at most ``num_workers`` wide, for
+    one run.
 
-    The pool is forked on its first :meth:`SupervisedPool.run` and then
-    reused. A new one replaces it when any state its workers inherited
-    at the fork has changed: the process (a forked child gets its own
-    pool), the width, the installed fault plan, or the registered
-    backends. ``retry`` is parent-side supervision, so it is set per
-    run and never forces a fork. Any exception escaping the block
-    closes and drops the pool, so the next run starts from fresh
-    workers.
+    The pool forks workers as runs need them and is then reused. A new
+    one replaces it when any state its workers inherited at the fork has
+    changed: the width, the installed fault plan, the registered
+    backends or the schedule-cache switch. A forked child starts without
+    one. ``retry`` is parent-side supervision, so it is set per run and
+    never forces a fork. Any exception escaping the block closes and
+    drops the pool, so the next run starts from fresh workers.
     """
     global _shared, _shared_state
     with _shared_lock:
@@ -617,12 +638,17 @@ def close_shared_pool() -> None:
         _drop_shared()
 
 
-def _reset_lock_in_child() -> None:
+def _forget_pools_in_child() -> None:
+    global _shared, _shared_state, _shared_lock
     # A fork taken while another thread held the lock must not leave the
     # child a lock nobody will release.
-    global _shared_lock
     _shared_lock = threading.Lock()
+    pools = list(_pools)  # before _shared's reference goes
+    _shared = _shared_state = None
+    for pool in pools:
+        pool._forget()
+    _pools.clear()
 
 
 atexit.register(close_shared_pool)
-os.register_at_fork(after_in_child=_reset_lock_in_child)
+os.register_at_fork(after_in_child=_forget_pools_in_child)

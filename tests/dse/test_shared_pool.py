@@ -11,15 +11,18 @@ child never drives its parent's workers.
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
 import json
 import multiprocessing
+import os
 import sys
 import threading
 
 import pytest
 
 from repro.backend import registry
+from repro.dataflow import set_schedule_cache
 from repro.dse import (
     CampaignSpec,
     DesignPoint,
@@ -61,7 +64,9 @@ def _cosim(spec, **kwargs):
 
 
 def _worker_pids() -> list[int]:
-    return [proc.pid for proc in pool_module._shared._workers]
+    return [
+        proc.pid for proc in pool_module._shared._workers if proc is not None
+    ]
 
 
 @pytest.fixture()
@@ -93,11 +98,23 @@ def test_second_campaign_forks_no_worker(monkeypatch):
     assert not second.failures and not other.failures
 
 
-@pytest.mark.parametrize("change", ["workers", "backends", "plan"])
+def _wrapped(factory):
+    """Another factory object building the same backend."""
+
+    def replacement(**kwargs):
+        return factory(**kwargs)
+
+    return replacement
+
+
+@pytest.mark.parametrize(
+    "change", ["workers", "backends", "overwritten", "schedule", "plan"]
+)
 def test_changed_inherited_state_forks_a_new_pool(change, spawns, monkeypatch):
     """Each piece of state a worker inherits at its fork — the width,
-    the registered backends, the installed fault plan — forks a fresh
-    pool when it changes; an unchanged one is reused."""
+    the backend registry (names and factories), the schedule-cache
+    switch, the installed fault plan — forks a fresh pool when it
+    changes; an unchanged one is reused."""
     first = _cosim(SPEC)
     assert len(spawns) == 2
     _cosim(SPEC)
@@ -109,15 +126,39 @@ def test_changed_inherited_state_forks_a_new_pool(change, spawns, monkeypatch):
         monkeypatch.setitem(
             registry._REGISTRY, "spare", registry._REGISTRY["reference"]
         )
+    elif change == "overwritten":
+        for name in registry.available_backends():
+            factory = registry._REGISTRY[name]
+            monkeypatch.setitem(registry._REGISTRY, name, factory)
+            registry.register_backend(name, _wrapped(factory), overwrite=True)
     if change == "plan":
         unfired = FaultSpec(site="dse.worker", kind="crash", at=(99,))
         with injected_faults(unfired):
             result = _cosim(SPEC, workers=workers)
+    elif change == "schedule":
+        previous = set_schedule_cache(False)
+        try:
+            result = _cosim(SPEC, workers=workers)
+        finally:
+            set_schedule_cache(previous)
     else:
         result = _cosim(SPEC, workers=workers)
     assert len(spawns) == 2 + workers
     assert len({id(pool) for pool, _ in spawns}) == 2
     assert _view(result) == _view(first)
+
+
+def test_pool_forks_only_the_workers_a_campaign_prices_on(spawns):
+    """A campaign with fewer finalists than ``workers`` forks one worker
+    per finalist; a later campaign with more grows the same pool."""
+    _cosim(SPEC, workers=4)
+    assert [slot for _, slot in spawns] == [0, 1]
+    wider = dataclasses.replace(SPEC, max_cosim=4)
+    result = _cosim(wider, workers=4)
+    assert len(result.cosim) == 4
+    assert [slot for _, slot in spawns] == [0, 1, 2, 3]
+    assert len({id(pool) for pool, _ in spawns}) == 1
+    assert result.supervision.respawns == 0
 
 
 def test_fault_plan_installed_after_the_pool_reaches_its_workers():
@@ -195,6 +236,35 @@ def test_forked_child_gets_its_own_pool(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     assert not set(report["pids"]) & set(parent_pids)
     assert report["view"] == json.loads(json.dumps(_view(first)))
+
+    def refuse(self, slot):
+        raise AssertionError("the parent's pool had to fork again")
+
+    monkeypatch.setattr(SupervisedPool, "_spawn", refuse)
+    again = _cosim(SPEC)
+    assert _worker_pids() == parent_pids
+    assert again.supervision.respawns == 0
+    assert _view(again) == _view(first)
+
+
+def test_plain_forked_child_leaves_the_parents_workers_alive(monkeypatch):
+    """A child made by ``os.fork()`` that exits through the interpreter's
+    exit handlers (``multiprocessing``'s included) must not signal the
+    parent's idle workers."""
+    first = _cosim(SPEC)
+    parent_pids = _worker_pids()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child
+        code = 1
+        try:
+            code = 0 if pool_module._shared is None else 2
+            atexit._run_exitfuncs()
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    for worker in pool_module._shared._workers:
+        assert worker.is_alive()
 
     def refuse(self, slot):
         raise AssertionError("the parent's pool had to fork again")

@@ -116,10 +116,14 @@ def test_architecture_documents_the_shared_cosim_pool():
         "**One pool per process.**",
         "The pool is forked once per process and reused by every later "
         "campaign",
-        "the pool is re-forked when any of that changes: the process id",
-        "the width, the installed fault plan (compared by identity), or "
-        "the set of registered backends",
+        "the pool is re-forked when any of that changes: the width, the "
+        "installed fault plan (compared by identity), the backend registry "
+        "(its `(name, factory)` items",
+        "or the `set_schedule_cache` switch",
+        "forks a worker only when a run has a batch for it",
         "respawns any worker that died while idle",
+        "**Forked children.**",
+        "removes the pool workers from `multiprocessing`'s child set",
     ):
         assert needle in text, f"ARCHITECTURE.md lost its {needle!r} coverage"
 
