@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..backend.registry import require_serial_workers
 from ..config import seconds_from_cycles
 from ..dataflow.graph import DataflowGraph, merge_graphs
 from ..dataflow.simulator import DataflowSimulator, SimulationTrace
@@ -57,6 +58,7 @@ from ..mesh.partition import (
     slice_blocks,
 )
 from ..physics.state import NUM_CONSERVED, FlowState
+from ..physics.taylor_green import DEFAULT_TGV, taylor_green_initial
 from ..pipeline import (
     DEFAULT_TASK_NAMES,
     RK_UPDATE_TASK_NAMES,
@@ -66,7 +68,10 @@ from ..pipeline import (
     element_pipeline,
     rk_update_pipeline,
     streaming_actions,
+    streaming_plan,
 )
+from ..solver.navier_stokes import NavierStokesOperator
+from ..solver.simulation import Simulation, cfl_time_step
 from ..timeint.butcher import RK4, ButcherTableau
 from .designs import AcceleratorDesign, DesignTiming, priced
 from .multi_cu import nodes_per_compute_unit
@@ -298,8 +303,10 @@ class _ChainTemplate:
     sequencing. Lowering the operator pipeline once per distinct
     structure (per-CU block sizes, node block sizes) and rebinding per
     instance removes the per-stage ``to_task_graph`` / role-grouping
-    cost from the hot path. Every lowering in this module goes through
-    it.
+    cost from the hot path: the template keeps the chain's task spec and
+    its :func:`~repro.pipeline.executor.streaming_plan`, which every
+    instance's streaming actions run. Every lowering in this module goes
+    through it.
     """
 
     def __init__(
@@ -312,6 +319,7 @@ class _ChainTemplate:
         lowered = pipeline.to_task_graph(
             stage_cycles, name="template", block_sizes=block_sizes
         )
+        self.plan = streaming_plan(pipeline)
         self.spec = [
             (lowered.tasks[name].kind, lowered.tasks[name].latency)
             for name in lowered.topological_order()
@@ -365,7 +373,7 @@ def _read_only(view: np.ndarray) -> np.ndarray:
     return view
 
 
-def _rkl_actions(pipeline, blocks, ctx, state, accumulator):
+def _rkl_actions(plan, blocks, ctx, state, accumulator):
     """The RKL binding of :func:`~repro.pipeline.executor.streaming_actions`.
 
     A block runs on its element view of ``ctx`` and gathers from the
@@ -376,14 +384,16 @@ def _rkl_actions(pipeline, blocks, ctx, state, accumulator):
     accumulator's dtype picks the reduction precision, as in the
     backends. STORE's 1-D index and pre-cast values keep the 2-D call's
     flat order and bits, off numpy's slow generic ``ufunc.at`` loop.
-    Raises :class:`~repro.errors.PipelineError` unless the pipeline's
-    one external payload is the global state.
+    ``plan`` is the pipeline's
+    :func:`~repro.pipeline.executor.streaming_plan`. Raises
+    :class:`~repro.errors.PipelineError` unless the pipeline's one
+    external payload is the global state.
     """
-    externals = pipeline.external_inputs()
+    externals = plan.external_inputs
     if len(externals) != 1:
         raise PipelineError(
-            f"pipeline {pipeline.name!r}: streaming execution expects one "
-            f"external payload (the global state), found {externals}"
+            f"pipeline {plan.name!r}: streaming execution expects one "
+            f"external payload (the global state), found {list(externals)}"
         )
     (payload,) = externals
     frozen = _read_only(state[...])
@@ -396,13 +406,13 @@ def _rkl_actions(pipeline, blocks, ctx, state, accumulator):
             np.add.at(accumulator[start + field], nodes, value[field].ravel())
 
     return streaming_actions(
-        pipeline, blocks, ctx.element_block,
+        plan, blocks, ctx.element_block,
         lambda block, names: {payload: frozen}, store,
     )
 
 
 def _rku_actions(
-    pipeline, blocks, ctx, state, derivs, coeffs, dt, targets, prepare=None
+    plan, blocks, ctx, state, derivs, coeffs, dt, targets, prepare=None
 ):
     """The RK-update binding of
     :func:`~repro.pipeline.executor.streaming_actions`.
@@ -412,7 +422,8 @@ def _rku_actions(
     node blocks its stages read when it starts, so it sees what a chain
     sequenced before it wrote in the same simulation; STORE writes each
     store stage's block into ``targets[stage.kernel]``. The node stream
-    runs in the state's dtype.
+    runs in the state's dtype. ``plan`` is the RK-update pipeline's
+    :func:`~repro.pipeline.executor.streaming_plan`.
     """
 
     def load(block, names):
@@ -427,7 +438,7 @@ def _rku_actions(
         targets[stage.kernel][:, block] = value
 
     return streaming_actions(
-        pipeline, blocks, lambda block: ctx, load, store, prepare
+        plan, blocks, lambda block: ctx, load, store, prepare
     )
 
 
@@ -458,10 +469,11 @@ class _RKLShards:
     ) -> None:
         if block_size < 1:
             raise ExperimentError("block_size must be >= 1")
-        self.pipeline = element_pipeline() if pipeline is None else pipeline
+        if pipeline is None:
+            pipeline = element_pipeline()
         partitions = _element_partitions(num_elements, num_cus, partitions)
         stage_cycles = design.pipeline_stage_cycles(
-            self.pipeline, nodes_per_compute_unit(num_nodes, len(partitions))
+            pipeline, nodes_per_compute_unit(num_nodes, len(partitions))
         )
         self.blocks, self.templates = [], []
         for part in partitions:
@@ -474,7 +486,7 @@ class _RKLShards:
             )
             sizes = [cut.stop - cut.start for cut in cuts]
             self.templates.append(_ChainTemplate(
-                self.pipeline, stage_cycles, None if block_size == 1 else sizes
+                pipeline, stage_cycles, None if block_size == 1 else sizes
             ))
 
     @property
@@ -513,7 +525,7 @@ class _RKLShards:
             actions = None
             if ctx is not None:
                 actions = _rkl_actions(
-                    self.pipeline, blocks, ctx, state, accumulators[cu]
+                    template.plan, blocks, ctx, state, accumulators[cu]
                 )
             drains.append(
                 template.instantiate(
@@ -544,7 +556,8 @@ class _RKUChain:
     """The RK-update node stream, lowered once — the RKU analogue of
     :class:`_RKLShards`: the node range cut into ``node_block_size``
     tokens and one :class:`_ChainTemplate` priced at the whole mesh, the
-    kernel-launch fill charged on the first token.
+    kernel-launch fill charged on the first token. Built only through
+    :func:`_rku_chain`, one per design, size and variant.
     :func:`exact_rku_step_cycles` instantiates it without payloads, and
     every RKU chain of :func:`cosimulate_rk_stage` with
     :func:`_rku_actions`.
@@ -562,11 +575,11 @@ class _RKUChain:
             raise ExperimentError("num_nodes must be >= 1")
         if node_block_size < 1:
             raise ExperimentError("node_block_size must be >= 1")
-        self.pipeline = rk_update_pipeline(primitives=primitives)
+        pipeline = rk_update_pipeline(primitives=primitives)
         self.blocks = slice_blocks(0, num_nodes, node_block_size)
         self.template = _ChainTemplate(
-            self.pipeline,
-            design.rku_pipeline_stage_cycles(self.pipeline, num_nodes),
+            pipeline,
+            design.rku_pipeline_stage_cycles(pipeline, num_nodes),
             [block.stop - block.start for block in self.blocks],
             design.rku_fill_cycles(),
         )
@@ -598,6 +611,22 @@ class _RKUChain:
     def window(self, trace: SimulationTrace, prefix: str) -> int:
         """Cycles the prefixed chain occupied on the shared clock."""
         return _window_cycles(trace, [self.task_names(prefix)])
+
+
+@priced
+def _rku_chain(
+    design: AcceleratorDesign,
+    num_nodes: int,
+    node_block_size: int,
+    primitives: bool,
+) -> _RKUChain:
+    """The :class:`_RKUChain` of one design, size and variant, lowered
+    once and kept in the design's price table: it depends on nothing
+    else, and instances share it read-only (every instantiation builds
+    fresh tasks and actions)."""
+    return _RKUChain(
+        design, num_nodes, node_block_size, primitives=primitives
+    )
 
 
 def _reduce_partials(accumulators, dtype) -> np.ndarray:
@@ -691,7 +720,7 @@ def exact_rku_step_cycles(
     """
     from ..dataflow.analysis import exact_cycles
 
-    chain = _RKUChain(design, num_nodes, node_block_size, primitives=True)
+    chain = _rku_chain(design, num_nodes, node_block_size, True)
     graphs: list[DataflowGraph] = []
     iterations: dict[str, int] = {}
     chain.instantiate(graphs, iterations, "rku")
@@ -971,9 +1000,7 @@ def cosimulate_rk_stage(
         :func:`streamed_residual`, or on ``node_block_size < 1`` or
         ``num_steps < 1``.
     """
-    from ..physics.taylor_green import DEFAULT_TGV
-    from ..solver.simulation import Simulation
-
+    require_serial_workers(num_workers)
     if case is None:
         case = DEFAULT_TGV
     if num_steps < 1:
@@ -981,9 +1008,10 @@ def cosimulate_rk_stage(
     num_nodes = mesh.num_nodes
     # The streaming lowerings, built ONCE: the task-chain structure and
     # latencies are identical across RK stages (and steps) — only names,
-    # actions and sequencing differ per instance.
+    # actions and sequencing differ per instance. The RKU chains live in
+    # the design's price table, so repeated calls reuse them too.
     combine, update = (
-        _RKUChain(design, num_nodes, node_block_size, primitives=primitives)
+        _rku_chain(design, num_nodes, node_block_size, primitives)
         for primitives in (False, True)
     )
     rkl = _RKLShards(
@@ -994,21 +1022,23 @@ def cosimulate_rk_stage(
         num_cus=num_cus,
         partitions=partitions,
     )
-    sim = Simulation(
-        mesh, case, tableau=tableau, backend=backend,
-        initial_state=initial_state, num_workers=num_workers, dtype=dtype,
-    )
-    operator = sim.operator
+    # The stream needs only the operator; a Simulation is built only for
+    # the checking solve.
+    gas = case.gas()
+    operator = NavierStokesOperator(mesh, gas, backend=backend, dtype=dtype)
+    if initial_state is None:
+        initial_state = taylor_green_initial(mesh.coords, case)
+    initial_state.validate()
     precision = operator.precision
     storage = precision.storage
     acc_dtype = precision.accumulate_for(storage)
-    y0 = sim.state.as_stacked().astype(storage, copy=False)
+    y0 = initial_state.as_stacked().astype(storage, copy=False)
     if dt is None:
-        dt = sim.compute_dt()
+        dt = cfl_time_step(mesh, initial_state, gas)
     num_stages = tableau.num_stages
 
     ctx = PipelineContext.from_operator(operator)
-    rku_ctx = RKUpdateContext(gas=operator.gas, precision=precision)
+    rku_ctx = RKUpdateContext(gas=gas, precision=precision)
     subgraphs: list[DataflowGraph] = []
     iterations: dict[str, int] = {}
     step_prefixes = (
@@ -1053,7 +1083,7 @@ def cosimulate_rk_stage(
                 # Stage-combination node stream:
                 # y_s = y + dt * sum(a_sk d_k).
                 actions = _rku_actions(
-                    combine.pipeline, combine.blocks, rku_ctx, y_step,
+                    combine.template.plan, combine.blocks, rku_ctx, y_step,
                     derivs[:stage], tableau.a[stage, :stage], dt,
                     {"store_node_state": stage_states[stage]},
                     finalizer(stage - 1),
@@ -1075,7 +1105,7 @@ def cosimulate_rk_stage(
         # The step's final RKU chain: b-row combination + primitive
         # update.
         actions = _rku_actions(
-            update.pipeline, update.blocks, rku_ctx, y_step, derivs,
+            update.template.plan, update.blocks, rku_ctx, y_step, derivs,
             tableau.b, dt,
             {
                 "store_node_state": out_state,
@@ -1095,6 +1125,10 @@ def cosimulate_rk_stage(
     state_err = None
     if verify:
         # Functional reference: the very steps the solver would take.
+        sim = Simulation(
+            mesh, case, tableau=tableau, backend=backend,
+            initial_state=initial_state, dtype=dtype,
+        )
         for _ in range(num_steps):
             sim.step(dt)
         expected = sim.state.as_stacked()

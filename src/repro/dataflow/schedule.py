@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict, deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,9 +172,36 @@ class GraphSchedule:
         """Cycle the last task retires its last iteration."""
         return max(int(t.finishes[-1]) for t in self.tasks.values())
 
-    def task_stats(self) -> dict[str, TaskStats]:
+    def task_stats(self) -> "LazyTaskStats":
         """Per-task stats, keyed and ordered like the event trace."""
-        return {name: sched.stats() for name, sched in self.tasks.items()}
+        return LazyTaskStats(self.tasks)
+
+
+class LazyTaskStats(Mapping):
+    """Per-task stats, each derived from its schedule when first read.
+
+    A co-simulation reads a few tasks' windows of a trace with dozens
+    of tasks, so the vectorized trace derives no stats it is not asked
+    for. Reads, iteration order and equality are those of the event
+    engine's ``dict``.
+    """
+
+    def __init__(self, schedules: dict[str, TaskSchedule]) -> None:
+        self._schedules = schedules
+        self._stats: dict[str, TaskStats] = {}
+
+    def __getitem__(self, name: str) -> TaskStats:
+        try:
+            return self._stats[name]
+        except KeyError:
+            stats = self._stats[name] = self._schedules[name].stats()
+            return stats
+
+    def __iter__(self):
+        return iter(self._schedules)
+
+    def __len__(self) -> int:
+        return len(self._schedules)
 
 
 # ---------------------------------------------------------------------------

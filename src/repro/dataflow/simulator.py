@@ -70,7 +70,9 @@ class SimulationTrace:
     #: ``task_stats[...].iterations_completed``).
     iterations: int
     total_cycles: int
-    task_stats: dict[str, TaskStats] = field(default_factory=dict)
+    #: Per-task stats; the vectorized engine derives each on first read
+    #: (:class:`~repro.dataflow.schedule.LazyTaskStats`).
+    task_stats: Mapping[str, TaskStats] = field(default_factory=dict)
     #: Per sink task with an action: the values it produced, in order.
     sink_results: dict[str, list] = field(default_factory=dict)
 
@@ -80,21 +82,6 @@ class SimulationTrace:
             return self.task_stats[task_name]
         except KeyError:
             raise DataflowError(f"no stats for task {task_name!r}") from None
-
-    def achieved_initiation_interval(self) -> float:
-        """Measured steady-state II at the pipeline sink.
-
-        Averaged completion gap of the task that finishes last; for a
-        well-formed pipeline this converges to the slowest task's latency.
-        """
-        last = max(
-            self.task_stats.values(), key=lambda s: s.last_finish or 0
-        )
-        return last.measured_initiation_interval()
-
-    def bottleneck_task(self) -> str:
-        """Task with the largest busy share — the II-critical stage."""
-        return max(self.task_stats.values(), key=lambda s: s.busy_cycles).name
 
     def report(self) -> str:
         """Human-readable per-task table."""

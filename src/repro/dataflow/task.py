@@ -206,14 +206,3 @@ class TaskStats:
         if window <= 0:
             return 1.0
         return self.busy_cycles / window
-
-    def measured_initiation_interval(self) -> float:
-        """Average gap between consecutive completions (steady-state II)."""
-        if len(self.finish_times) < 2:
-            raise DataflowError(
-                f"task {self.name!r}: need >= 2 completions to measure II"
-            )
-        gaps = [
-            b - a for a, b in zip(self.finish_times[:-1], self.finish_times[1:])
-        ]
-        return sum(gaps) / len(gaps)

@@ -53,6 +53,10 @@ class HexMesh:
     periodic_axes:
         Per-axis periodicity ``(x, y, z)``. Channel meshes are periodic
         in x/y with walls in z.
+
+    A mesh is never mutated after construction: derive a changed one
+    with :func:`dataclasses.replace`, which starts it with an empty
+    :meth:`derived` memo.
     """
 
     polynomial_order: int
@@ -62,7 +66,9 @@ class HexMesh:
     periodic: bool
     domain: tuple[tuple[float, float], ...] = DEFAULT_DOMAIN
     periodic_axes: tuple[bool, bool, bool] | None = None
-    _node_coords_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _memo: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.coords = np.asarray(self.coords, dtype=np.float64)
@@ -117,16 +123,39 @@ class HexMesh:
 
     # -- derived data ------------------------------------------------------
 
+    def derived(self, name: str, build):
+        """``build()``, computed once per mesh and kept under ``name``.
+
+        For data that depends on the mesh alone (node coordinates per
+        element, geometry, lumped mass, minimum GLL spacing), so every
+        operator, simulation and co-simulation on one mesh shares one
+        copy. ``name`` must identify what ``build`` computes. The arrays
+        of the value (the value itself, or its attributes) are made
+        read-only, since every caller shares them.
+        """
+        try:
+            return self._memo[name]
+        except KeyError:
+            pass
+        value = build()
+        for array in (value, *getattr(value, "__dict__", {}).values()):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+        self._memo[name] = value
+        return value
+
     def element_node_coords(self) -> np.ndarray:
         """Physical coordinates of each element's nodes.
 
-        Returns an array of shape ``(num_elements, nodes_per_element, 3)``.
+        Returns a read-only array of shape
+        ``(num_elements, nodes_per_element, 3)``, built once per mesh.
         On periodic meshes the coordinates are *unwrapped* so that every
         element is geometrically contiguous (a node on the wrap seam is
         reported at the element's side of the seam).
         """
-        if self._node_coords_cache is not None:
-            return self._node_coords_cache
+        return self.derived("element_node_coords", self._element_node_coords)
+
+    def _element_node_coords(self) -> np.ndarray:
         gathered = self.coords[self.connectivity]
         if any(self.periodic_axes):
             # Unwrap: shift any node that sits more than half a period away
@@ -141,7 +170,6 @@ class HexMesh:
                 gathered[:, :, axis] = np.where(
                     wraps, gathered[:, :, axis] + period, gathered[:, :, axis]
                 )
-        self._node_coords_cache = gathered
         return gathered
 
     def checksum(self) -> float:

@@ -34,6 +34,7 @@ from .executor import (
     run_blocked_pipeline,
     run_pipeline,
     streaming_actions,
+    streaming_plan,
 )
 from .rk_update import (
     RK_UPDATE_TASK_NAMES,
@@ -68,6 +69,7 @@ __all__ = [
     "run_blocked_pipeline",
     "run_pipeline",
     "streaming_actions",
+    "streaming_plan",
     "pipeline_op_counts",
     "pipeline_phase_op_counts",
     "stage_op_count",

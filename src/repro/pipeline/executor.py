@@ -23,6 +23,7 @@ Four execution styles over one IR:
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,9 +208,61 @@ def element_residuals(
 
 Action = Callable[[int, tuple], object]
 
+#: One role group of a :class:`StreamingPlan`.
+RoleGroup = tuple[str, tuple[Stage, ...], tuple[str, ...], frozenset[str]]
+
+
+@dataclass(frozen=True)
+class StreamingPlan:
+    """A pipeline's role groups as :func:`streaming_actions` runs them.
+
+    Each group is ``(role, stages, exported, needed)``: its stages in
+    topological order, the payloads a different group consumes (only
+    those travel through the simulated inter-task buffers), and every
+    payload its stages read. Derived once per lowered chain structure
+    (:func:`streaming_plan`), not per streamed chain.
+    """
+
+    #: The pipeline's name.
+    name: str
+    groups: tuple[RoleGroup, ...]
+    #: :meth:`OperatorPipeline.external_inputs` of the pipeline.
+    external_inputs: tuple[str, ...]
+
+
+def streaming_plan(pipeline: OperatorPipeline) -> StreamingPlan:
+    """The :class:`StreamingPlan` of ``pipeline``.
+
+    Raises :class:`~repro.errors.PipelineError` if the pipeline's role
+    grouping (:meth:`OperatorPipeline.role_groups`) is not a legal task
+    chain.
+    """
+    groups = pipeline.role_groups()
+    group_of = {
+        stage.name: index
+        for index, (_, stages) in enumerate(groups)
+        for stage in stages
+    }
+    plan = []
+    for index, (role, stages) in enumerate(groups):
+        exported = tuple(
+            out
+            for stage in stages
+            for out in stage.outputs
+            if any(
+                group_of[consumer.name] != index
+                for consumer in pipeline.consumers_of(out)
+            )
+        )
+        needed = frozenset(name for stage in stages for name in stage.inputs)
+        plan.append((role, tuple(stages), exported, needed))
+    return StreamingPlan(
+        pipeline.name, tuple(plan), tuple(pipeline.external_inputs())
+    )
+
 
 def streaming_actions(
-    pipeline: OperatorPipeline,
+    plan: StreamingPlan,
     blocks: Sequence[slice | np.ndarray],
     view: Callable[[slice | np.ndarray], object],
     load: Callable[[slice | np.ndarray, frozenset[str]], dict[str, object]],
@@ -224,10 +277,9 @@ def streaming_actions(
 
     Parameters
     ----------
-    pipeline:
-        The operator pipeline whose role groups
-        (:meth:`OperatorPipeline.role_groups`) become the simulated LOAD
-        / COMPUTE / STORE tasks.
+    plan:
+        The :func:`streaming_plan` of the operator pipeline whose role
+        groups become the simulated LOAD / COMPUTE / STORE tasks.
     blocks:
         One token per pipeline iteration: consecutive slices of a
         contiguous stream (:func:`repro.mesh.partition.slice_blocks`),
@@ -267,8 +319,7 @@ def streaming_actions(
     Raises
     ------
     PipelineError
-        If the pipeline's role grouping is not a legal task chain, or a
-        batched form spans slice tokens that are not consecutive.
+        If a batched form spans slice tokens that are not consecutive.
     """
     # The batched forms of all role groups share one concatenated block
     # and its context per token count.
@@ -302,27 +353,8 @@ def streaming_actions(
             _run_stage(context, stage, env)
         return {name: env[name] for name in exported}
 
-    groups = pipeline.role_groups()
-    group_of = {
-        stage.name: index
-        for index, (_, stages) in enumerate(groups)
-        for stage in stages
-    }
     actions: dict[str, Action] = {}
-    for index, (role, stages) in enumerate(groups):
-        # Only payloads a different group consumes travel through the
-        # simulated inter-task buffers.
-        exported = [
-            out
-            for stage in stages
-            for out in stage.outputs
-            if any(
-                group_of[consumer.name] != index
-                for consumer in pipeline.consumers_of(out)
-            )
-        ]
-        needed = frozenset(name for stage in stages for name in stage.inputs)
-        group = (role, stages, exported, needed)
+    for group in plan.groups:
 
         def action(iteration: int, inputs: tuple, group=group):
             block = blocks[iteration]
@@ -335,5 +367,5 @@ def streaming_actions(
             return [None] * count if group[0] == "store" else result
 
         action.batch = batch
-        actions[role] = action
+        actions[group[0]] = action
     return actions

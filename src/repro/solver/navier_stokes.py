@@ -129,9 +129,16 @@ class NavierStokesOperator:
         self.backend = get_backend(backend, precision=self.precision)
         self.profiler = profiler if profiler is not None else PhaseProfiler()
         self.ref = reference_hex(mesh.polynomial_order)
-        self.geom = compute_geometry(mesh.corner_coords, self.ref)
-        self.mass = lumped_mass(
-            mesh.connectivity, mesh.num_nodes, self.geom, self.ref
+        # Geometry and mass depend on the mesh alone: built once per
+        # mesh and shared, read-only, by every operator on it.
+        self.geom = mesh.derived(
+            "geometry", lambda: compute_geometry(mesh.corner_coords, self.ref)
+        )
+        self.mass = mesh.derived(
+            "lumped_mass",
+            lambda: lumped_mass(
+                mesh.connectivity, mesh.num_nodes, self.geom, self.ref
+            ),
         )
         # Storage-dtype mass so float32 residuals are mass-inverted in
         # float32 (dividing by the float64 mass would silently upcast).
@@ -156,8 +163,8 @@ class NavierStokesOperator:
     def _blocks(self) -> list[tuple[slice, PipelineContext]]:
         """Contiguous ``(slice, view context)`` residual blocks, each
         holding :data:`BLOCK_PAYLOAD_BYTES` of flux payload. Built on
-        first use: the co-simulator's per-call ``Simulation`` never
-        evaluates :meth:`residual` and never pays for them."""
+        first use: the co-simulator's operator never evaluates
+        :meth:`residual` and never pays for them."""
         per_element = (
             NUM_CONSERVED * 3 * self.mesh.nodes_per_element
             * np.dtype(self.precision.storage).itemsize
@@ -288,11 +295,3 @@ class NavierStokesOperator:
             )
             out[:, i, :] = weighted.T / self.mass[:, None]
         return out
-
-    def stable_dt_inputs(self, state: FlowState) -> tuple[float, float]:
-        """``(min GLL spacing, max wave speed)`` for the CFL controller."""
-        from ..mesh.metrics import element_min_spacing
-
-        spacing = float(element_min_spacing(self.mesh).min())
-        wave = state.max_wave_speed(self.gas)
-        return spacing, wave

@@ -83,6 +83,24 @@ class SimulationResult:
         return abs(last - first) / abs(first)
 
 
+def cfl_time_step(
+    mesh, state: FlowState, gas: GasProperties, cfl: float = 0.5
+) -> float:
+    """CFL-stable step for ``state`` on ``mesh``.
+
+    The one rule behind :meth:`Simulation.compute_dt` and the
+    co-simulator's default step, so both pick the same ``dt`` bit for
+    bit. The minimum GLL spacing is computed once per mesh
+    (:meth:`~repro.mesh.hexmesh.HexMesh.derived`).
+    """
+    spacing = mesh.derived(
+        "min_spacing", lambda: float(element_min_spacing(mesh).min())
+    )
+    wave = state.max_wave_speed(gas)
+    nu = gas.viscosity / float(np.min(state.rho))
+    return stable_time_step(spacing, wave, nu, cfl=cfl)
+
+
 class Simulation:
     """One TGV (or custom initial state) simulation on a periodic mesh.
 
@@ -175,7 +193,6 @@ class Simulation:
             initial_state.validate()
             self.state = initial_state
             self.time = 0.0
-            self._min_spacing = float(element_min_spacing(mesh).min())
             # The RK-update pipelines the step executes: the
             # combination-only variant for the intermediate stages and
             # the full variant (axpy + RKU primitive update) for the
@@ -219,11 +236,9 @@ class Simulation:
     # -- stepping -------------------------------------------------------------
 
     def compute_dt(self) -> float:
-        """CFL-stable step for the current state."""
-        wave = self.state.max_wave_speed(self.gas)
-        nu = self.gas.viscosity / float(np.min(self.state.rho))
-        return stable_time_step(
-            self._min_spacing, wave, nu, cfl=self.cfl
+        """CFL-stable step for the current state (:func:`cfl_time_step`)."""
+        return cfl_time_step(
+            self.operator.mesh, self.state, self.gas, cfl=self.cfl
         )
 
     def _run_rk_update(

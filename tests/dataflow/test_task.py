@@ -35,15 +35,6 @@ class TestTask:
 
 
 class TestStats:
-    def test_measured_ii(self):
-        stats = TaskStats(name="t", finish_times=[10, 20, 30, 40])
-        assert stats.measured_initiation_interval() == pytest.approx(10.0)
-
-    def test_ii_needs_two_completions(self):
-        stats = TaskStats(name="t", finish_times=[10])
-        with pytest.raises(DataflowError):
-            stats.measured_initiation_interval()
-
     def test_occupancy(self):
         stats = TaskStats(
             name="t", busy_cycles=50, first_start=0, last_finish=100

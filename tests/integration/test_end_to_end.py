@@ -42,14 +42,17 @@ class TestCosimConsistency:
         n = 50_000
         graph, iterations = rkl_graph(proposed, n, 200)
         trace = DataflowSimulator(graph).run(iterations)
-        measured = trace.achieved_initiation_interval()
+        # Mean completion gap of the sink (the store task).
+        finish = trace.stats("store_element_contribution").finish_times
+        measured = (finish[-1] - finish[0]) / (len(finish) - 1)
         analytic = proposed.rkl_element_ii(n)
         assert measured == pytest.approx(analytic, rel=0.02)
 
     def test_bottleneck_is_load_at_scale(self, proposed):
         graph, iterations = rkl_graph(proposed, 4_200_000, 100)
         trace = DataflowSimulator(graph).run(iterations)
-        assert trace.bottleneck_task() == "load_element"
+        busiest = max(trace.task_stats.values(), key=lambda s: s.busy_cycles)
+        assert busiest.name == "load_element"
 
 
 class TestCrossModelCoherence:

@@ -1,5 +1,7 @@
 """Structured box mesh generators and the HexMesh container."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,51 @@ class TestPeriodicMesh:
         assert hist[4] == 3 * e
         assert hist[8] == e
         assert hist.sum() - hist[0] == mesh.num_nodes
+
+
+class TestDerivedMemo:
+    """Mesh-only data is built once per mesh, shared read-only, and
+    never carried over to a mesh derived with ``dataclasses.replace``."""
+
+    def test_replace_starts_an_empty_memo(self):
+        mesh = box_mesh(2, 2)
+        old = mesh.element_node_coords()
+        moved = replace(mesh, coords=2.0 * mesh.coords)
+        new = moved.element_node_coords()
+        assert new is not old
+        assert np.array_equal(new, moved.coords[moved.connectivity])
+        assert np.array_equal(new, 2.0 * old)
+
+    def test_built_once(self):
+        mesh = periodic_box_mesh(2, 2)
+        builds = []
+
+        def build():
+            builds.append(1)
+            return np.arange(3.0)
+
+        first = mesh.derived("probe", build)
+        assert mesh.derived("probe", build) is first
+        assert len(builds) == 1
+
+    def test_memoized_arrays_are_read_only(self):
+        from repro.physics.taylor_green import DEFAULT_TGV
+        from repro.solver.navier_stokes import NavierStokesOperator
+
+        mesh = periodic_box_mesh(2, 2)
+        op = NavierStokesOperator(mesh, DEFAULT_TGV.gas())
+        assert NavierStokesOperator(mesh, DEFAULT_TGV.gas()).geom is op.geom
+        arrays = [
+            mesh.element_node_coords(),
+            op.mass,
+            op.geom.jacobian,
+            op.geom.inverse_jacobian,
+            op.geom.det_jacobian,
+        ]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
 
 
 class TestBoxMesh:

@@ -25,6 +25,7 @@ from repro.pipeline import (
     rk_update_pipeline,
     run_pipeline,
     streaming_actions,
+    streaming_plan,
 )
 from repro.solver.navier_stokes import NavierStokesOperator
 from repro.solver.profiler import PhaseProfiler
@@ -101,7 +102,7 @@ class TestRunPipeline:
 
     def test_block_contexts_built_on_first_residual(self, setup):
         """Operators that never evaluate a residual (the co-simulator's
-        per-call Simulation) never build the block contexts."""
+        operator) never build the block contexts."""
         mesh, _op, stacked = setup
         op = NavierStokesOperator(mesh, DEFAULT_TGV.gas())
         assert "_blocks" not in vars(op)
@@ -155,10 +156,11 @@ class TestStreaming:
         rebuilds the batched assembled total."""
         _mesh, op, stacked = setup
         pipeline = navier_stokes_pipeline("full")
+        plan = streaming_plan(pipeline)
         ctx = PipelineContext.from_operator(op)
         acc = np.zeros((5, op.mesh.num_nodes))
         blocks = element_blocks(np.arange(op.mesh.num_elements), 1)
-        drive(_rkl_actions(pipeline, blocks, ctx, stacked, acc), len(blocks))
+        drive(_rkl_actions(plan, blocks, ctx, stacked, acc), len(blocks))
         outputs = run_pipeline(pipeline, ctx, {"state": stacked})
         batched = assembled_total(outputs)
         scale = np.abs(batched).max()
@@ -172,12 +174,13 @@ class TestStreaming:
         a time: same kernels, same scatter order within the block."""
         _mesh, op, stacked = setup
         pipeline = navier_stokes_pipeline("full")
+        plan = streaming_plan(pipeline)
         ctx = PipelineContext.from_operator(op)
         elements = np.arange(op.mesh.num_elements)
 
         single = np.zeros((5, op.mesh.num_nodes))
         actions = _rkl_actions(
-            pipeline, element_blocks(elements, 1), ctx, stacked, single
+            plan, element_blocks(elements, 1), ctx, stacked, single
         )
         for element in range(op.mesh.num_elements):
             payload = actions["load"](element, ())
@@ -186,7 +189,7 @@ class TestStreaming:
 
         blocked = np.zeros((5, op.mesh.num_nodes))
         blocks = element_blocks(elements, block_size)
-        actions = _rkl_actions(pipeline, blocks, ctx, stacked, blocked)
+        actions = _rkl_actions(plan, blocks, ctx, stacked, blocked)
         drive(actions, len(blocks))
 
         scale = np.abs(single).max()
@@ -197,12 +200,13 @@ class TestStreaming:
         batched assembled total (the multi-CU reduction path)."""
         _mesh, op, stacked = setup
         pipeline = navier_stokes_pipeline("full")
+        plan = streaming_plan(pipeline)
         ctx = PipelineContext.from_operator(op)
         partials = []
         for part in partition_elements_balanced(op.mesh.num_elements, 2):
             acc = np.zeros((5, op.mesh.num_nodes))
             blocks = element_blocks(part, 3)
-            actions = _rkl_actions(pipeline, blocks, ctx, stacked, acc)
+            actions = _rkl_actions(plan, blocks, ctx, stacked, acc)
             drive(actions, len(blocks))
             partials.append(acc)
         outputs = run_pipeline(pipeline, ctx, {"state": stacked})
@@ -222,6 +226,7 @@ class TestSliceTokens:
     ):
         _mesh, op, stacked = setup
         pipeline = navier_stokes_pipeline("full")
+        plan = streaming_plan(pipeline)
         ctx = PipelineContext.from_operator(op)
         for part in partition_elements_balanced(op.mesh.num_elements, 2):
             partials = []
@@ -230,7 +235,7 @@ class TestSliceTokens:
                 element_blocks(part, block_size),
             ):
                 acc = np.zeros((5, op.mesh.num_nodes))
-                actions = _rkl_actions(pipeline, blocks, ctx, stacked, acc)
+                actions = _rkl_actions(plan, blocks, ctx, stacked, acc)
                 drive(actions, len(blocks))
                 partials.append(acc)
             assert np.array_equal(*partials)
@@ -253,7 +258,7 @@ class TestSliceTokens:
 
         ctx = RKUpdateContext(gas=DEFAULT_TGV.gas())
         actions = streaming_actions(
-            rk_update_pipeline(primitives=False),
+            streaming_plan(rk_update_pipeline(primitives=False)),
             tokens,
             lambda block: ctx,
             load,

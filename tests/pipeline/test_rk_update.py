@@ -14,6 +14,7 @@ from repro.pipeline import (
     bind_stage_buffers,
     rk_update_pipeline,
     run_pipeline,
+    streaming_plan,
 )
 from repro.timeint.butcher import RK4
 
@@ -250,7 +251,8 @@ class TestStreamingActions:
             "store_node_primitives": out_prims,
         }
         actions = _rku_actions(
-            pipeline, blocks, ctx, y, derivs, coeffs, dt, targets
+            streaming_plan(pipeline), blocks, ctx, y, derivs, coeffs, dt,
+            targets,
         )
         drive(actions, len(blocks))
         assert np.array_equal(out_state, expected["updated_state"])
@@ -271,7 +273,8 @@ class TestStreamingActions:
                 "store_node_primitives": np.empty((5, n)),
             }
             actions = _rku_actions(
-                pipeline, blocks, RKUpdateContext(gas=gas), y, derivs,
+                streaming_plan(pipeline), blocks, RKUpdateContext(gas=gas),
+                y, derivs,
                 RK4.a[3, :3], 0.02, targets,
             )
             drive(actions, len(blocks))
@@ -291,7 +294,7 @@ class TestStreamingActions:
         calls = []
         blocks = element_blocks(np.arange(n), 3)
         actions = _rku_actions(
-            rk_update_pipeline(primitives=False),
+            streaming_plan(rk_update_pipeline(primitives=False)),
             blocks,
             RKUpdateContext(gas=gas),
             random_state(rng, n),

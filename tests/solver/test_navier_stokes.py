@@ -170,8 +170,3 @@ class TestGradientDiagnostics:
             errors.append(float(np.sqrt(np.mean((omega_z - exact) ** 2))))
         assert errors[1] < errors[0] / 2.0
         assert errors[1] < 0.06
-
-    def test_stable_dt_inputs(self, operator, tgv_state):
-        spacing, wave = operator.stable_dt_inputs(tgv_state)
-        assert spacing > 0
-        assert wave > DEFAULT_TGV.sound_speed0 * 0.9

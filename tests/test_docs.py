@@ -169,6 +169,8 @@ def test_architecture_documents_the_execution_caches():
         "CampaignSpec.backend",
         "cosim_verify",
         "verify=True",
+        "HexMesh.derived(name, build)",
+        "mesh is never mutated after construction",
     ):
         assert needle in text, f"ARCHITECTURE.md lost its {needle!r} coverage"
 
