@@ -41,11 +41,14 @@ rather than modeled.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ..backend.registry import require_serial_workers
+from ..backend import KernelBackend, registry
+from ..backend.registry import require_serial_workers, resolve_backend_name
 from ..config import seconds_from_cycles
 from ..dataflow.graph import DataflowGraph, merge_graphs
 from ..dataflow.simulator import DataflowSimulator, SimulationTrace
@@ -70,6 +73,7 @@ from ..pipeline import (
     streaming_actions,
     streaming_plan,
 )
+from ..precision.modes import PrecisionPolicy
 from ..solver.navier_stokes import NavierStokesOperator
 from ..solver.simulation import Simulation, cfl_time_step
 from ..timeint.butcher import RK4, ButcherTableau
@@ -305,8 +309,8 @@ class _ChainTemplate:
     instance removes the per-stage ``to_task_graph`` / role-grouping
     cost from the hot path: the template keeps the chain's task spec and
     its :func:`~repro.pipeline.executor.streaming_plan`, which every
-    instance's streaming actions run. Every lowering in this module goes
-    through it.
+    instance's streaming actions run (derived on first read). Every
+    lowering in this module goes through it.
     """
 
     def __init__(
@@ -319,7 +323,7 @@ class _ChainTemplate:
         lowered = pipeline.to_task_graph(
             stage_cycles, name="template", block_sizes=block_sizes
         )
-        self.plan = streaming_plan(pipeline)
+        self._pipeline = pipeline
         self.spec = [
             (lowered.tasks[name].kind, lowered.tasks[name].latency)
             for name in lowered.topological_order()
@@ -337,6 +341,13 @@ class _ChainTemplate:
                     latency.cycles_per_unit, latency.sizes, round(fill_cycles)
                 ),
             )
+
+    @cached_property
+    def plan(self):
+        """The chain's :func:`~repro.pipeline.executor.streaming_plan`,
+        derived on first read: the exact tier instantiates chains
+        without payloads and never reads it."""
+        return streaming_plan(self._pipeline)
 
     def instantiate(
         self,
@@ -412,7 +423,7 @@ def _rkl_actions(plan, blocks, ctx, state, accumulator):
 
 
 def _rku_actions(
-    plan, blocks, ctx, state, derivs, coeffs, dt, targets, prepare=None
+    plan, blocks, ctx, state, derivs, coeffs, dt_cell, targets, prepare=None
 ):
     """The RK-update binding of
     :func:`~repro.pipeline.executor.streaming_actions`.
@@ -423,11 +434,13 @@ def _rku_actions(
     sequenced before it wrote in the same simulation; STORE writes each
     store stage's block into ``targets[stage.kernel]``. The node stream
     runs in the state's dtype. ``plan`` is the RK-update pipeline's
-    :func:`~repro.pipeline.executor.streaming_plan`.
+    :func:`~repro.pipeline.executor.streaming_plan`; ``dt_cell`` is a
+    one-item list holding the step size, read at every LOAD, so one set
+    of actions serves every step size.
     """
 
     def load(block, names):
-        env = {"coeffs": coeffs, "dt": dt}
+        env = {"coeffs": coeffs, "dt": dt_cell[0]}
         if "state" in names:
             env["state"] = _read_only(state[:, block])
         if "derivs" in names:
@@ -896,6 +909,239 @@ class RKStepCosimResult:
         )
 
 
+class _StepPlan:
+    """The launch set-up of :func:`cosimulate_rk_stage`, built once.
+
+    The paper's host allocates the device buffers and binds the RKL and
+    RKU kernels once, then only enqueues each RK stage. The plan is that
+    set-up: the operator and its backend, the RKL shards and the two RKU
+    chains, every whole-mesh staging array the chains hand to one another
+    (the base state, per stage the derivative, the combined state and
+    the per-CU accumulators, per step the output state and primitives),
+    and the merged graph with its streaming actions bound to those
+    arrays inside one validated :class:`DataflowSimulator`. A
+    :meth:`run` copies the initial state into :attr:`base`, sets the
+    ``dt`` every RKU LOAD reads, zeroes the accumulators and simulates;
+    it writes :attr:`out_state` and :attr:`out_primitives`, which the
+    next run overwrites. ``objects`` and ``values`` are its key
+    (:func:`_step_plan`); the plan holds the objects, so their ids
+    cannot be recycled while it lives.
+    """
+
+    def __init__(
+        self,
+        objects: tuple,
+        values: tuple,
+        design: AcceleratorDesign,
+        mesh: HexMesh,
+        gas,
+        backend,
+        precision,
+        *,
+        block_size: int,
+        num_cus: int | None,
+        partitions,
+        node_block_size: int,
+        tableau: ButcherTableau,
+        num_steps: int,
+    ) -> None:
+        self.objects, self.values = objects, values
+        num_nodes = mesh.num_nodes
+        combine, update = (
+            _rku_chain(design, num_nodes, node_block_size, primitives)
+            for primitives in (False, True)
+        )
+        self.update = update
+        self.rkl = rkl = _RKLShards(
+            design,
+            num_nodes,
+            mesh.num_elements,
+            block_size=block_size,
+            num_cus=num_cus,
+            partitions=partitions,
+        )
+        operator = NavierStokesOperator(
+            mesh, gas, backend=backend, dtype=precision
+        )
+        storage = operator.precision.storage
+        acc_dtype = operator.precision.accumulate_for(storage)
+        ctx = PipelineContext.from_operator(operator)
+        rku_ctx = RKUpdateContext(gas=gas, precision=operator.precision)
+        num_stages = tableau.num_stages
+        shape = (NUM_CONSERVED, num_nodes)
+        #: The first step's base state, copied in by every run.
+        self.base = np.empty(shape, dtype=storage)
+        #: The step size every RKU LOAD reads: a one-item cell.
+        self.dt: list = [None]
+        self.accumulators: list[np.ndarray] = []
+        self.step_prefixes = (
+            [""] if num_steps == 1
+            else [f"k{step}." for step in range(num_steps)]
+        )
+        subgraphs: list[DataflowGraph] = []
+        self.iterations: dict[str, int] = {}
+        previous_drain: tuple[str, ...] = ()
+        out_state = self.base
+        for prefix in self.step_prefixes:
+            # Whole-mesh staging arrays this step's chains hand to one
+            # another: the finalized stage derivatives, the combined stage
+            # states the RKL streams read, and the step's outputs. The
+            # previous step's output state is this step's base state.
+            y_step = out_state
+            derivs = [
+                np.zeros(shape, dtype=storage) for _ in range(num_stages)
+            ]
+            stage_states: list[np.ndarray] = [y_step]
+            stage_states += [
+                np.empty(shape, dtype=storage) for _ in range(num_stages - 1)
+            ]
+            accumulators = [
+                [np.zeros(shape, dtype=acc_dtype) for _ in range(rkl.num_cus)]
+                for _ in range(num_stages)
+            ]
+            self.accumulators += [a for stage in accumulators for a in stage]
+            out_state = np.empty(shape, dtype=storage)
+            out_primitives = np.empty(shape, dtype=storage)
+
+            def finalizer(stage, accumulators=accumulators, derivs=derivs):
+                """Finalize stage ``stage``'s derivative when its consumer
+                launches: reduce the per-CU partials, invert the mass,
+                apply wall conditions — at the simulated instant the next
+                kernel starts, after the dependency guaranteed the RKL
+                drain."""
+
+                def prepare() -> None:
+                    derivs[stage][:] = operator.finalize_residual(
+                        _reduce_partials(accumulators[stage], storage)
+                    )
+
+                return prepare
+
+            for stage in range(num_stages):
+                if stage > 0:
+                    # Stage-combination node stream:
+                    # y_s = y + dt * sum(a_sk d_k).
+                    actions = _rku_actions(
+                        combine.template.plan, combine.blocks, rku_ctx,
+                        y_step, derivs[:stage], tableau.a[stage, :stage],
+                        self.dt, {"store_node_state": stage_states[stage]},
+                        finalizer(stage - 1),
+                    )
+                    previous_drain = combine.instantiate(
+                        subgraphs, self.iterations, f"{prefix}s{stage}.update",
+                        actions, previous_drain,
+                    )
+                # RKL element streams of this stage, one chain per CU.
+                previous_drain = rkl.instantiate(
+                    subgraphs,
+                    self.iterations,
+                    f"{prefix}s{stage}.",
+                    ctx=ctx,
+                    state=stage_states[stage],
+                    accumulators=accumulators[stage],
+                    depends_on=previous_drain,
+                )
+            # The step's final RKU chain: b-row combination + primitive
+            # update.
+            actions = _rku_actions(
+                update.template.plan, update.blocks, rku_ctx, y_step, derivs,
+                tableau.b, self.dt,
+                {
+                    "store_node_state": out_state,
+                    "store_node_primitives": out_primitives,
+                },
+                finalizer(num_stages - 1),
+            )
+            previous_drain = update.instantiate(
+                subgraphs, self.iterations, f"{prefix}rku", actions,
+                previous_drain,
+            )
+        self.out_state, self.out_primitives = out_state, out_primitives
+        self.simulator = DataflowSimulator(
+            merge_graphs(
+                f"rkstep-{design.options.name}-{rkl.num_cus}cu", subgraphs
+            )
+        )
+
+    def run(self, initial_state: FlowState, dt, engine) -> SimulationTrace:
+        """Stream one call's step(s) from ``initial_state`` with ``dt``."""
+        np.copyto(self.base, initial_state.as_stacked())
+        self.dt[0] = dt
+        for accumulator in self.accumulators:
+            accumulator.fill(0)
+        return self.simulator.run(self.iterations, engine=engine)
+
+
+#: Each thread's last :class:`_StepPlan` (one entry, ``plan``). Not in
+#: the mesh's memo: plan -> operator -> mesh would be a reference cycle
+#: that keeps set-up meshes alive. Not in the design's price table
+#: either, which grows without bound.
+_PLANS = threading.local()
+
+
+def _step_plan(
+    design: AcceleratorDesign,
+    mesh: HexMesh,
+    gas,
+    backend,
+    dtype,
+    *,
+    block_size: int,
+    num_cus: int | None,
+    partitions,
+    node_block_size: int,
+    tableau: ButcherTableau,
+    num_steps: int,
+) -> _StepPlan:
+    """The calling thread's :class:`_StepPlan` for this configuration,
+    reused when its key matches and built (replacing it) otherwise.
+
+    The key: the design, the mesh, the tableau and the resolved backend
+    (its registry factory, or the instance) by identity; the backend
+    name, the resolved precision policy (``dtype=None`` reads
+    ``REPRO_DTYPE`` on every call), ``gas``, the sizes, the CU count
+    and the partitions by value.
+    """
+    if isinstance(backend, KernelBackend):
+        name, resolved = None, backend
+        precision = (
+            backend.precision if dtype is None
+            else PrecisionPolicy.resolve(dtype)
+        )
+    else:
+        name = resolve_backend_name(backend)
+        resolved = registry._REGISTRY.get(name)
+        precision = PrecisionPolicy.resolve(dtype)
+    if partitions is not None:
+        partitions = tuple(
+            np.asarray(part, dtype=np.int64) for part in partitions
+        )
+    objects = (design, mesh, tableau, resolved)
+    values = (
+        name, precision, gas, block_size, num_cus,
+        None if partitions is None
+        else tuple((part.shape, part.tobytes()) for part in partitions),
+        node_block_size, num_steps,
+    )
+    plan = getattr(_PLANS, "plan", None)
+    if (
+        plan is not None
+        and all(a is b for a, b in zip(plan.objects, objects))
+        and plan.values == values
+    ):
+        return plan
+    _PLANS.plan = None  # release the old plan before building the new
+    plan = _StepPlan(
+        objects, values, design, mesh, gas,
+        backend if name is None else name, precision,
+        block_size=block_size, num_cus=num_cus, partitions=partitions,
+        node_block_size=node_block_size, tableau=tableau,
+        num_steps=num_steps,
+    )
+    _PLANS.plan = plan
+    return plan
+
+
 def cosimulate_rk_stage(
     design: AcceleratorDesign,
     mesh: HexMesh,
@@ -934,6 +1180,12 @@ def cosimulate_rk_stage(
     the RKU chain's trace cycles must agree with the
     :meth:`~repro.accel.designs.AcceleratorDesign.rku_step_cycles`
     closed form — all asserted by the test suite.
+
+    The launch set-up (operator, lowered chains, staging arrays and the
+    wired graph) is the calling thread's :class:`_StepPlan`, rebuilt only
+    when the design, mesh, backend, precision, gas, sharding, block
+    sizes, tableau or step count change; ``dt``, ``initial_state``,
+    ``engine`` and ``verify`` are read per call.
 
     Parameters
     ----------
@@ -1005,122 +1257,28 @@ def cosimulate_rk_stage(
         case = DEFAULT_TGV
     if num_steps < 1:
         raise ExperimentError("num_steps must be >= 1")
-    num_nodes = mesh.num_nodes
-    # The streaming lowerings, built ONCE: the task-chain structure and
-    # latencies are identical across RK stages (and steps) — only names,
-    # actions and sequencing differ per instance. The RKU chains live in
-    # the design's price table, so repeated calls reuse them too.
-    combine, update = (
-        _rku_chain(design, num_nodes, node_block_size, primitives)
-        for primitives in (False, True)
-    )
-    rkl = _RKLShards(
-        design,
-        num_nodes,
-        mesh.num_elements,
-        block_size=block_size,
-        num_cus=num_cus,
-        partitions=partitions,
-    )
-    # The stream needs only the operator; a Simulation is built only for
-    # the checking solve.
     gas = case.gas()
-    operator = NavierStokesOperator(mesh, gas, backend=backend, dtype=dtype)
+    plan = _step_plan(
+        design, mesh, gas, backend, dtype,
+        block_size=block_size, num_cus=num_cus, partitions=partitions,
+        node_block_size=node_block_size, tableau=tableau,
+        num_steps=num_steps,
+    )
     if initial_state is None:
         initial_state = taylor_green_initial(mesh.coords, case)
     initial_state.validate()
-    precision = operator.precision
-    storage = precision.storage
-    acc_dtype = precision.accumulate_for(storage)
-    y0 = initial_state.as_stacked().astype(storage, copy=False)
     if dt is None:
         dt = cfl_time_step(mesh, initial_state, gas)
-    num_stages = tableau.num_stages
-
-    ctx = PipelineContext.from_operator(operator)
-    rku_ctx = RKUpdateContext(gas=gas, precision=precision)
-    subgraphs: list[DataflowGraph] = []
-    iterations: dict[str, int] = {}
-    step_prefixes = (
-        [""] if num_steps == 1 else [f"k{step}." for step in range(num_steps)]
-    )
-    previous_drain: tuple[str, ...] = ()
-    out_state = y0
-    shape = (NUM_CONSERVED, num_nodes)
-    for prefix in step_prefixes:
-        # Whole-mesh staging arrays this step's chains hand to one
-        # another: the finalized stage derivatives, the combined stage
-        # states the RKL streams read, and the step's outputs. The
-        # previous step's output state is this step's base state.
-        y_step = out_state
-        derivs = [np.zeros(shape, dtype=storage) for _ in range(num_stages)]
-        stage_states: list[np.ndarray] = [y_step]
-        stage_states += [
-            np.empty(shape, dtype=storage) for _ in range(num_stages - 1)
-        ]
-        accumulators = [
-            [np.zeros(shape, dtype=acc_dtype) for _ in range(rkl.num_cus)]
-            for _ in range(num_stages)
-        ]
-        out_state = np.empty(shape, dtype=storage)
-        out_primitives = np.empty(shape, dtype=storage)
-
-        def finalizer(stage: int, accumulators=accumulators, derivs=derivs):
-            """Finalize stage ``stage``'s derivative when its consumer
-            launches: reduce the per-CU partials, invert the mass, apply
-            wall conditions — at the simulated instant the next kernel
-            starts, after the dependency guaranteed the RKL drain."""
-
-            def prepare() -> None:
-                derivs[stage][:] = operator.finalize_residual(
-                    _reduce_partials(accumulators[stage], storage)
-                )
-
-            return prepare
-
-        for stage in range(num_stages):
-            if stage > 0:
-                # Stage-combination node stream:
-                # y_s = y + dt * sum(a_sk d_k).
-                actions = _rku_actions(
-                    combine.template.plan, combine.blocks, rku_ctx, y_step,
-                    derivs[:stage], tableau.a[stage, :stage], dt,
-                    {"store_node_state": stage_states[stage]},
-                    finalizer(stage - 1),
-                )
-                previous_drain = combine.instantiate(
-                    subgraphs, iterations, f"{prefix}s{stage}.update",
-                    actions, previous_drain,
-                )
-            # RKL element streams of this stage, one chain per CU.
-            previous_drain = rkl.instantiate(
-                subgraphs,
-                iterations,
-                f"{prefix}s{stage}.",
-                ctx=ctx,
-                state=stage_states[stage],
-                accumulators=accumulators[stage],
-                depends_on=previous_drain,
-            )
-        # The step's final RKU chain: b-row combination + primitive
-        # update.
-        actions = _rku_actions(
-            update.template.plan, update.blocks, rku_ctx, y_step, derivs,
-            tableau.b, dt,
-            {
-                "store_node_state": out_state,
-                "store_node_primitives": out_primitives,
-            },
-            finalizer(num_stages - 1),
-        )
-        previous_drain = update.instantiate(
-            subgraphs, iterations, f"{prefix}rku", actions, previous_drain
-        )
-
-    merged = merge_graphs(
-        f"rkstep-{design.options.name}-{rkl.num_cus}cu", subgraphs
-    )
-    trace = DataflowSimulator(merged).run(iterations, engine=engine)
+    try:
+        trace = plan.run(initial_state, dt, engine)
+    except BaseException:
+        # A half-run leaves the staging arrays and the backend's
+        # workspaces in no known state: the next call builds afresh.
+        _PLANS.plan = None
+        raise
+    # Fresh arrays: the plan's outputs are overwritten by the next call.
+    final_state = FlowState.from_stacked(plan.out_state)
+    primitives = plan.out_primitives.copy()
 
     state_err = None
     if verify:
@@ -1133,26 +1291,27 @@ def cosimulate_rk_stage(
             sim.step(dt)
         expected = sim.state.as_stacked()
         scale = float(np.abs(expected).max())
-        state_err = float(np.abs(out_state - expected).max()) / (
+        state_err = float(np.abs(plan.out_state - expected).max()) / (
             scale if scale > 0.0 else 1.0
         )
 
+    rkl, prefixes = plan.rkl, plan.step_prefixes
     per_stage = tuple(
         rkl.window(trace, f"{prefix}s{stage}.")
-        for prefix in step_prefixes
-        for stage in range(num_stages)
+        for prefix in prefixes
+        for stage in range(tableau.num_stages)
     )
-    rku_cycles = update.window(trace, f"{step_prefixes[-1]}rku")
+    rku_cycles = plan.update.window(trace, f"{prefixes[-1]}rku")
     return RKStepCosimResult(
         trace=trace,
-        final_state=FlowState.from_stacked(out_state),
-        primitives=out_primitives,
+        final_state=final_state,
+        primitives=primitives,
         dt=dt,
-        num_stages=num_stages,
+        num_stages=tableau.num_stages,
         state_max_rel_err=state_err,
         per_stage_rkl_cycles=per_stage,
         rku_simulated_cycles=rku_cycles,
-        rku_analytic_cycles=design.rku_step_cycles(num_nodes),
+        rku_analytic_cycles=design.rku_step_cycles(mesh.num_nodes),
         num_compute_units=rkl.num_cus,
         block_size=block_size,
         node_block_size=node_block_size,

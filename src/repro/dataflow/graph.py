@@ -118,14 +118,6 @@ class DataflowGraph:
         """Buffers produced by the task."""
         return [b for b in self.buffers.values() if b.producer == task_name]
 
-    def source_tasks(self) -> list[str]:
-        """Tasks with no input buffers (pipeline entry points)."""
-        return [name for name in self.tasks if not self.inputs_of(name)]
-
-    def sink_tasks(self) -> list[str]:
-        """Tasks with no output buffers (pipeline exits)."""
-        return [name for name in self.tasks if not self.outputs_of(name)]
-
     def _edges(self, include_dependencies: bool) -> list[tuple[str, str]]:
         """Buffer edges in insertion order, then ``depends_on`` edges in
         task order."""

@@ -171,12 +171,6 @@ class Task:
         )
         return out
 
-    def max_latency(self, iterations: int) -> int:
-        """Maximum latency over the given iteration count."""
-        if not callable(self.latency):
-            return int(self.latency)
-        return int(self.latency_array(iterations).max())
-
     def mean_latency(self, iterations: int) -> float:
         """Average latency over the given iteration count."""
         if not callable(self.latency):

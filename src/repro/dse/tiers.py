@@ -16,6 +16,7 @@ front.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, fields, replace
 
 from ..accel.cosim import (
@@ -31,6 +32,7 @@ from ..accel.multi_cu import nodes_per_compute_unit
 from ..backend.registry import require_serial_workers
 from ..errors import DSEError
 from ..fpga.device import device_by_name
+from ..mesh.hexmesh import HexMesh
 from ..mesh.partition import largest_part_size
 from ..pipeline.navier_stokes import navier_stokes_pipeline
 from ..timeint.butcher import RK4
@@ -71,6 +73,32 @@ def design_for(point: DesignPoint) -> AcceleratorDesign:
             options, device_by_name(point.device)
         )
     return _DESIGN_CACHE[key]
+
+
+#: Cosim finalists' meshes, one per ``(case, elements, order)``, so the
+#: mesh's derived data (geometry, mass, spacing) and the co-simulator's
+#: step plan serve every finalist on it. Bounded: the oldest of
+#: :data:`_MAX_SHARED_MESHES` goes first.
+_SHARED_MESHES: dict[tuple[str, int, int], HexMesh] = {}
+_SHARED_MESHES_LOCK = threading.Lock()
+_MAX_SHARED_MESHES = 4
+
+
+def _shared_mesh(point: DesignPoint) -> HexMesh:
+    """:meth:`DesignPoint.mesh`, built once per process for every point
+    on the same case, element count and order. Its arrays are locked
+    read-only, since the points share it."""
+    key = (point.case, point.elements_per_direction, point.polynomial_order)
+    with _SHARED_MESHES_LOCK:
+        mesh = _SHARED_MESHES.get(key)
+        if mesh is None:
+            mesh = point.mesh()
+            for array in (mesh.coords, mesh.connectivity, mesh.corner_coords):
+                array.flags.writeable = False
+            if len(_SHARED_MESHES) >= _MAX_SHARED_MESHES:
+                del _SHARED_MESHES[next(iter(_SHARED_MESHES))]
+            _SHARED_MESHES[key] = mesh
+    return mesh
 
 
 def prewarm_designs(points) -> None:
@@ -297,7 +325,7 @@ def evaluate_cosim(
     campaign's ``cosim_verify``, off by default).
     """
     design = design_for(point)
-    mesh = point.mesh()
+    mesh = _shared_mesh(point)
     case = initial = None
     if point.case == "channel":
         from ..physics.channel import decaying_shear_initial

@@ -10,14 +10,12 @@ class TestTask:
     def test_constant_latency(self):
         task = Task("t", 10)
         assert task.latency_at(0) == 10
-        assert task.max_latency(5) == 10
         assert task.mean_latency(5) == 10.0
 
     def test_callable_latency(self):
         task = Task("t", lambda i: 5 + i)
         assert task.latency_at(0) == 5
         assert task.latency_at(3) == 8
-        assert task.max_latency(4) == 8
         assert task.mean_latency(4) == pytest.approx(6.5)
 
     def test_invalid_latency_rejected(self):

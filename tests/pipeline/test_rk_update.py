@@ -251,7 +251,7 @@ class TestStreamingActions:
             "store_node_primitives": out_prims,
         }
         actions = _rku_actions(
-            streaming_plan(pipeline), blocks, ctx, y, derivs, coeffs, dt,
+            streaming_plan(pipeline), blocks, ctx, y, derivs, coeffs, [dt],
             targets,
         )
         drive(actions, len(blocks))
@@ -275,7 +275,7 @@ class TestStreamingActions:
             actions = _rku_actions(
                 streaming_plan(pipeline), blocks, RKUpdateContext(gas=gas),
                 y, derivs,
-                RK4.a[3, :3], 0.02, targets,
+                RK4.a[3, :3], [0.02], targets,
             )
             drive(actions, len(blocks))
             outputs.append(targets)
@@ -300,7 +300,7 @@ class TestStreamingActions:
             random_state(rng, n),
             [np.ones((5, n))],
             np.array([1.0]),
-            0.1,
+            [0.1],
             {"store_node_state": np.empty((5, n))},
             prepare=lambda: calls.append(True),
         )

@@ -231,3 +231,16 @@ def test_architecture_documents_the_cosim_extension():
         "merge_graphs",
     ):
         assert needle in text, f"ARCHITECTURE.md lost its {needle!r} coverage"
+
+
+def test_architecture_documents_the_step_plan():
+    text = " ".join((REPO_ROOT / "ARCHITECTURE.md").read_text().split())
+    for needle in (
+        "The step plan: set up once, run per call",
+        "`accel.cosim._StepPlan`",
+        "`dtype=None` reads `REPRO_DTYPE` on every call",
+        "Each thread keeps its last plan, one entry, in a `threading.local`",
+        "a run that raises drops its thread's plan",
+        "`dse.tiers._shared_mesh`",
+    ):
+        assert needle in text, f"ARCHITECTURE.md lost its {needle!r} coverage"
