@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
 Each benchmark regenerates one table or figure of the paper's evaluation
-(see DESIGN.md Section 4 for the index) and records the headline numbers
+(``repro.experiments`` indexes them) and records the headline numbers
 in ``benchmark.extra_info`` so the JSON output carries the
 paper-vs-measured comparison.
 

@@ -1,6 +1,6 @@
 """Ablation benches: the contribution of each paper optimization.
 
-Quantifies the design choices DESIGN.md calls out — element TLP,
+Quantifies the design choices the paper calls out — element TLP,
 node TLP, per-array AXI assignment, RKU interface decoupling, and the
 SLR split — by removing one at a time at the paper's 4.2M-node scale.
 """

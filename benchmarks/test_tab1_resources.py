@@ -19,7 +19,7 @@ def test_tab1_resources(benchmark, proposed, vitis):
     print()
     print(render_tab1(result))
 
-    # Shape assertions (see DESIGN.md Section 5):
+    # Shape assertions:
     # 1. the proposed design uses more of every resource;
     for column in ("FF", "LUT", "BRAM", "URAM", "DSP"):
         assert result.ratio(column) > 1.0, column

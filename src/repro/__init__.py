@@ -13,7 +13,7 @@ The package contains two cooperating halves:
    workload characterization of the functional solver.
 
 The :mod:`repro.experiments` package regenerates every table and figure of
-the paper's evaluation from these models; see DESIGN.md for the index.
+the paper's evaluation from these models; README.md maps the packages.
 """
 
 from importlib.metadata import PackageNotFoundError, version

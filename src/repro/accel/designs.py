@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 from ..errors import ExperimentError, HLSError
 from ..opcount import NUM_FIELDS
-from ..hls.arrays import ArraySpec
 from ..hls.directives import DirectiveSet, vitis_default_directives
 from ..hls.loops import ArrayAccess, LoopNest
 from ..hls.resources import (

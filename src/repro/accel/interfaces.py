@@ -38,13 +38,6 @@ class InterfaceAssignment:
     def num_interfaces(self) -> int:
         return len(self.assignment)
 
-    def interface_of(self, array: str) -> str:
-        """Which interface carries the given array."""
-        for iface, ports in self.assignment.items():
-            if any(p.array == array for p in ports):
-                return iface
-        raise FPGAError(f"array {array!r} is not assigned")
-
     def ports_for_task(
         self, task_ports: list[MemoryPort]
     ) -> dict[str, list[MemoryPort]]:

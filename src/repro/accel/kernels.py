@@ -300,10 +300,6 @@ class RKUKernelModel:
     update_loops: list[LoopNest] = field(default_factory=list)
     onchip_arrays: dict[str, ArraySpec] = field(default_factory=dict)
 
-    @property
-    def num_loops(self) -> int:
-        return len(self.update_loops)
-
 
 #: Names of the five RKU update loops (the paper's updated quantities).
 RKU_LOOP_NAMES = ("update_rho", "update_u", "update_T", "update_E", "update_p")

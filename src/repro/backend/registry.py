@@ -1,8 +1,8 @@
 """Backend registry: name -> :class:`KernelBackend` factory.
 
 The solver asks for a backend by name; the name comes from (in priority
-order) an explicit argument, the ``SolverConfig.backend`` field, or the
-``REPRO_BACKEND`` environment variable, falling back to ``"reference"``.
+order) an explicit argument or the ``REPRO_BACKEND`` environment
+variable, falling back to ``"reference"``.
 Third-party backends (numba, jax, ...) register themselves with
 :func:`register_backend` and become selectable everywhere — examples,
 experiments, co-simulation — without further wiring.
@@ -132,7 +132,7 @@ def get_backend(
         raise ConfigurationError(
             f"unknown compute backend {key!r}; available backends: "
             f"{', '.join(available_backends()) or '(none)'}. Select one via "
-            f"the `backend` argument / SolverConfig.backend, or the "
+            f"the `backend` argument or the "
             f"{BACKEND_ENV_VAR} environment variable; add new ones with "
             "repro.backend.register_backend()."
         )

@@ -80,11 +80,6 @@ class XeonSilver4210:
         """Total seconds for one time step."""
         return sum(self.phase_seconds(workload).values())
 
-    def rk_seconds(self, workload: RKWorkload) -> float:
-        """Seconds spent inside the RK method per step."""
-        phases = self.phase_seconds(workload)
-        return sum(v for k, v in phases.items() if k != "non_rk")
-
     def breakdown(self, workload: RKWorkload) -> dict[str, float]:
         """Fractional Fig. 2-style breakdown for one step."""
         phases = self.phase_seconds(workload)

@@ -156,10 +156,6 @@ class DesignPoint:
             )
         return None
 
-    @property
-    def is_feasible(self) -> bool:
-        return self.infeasibility() is None
-
     def element_partitions(self) -> list:
         """Element shards of this point's strategy, one per CU
         (:func:`~repro.mesh.partition.partition_elements`)."""

@@ -73,7 +73,7 @@ import time
 import weakref
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from multiprocessing import connection
 from multiprocessing import process as mp_process
 
@@ -230,9 +230,10 @@ def _pool_worker(channel) -> None:
                     (index, "error", f"{type(exc).__name__}: {exc}")
                 )
             else:
-                priced.append((cache_key(point, tier), result))
+                if cache_dir is not None:
+                    priced.append((cache_key(point, tier), result))
                 entries.append((index, "ok", result))
-        if cache_dir is not None and priced:
+        if priced:
             ResultCache(cache_dir).put_many(priced)
         try:
             channel.send(("done", batch_id, entries))

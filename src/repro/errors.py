@@ -16,10 +16,6 @@ class ConfigurationError(ReproError):
     """A user-supplied configuration value is invalid or inconsistent."""
 
 
-#: Short alias used throughout docs and tests.
-ConfigError = ConfigurationError
-
-
 class MeshError(ReproError):
     """Mesh construction or validation failed."""
 

@@ -3,9 +3,9 @@
 Each experiment module exposes a ``run_*`` function returning a
 structured result object plus a ``render_*`` function producing the
 paper-style rows/series. The benchmark suite (``benchmarks/``) executes
-and checks them; EXPERIMENTS.md records paper-vs-measured.
+and checks them against the paper's numbers.
 
-Index (see DESIGN.md Section 4):
+Index:
 
 - :mod:`repro.experiments.fig2_breakdown` — CPU execution-time breakdown;
 - :mod:`repro.experiments.fig5_scaling` — RK time vs mesh nodes,

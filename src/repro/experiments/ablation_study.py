@@ -1,9 +1,9 @@
 """Ablation study: the contribution of each paper optimization.
 
-Not a paper artifact — DESIGN.md calls these out as the design choices
-worth quantifying: element TLP (Section III-B), node TLP (Fig. 3, stages
-2a-2c), per-array AXI assignment (Section III-C), decoupled RKU
-interfaces (Section III-C), and the SLR split (Section III-A). Each
+Not a paper artifact — these are the design choices worth quantifying:
+element TLP (Section III-B), node TLP (Fig. 3, stages 2a-2c), per-array
+AXI assignment (Section III-C), decoupled RKU interfaces (Section
+III-C), and the SLR split (Section III-A). Each
 ablation removes exactly one of them and reports the resulting slowdown
 at a reference mesh size.
 """

@@ -44,13 +44,6 @@ class Fig2Result:
             v for k, v in self.percentages.items() if k != "non_rk"
         )
 
-    def max_deviation_points(self) -> float:
-        """Largest |model - paper| over the four categories, in points."""
-        return max(
-            abs(self.percentages[k] - PAPER_PERCENTAGES[k])
-            for k in PAPER_PERCENTAGES
-        )
-
 
 def run_fig2(
     node_counts: tuple[int, ...] = PAPER_FIG2_NODE_COUNTS,

@@ -24,7 +24,7 @@ from ..accel.designs import (
     proposed_design,
     vitis_baseline_design,
 )
-from ..accel.reports import TABLE1_COLUMNS, render_table1, table1_row
+from ..accel.reports import TABLE1_COLUMNS, table1_row
 from ..errors import ExperimentError
 
 #: Paper Table I rows.

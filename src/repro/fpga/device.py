@@ -10,7 +10,7 @@ modeled with the published per-SLR splits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import FPGAError

@@ -100,25 +100,3 @@ class LoopNest:
             if count > 0
         )
         return max(1, chain + 1)
-
-    def total_ops(self) -> dict[str, float]:
-        """Op counts over the whole loop."""
-        return {
-            name: count * self.trip_count
-            for name, count in self.ops_per_iter.items()
-        }
-
-    def flops_per_iter(self) -> float:
-        """Floating-point ops per iteration (excludes int/mem glue)."""
-        return sum(
-            count
-            for name, count in self.ops_per_iter.items()
-            if name.startswith("f")
-        )
-
-    def access_of(self, array: str) -> ArrayAccess | None:
-        """Access entry for one array, if present."""
-        for acc in self.accesses:
-            if acc.array == array:
-                return acc
-        return None

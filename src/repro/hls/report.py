@@ -7,7 +7,6 @@ reads when applying the paper's Section III-D procedure.
 
 from __future__ import annotations
 
-from .loops import LoopNest
 from .resources import ResourceVector
 from .scheduler import LoopSchedule
 

@@ -40,13 +40,6 @@ class LoopSchedule:
     latency: int
     limiting_factor: str  # 'target' | 'recurrence' | 'ports:<array>' | 'none'
 
-    @property
-    def throughput_iters_per_cycle(self) -> float:
-        """Original-loop iterations retired per cycle at steady state."""
-        if not self.pipelined:
-            return self.unroll_factor / max(1, self.depth * self.trips / max(1, self.trips))
-        return self.unroll_factor / self.achieved_ii
-
 
 def port_limited_ii(
     loop: LoopNest,

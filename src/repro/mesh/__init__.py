@@ -19,7 +19,7 @@ from .hexmesh import (
     channel_mesh,
     elements_for_node_count,
 )
-from .node_ordering import local_node_index, local_node_triplet, corner_local_indices
+from .node_ordering import local_node_index, local_node_triplet
 from .connectivity import shared_node_counts
 from .metrics import element_volumes, element_min_spacing
 from .boundary import BoundaryTag, tag_box_boundaries, periodic_image_map
@@ -33,7 +33,6 @@ __all__ = [
     "elements_for_node_count",
     "local_node_index",
     "local_node_triplet",
-    "corner_local_indices",
     "shared_node_counts",
     "element_volumes",
     "element_min_spacing",

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import MeshError
 from ..fem.gll import gll_points
-from .node_ordering import corner_local_indices, nodes_per_direction
+from .node_ordering import nodes_per_direction
 
 TWO_PI = 2.0 * np.pi
 
@@ -171,12 +171,6 @@ class HexMesh:
                     wraps, gathered[:, :, axis] + period, gathered[:, :, axis]
                 )
         return gathered
-
-    def checksum(self) -> float:
-        """Cheap content checksum used by the I/O round-trip tests."""
-        return float(
-            np.sum(self.coords) + np.sum(self.connectivity) + np.sum(self.corner_coords)
-        )
 
     def validate(self) -> None:
         """Run structural sanity checks; raise :class:`MeshError` on failure."""

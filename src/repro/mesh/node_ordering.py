@@ -38,23 +38,3 @@ def local_node_triplet(local: int, n1: int) -> tuple[int, int, int]:
     iy = (local // n1) % n1
     iz = local // (n1 * n1)
     return ix, iy, iz
-
-
-def corner_local_indices(n1: int) -> np.ndarray:
-    """Local indices of the 8 geometric corners, in VTK hexahedron order.
-
-    VTK order: (0,0,0), (1,0,0), (1,1,0), (0,1,0), then the same square at
-    z = 1. This is the order expected by the trilinear geometry mapping.
-    """
-    m = n1 - 1
-    corners = [
-        (0, 0, 0),
-        (m, 0, 0),
-        (m, m, 0),
-        (0, m, 0),
-        (0, 0, m),
-        (m, 0, m),
-        (m, m, m),
-        (0, m, m),
-    ]
-    return np.array([local_node_index(ix, iy, iz, n1) for ix, iy, iz in corners])

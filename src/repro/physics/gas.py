@@ -67,10 +67,6 @@ class GasProperties:
         """Ideal-gas pressure ``p = rho R T``."""
         return rho * self.gas_constant * temperature
 
-    def temperature_from_pressure(self, rho: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Invert the ideal-gas law for temperature."""
-        return p / (rho * self.gas_constant)
-
     def internal_energy(self, temperature: np.ndarray) -> np.ndarray:
         """Specific internal energy ``e = cv T``."""
         return self.cv * temperature

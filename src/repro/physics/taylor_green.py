@@ -76,11 +76,6 @@ class TGVCase:
         """Dynamic viscosity implied by the Reynolds number."""
         return self.rho0 * self.velocity * self.length / self.reynolds
 
-    @property
-    def convective_time(self) -> float:
-        """One convective time unit ``L / V0``."""
-        return self.length / self.velocity
-
     def gas(self) -> GasProperties:
         """Gas properties carried by this case."""
         return GasProperties(

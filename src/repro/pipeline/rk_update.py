@@ -41,7 +41,6 @@ import numpy as np
 
 from ..errors import PipelineError
 from ..physics.gas import GasProperties
-from ..physics.state import NUM_CONSERVED
 from ..precision.modes import FLOAT64_POLICY, PrecisionPolicy
 from .ir import OperatorPipeline, PayloadSpec, Stage
 from .kernels import register_pipeline_kernel
@@ -53,11 +52,6 @@ RK_UPDATE_TASK_NAMES: Mapping[str, str] = {
     "compute": "update_node",
     "store": "store_node_state",
 }
-
-#: Row order of the ``primitives`` payload: the quantities the paper's
-#: RKU kernel writes back each step (3 velocity components, T, p; rho
-#: and E live in the conservative state itself).
-PRIMITIVE_ROWS = ("u", "v", "w", "T", "p")
 
 
 @dataclass
@@ -174,7 +168,7 @@ def _stage_axpy(
 def _update_primitives(ctx: RKUpdateContext, stage: Stage, combined: np.ndarray):
     """The RKU primitive update: ``u, T, p`` from the combined state.
 
-    One ``(5, B)`` array ordered as :data:`PRIMITIVE_ROWS` — exactly the
+    One ``(5, B)`` array ordered ``u, v, w, T, p`` — exactly the
     quantities the paper's five RKU update loops write back (``rho`` and
     ``E`` are rows 0 and 4 of the conservative state the store stage
     already writes).

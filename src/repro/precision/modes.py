@@ -68,7 +68,7 @@ def resolve_dtype(name: str | None = None) -> str:
         raise ConfigurationError(
             f"unknown precision mode {value!r}; expected one of "
             f"{', '.join(DTYPE_MODES)} (or f32/f64 shorthand). Select one "
-            f"via the `dtype` argument / SolverConfig.dtype, or the "
+            f"via the `dtype` argument or the "
             f"{DTYPE_ENV_VAR} environment variable."
         )
     return mode

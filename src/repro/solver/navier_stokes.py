@@ -13,9 +13,9 @@ operation counts from.
 
 Every kernel on this path — gather, gradients, weak divergences,
 scatter-add — routes through a pluggable :class:`~repro.backend.KernelBackend`
-(select with the ``backend`` argument, ``SolverConfig.backend``, or the
-``REPRO_BACKEND`` environment variable), the software analogue of the
-paper's retargetable dataflow.
+(select with the ``backend`` argument or the ``REPRO_BACKEND``
+environment variable), the software analogue of the paper's
+retargetable dataflow.
 
 Three fusion levels control how much of the Fig. 1 round-trip the two
 passes share (``fusion=``); each is a *graph rewrite* of the base
@@ -203,18 +203,6 @@ class NavierStokesOperator:
             self._ctx,
             state_elem,
             phases=("rk.diffusion",),
-        )
-
-    def fused_element_residuals(self, state_elem: np.ndarray) -> np.ndarray:
-        """Convection + diffusion residuals in one pass, ``(5, E, Q)``.
-
-        Executes the fully fused pipeline's compute stages: combined
-        fluxes per node and a *single* weak divergence per conserved
-        field (5 instead of 9). Linearity of the weak divergence makes
-        this exactly the sum of the two separate passes (up to rounding).
-        """
-        return element_residuals(
-            navier_stokes_pipeline("full"), self._ctx, state_elem
         )
 
     # -- global residual ------------------------------------------------------

@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import SolverError
-
-#: The four categories of paper Fig. 2.
-FIG2_CATEGORIES = ("rk_diffusion", "rk_convection", "rk_other", "non_rk")
 
 
 @dataclass
@@ -100,12 +97,6 @@ class PhaseProfiler:
     def grand_total(self) -> float:
         """Sum over all phases."""
         return sum(self._totals.values())
-
-    def reset(self) -> None:
-        """Clear all accumulated time."""
-        if self._stack:
-            raise SolverError("cannot reset profiler while phases are active")
-        self._totals.clear()
 
     def breakdown(self) -> PhaseBreakdown:
         """Fold phase totals into the paper's Fig. 2 categories.

@@ -21,7 +21,7 @@ prices. Phase attribution follows the paper's Fig. 2 categories:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,43 +121,6 @@ class Simulation:
     def backend_name(self) -> str:
         """Name of the compute backend the operator resolved."""
         return self.operator.backend.name
-
-    @classmethod
-    def from_run_config(cls, config, case: TGVCase | None = None, **kwargs):
-        """Build a periodic TGV simulation from a :class:`~repro.config.RunConfig`.
-
-        Mesh size and polynomial order come from ``config.mesh``; the CFL
-        number and compute backend from ``config.solver`` (this is the
-        config-file channel for ``SolverConfig.backend``). When ``case``
-        is omitted, the TGV case physics are derived from
-        ``config.solver`` too — gamma, gas constant, Prandtl, and the
-        Reynolds number implied by its viscosity under the unit TGV
-        reference scales (``Re = rho0 V0 L / mu``) — so every field of
-        the config is honored. An explicit ``case`` takes precedence for
-        all physics. Keyword arguments override the config-derived
-        defaults. Run it with ``sim.run(config.num_time_steps)``.
-        """
-        import math
-
-        from ..mesh.hexmesh import periodic_box_mesh
-
-        solver = config.solver
-        if case is None:
-            case = TGVCase(
-                reynolds=(
-                    math.inf if solver.viscosity == 0 else 1.0 / solver.viscosity
-                ),
-                gamma=solver.gamma,
-                gas_constant=solver.gas_constant,
-                prandtl=solver.prandtl,
-            )
-        mesh = periodic_box_mesh(
-            config.mesh.elements_per_direction, config.mesh.polynomial_order
-        )
-        kwargs.setdefault("cfl", solver.cfl)
-        kwargs.setdefault("backend", solver.backend)
-        kwargs.setdefault("dtype", solver.dtype)
-        return cls(mesh, case, **kwargs)
 
     def __init__(
         self,

@@ -199,21 +199,6 @@ class RKWorkload:
     num_stages: int
     phases: dict[str, PhaseWork] = field(default_factory=dict)
 
-    def total_ops(self) -> OpCount:
-        """Sum of all phases."""
-        total = OpCount()
-        for phase in self.phases.values():
-            total = total + phase.ops
-        return total
-
-    def rk_ops(self) -> OpCount:
-        """Sum of the RK-method phases (the accelerated region)."""
-        total = OpCount()
-        for name, phase in self.phases.items():
-            if name != "non_rk":
-                total = total + phase.ops
-        return total
-
 
 def rk_stage_workload(
     num_elements: int, polynomial_order: int, fusion: str = "none"

@@ -55,10 +55,6 @@ from dataclasses import dataclass, field
 #: Everything a :class:`FaultSpec` can do.
 FAULT_KINDS = ("crash", "hang", "poison", "error", "disk-full", "truncate")
 
-#: Kinds whose behavior :func:`trip` executes centrally; the rest are
-#: returned to the calling seam for site-specific handling.
-_CENTRAL_KINDS = ("crash", "hang", "error", "disk-full")
-
 
 class InjectedFault(RuntimeError):
     """The in-band exception raised by an ``"error"`` fault."""
@@ -184,27 +180,6 @@ class FaultPlan:
 
     def total_fired(self) -> int:
         return sum(spec.fired for spec in self.specs)
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        site: str,
-        kind: str,
-        *,
-        population: int,
-        count: int = 1,
-        **kwargs,
-    ) -> "FaultPlan":
-        """A plan with ``count`` faults of one kind at seed-chosen
-        contexts — one spec per context so each fires exactly once."""
-        contexts = seeded_contexts(seed, population, count)
-        return cls(
-            *(
-                FaultSpec(site=site, kind=kind, at=(ctx,), **kwargs)
-                for ctx in contexts
-            )
-        )
 
 
 #: The process-global plan; ``None`` keeps every seam a cheap no-op.

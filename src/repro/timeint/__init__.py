@@ -2,7 +2,7 @@
 
 The paper advances the semi-discrete FEM system with the classical
 fourth-order Runge-Kutta method (RK4). This package provides Butcher
-tableaus for a family of explicit schemes, a generic integrator that
+tableaus for a family of explicit schemes, a generic RK step that
 consumes them, and the CFL-based step-size controller.
 """
 
@@ -14,7 +14,7 @@ from .butcher import (
     FORWARD_EULER,
     SSP_RK3,
 )
-from .runge_kutta import rk_step, integrate
+from .runge_kutta import rk_step
 from .cfl import advective_time_step, diffusive_time_step, stable_time_step
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "FORWARD_EULER",
     "SSP_RK3",
     "rk_step",
-    "integrate",
     "advective_time_step",
     "diffusive_time_step",
     "stable_time_step",

@@ -1,9 +1,9 @@
 """Generic explicit Runge-Kutta driver.
 
 The right-hand side is any callable ``rhs(t, y) -> dy/dt`` over numpy
-arrays; :func:`rk_step` / :func:`integrate` drive the tableau family on
-ODE systems (the convergence and tableau tests). The Navier-Stokes
-solver does not come through here: :meth:`Simulation.step
+arrays; :func:`rk_step` drives the tableau family on ODE systems (the
+convergence and tableau tests). The Navier-Stokes solver does not come
+through here: :meth:`Simulation.step
 <repro.solver.simulation.Simulation.step>` runs the RK-update pipelines
 (:func:`repro.pipeline.rk_update.rk_update_pipeline`).
 """
@@ -79,29 +79,3 @@ def rk_step(
             np.multiply(stage_derivs[stage], dt * weight, out=scratch)
             result += scratch
     return result
-
-
-def integrate(
-    rhs: RHSFunc,
-    t0: float,
-    y0: np.ndarray,
-    dt: float,
-    num_steps: int,
-    tableau: ButcherTableau,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate ``num_steps`` fixed-size RK steps.
-
-    Returns ``(times, states)`` with ``times`` of shape
-    ``(num_steps + 1,)`` and ``states`` stacking every step's state along
-    axis 0 (including the initial one).
-    """
-    if num_steps < 1:
-        raise TimeIntegrationError("num_steps must be >= 1")
-    y = np.asarray(y0, dtype=np.float64)
-    times = t0 + dt * np.arange(num_steps + 1)
-    states = np.empty((num_steps + 1,) + y.shape)
-    states[0] = y
-    for step in range(num_steps):
-        y = rk_step(rhs, float(times[step]), y, dt, tableau)
-        states[step + 1] = y
-    return times, states

@@ -14,7 +14,7 @@ from repro.backend import (
     resolve_backend_name,
 )
 from repro.backend.registry import _REGISTRY
-from repro.errors import ConfigError, ConfigurationError
+from repro.errors import ConfigurationError
 
 
 class TestResolution:
@@ -57,85 +57,93 @@ class TestResolution:
         assert get_backend("fast") is not get_backend("fast")
 
 
-class TestConfigWiring:
-    def test_solver_config_backend_reaches_simulation(self):
-        """SolverConfig.backend is a real selection channel: a RunConfig
-        carrying it must produce a Simulation on that backend."""
-        from repro.config import MeshSpec, RunConfig, SolverConfig
-        from repro.solver.simulation import Simulation
-
-        config = RunConfig(
-            mesh=MeshSpec(2, polynomial_order=2),
-            num_time_steps=1,
-            solver=SolverConfig(backend="fast"),
-        )
-        sim = Simulation.from_run_config(config)
-        assert sim.backend_name == "fast"
-        assert isinstance(sim.operator.backend, FastBackend)
-
-    def test_run_config_default_backend_defers_to_env(self, monkeypatch):
-        from repro.config import MeshSpec, RunConfig
+class TestSimulationWiring:
+    def test_default_backend_defers_to_env(self, monkeypatch):
+        from repro.mesh.hexmesh import periodic_box_mesh
+        from repro.physics.taylor_green import DEFAULT_TGV
         from repro.solver.simulation import Simulation
 
         monkeypatch.setenv(BACKEND_ENV_VAR, "fast")
-        sim = Simulation.from_run_config(RunConfig(mesh=MeshSpec(2)))
+        sim = Simulation(periodic_box_mesh(2, 2), DEFAULT_TGV)
         assert sim.backend_name == "fast"
 
-    def test_solver_config_rejects_blank_backend(self):
-        from repro.config import SolverConfig
-
-        with pytest.raises(ConfigError):
-            SolverConfig(backend="   ")
-
-    def test_solver_config_physics_reach_simulation(self):
-        """from_run_config honors every SolverConfig field: viscosity
-        (via the implied Reynolds number), gamma, gas constant, Prandtl,
-        and cfl — not just the backend."""
-        from repro.config import MeshSpec, RunConfig, SolverConfig
+    def test_backend_argument_reaches_simulation(self, monkeypatch):
+        """The explicit argument beats ``REPRO_BACKEND``."""
+        from repro.mesh.hexmesh import periodic_box_mesh
+        from repro.physics.taylor_green import DEFAULT_TGV
         from repro.solver.simulation import Simulation
 
-        solver = SolverConfig(
-            viscosity=0.01, prandtl=0.9, gamma=1.3, gas_constant=250.0, cfl=0.4
-        )
-        sim = Simulation.from_run_config(
-            RunConfig(mesh=MeshSpec(2), solver=solver)
-        )
+        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
+        sim = Simulation(periodic_box_mesh(2, 2), DEFAULT_TGV, backend="fast")
+        assert sim.backend_name == "fast"
+        assert isinstance(sim.operator.backend, FastBackend)
+
+    def test_backend_instance_reaches_simulation(self):
+        from repro.mesh.hexmesh import periodic_box_mesh
+        from repro.physics.taylor_green import DEFAULT_TGV
+        from repro.solver.simulation import Simulation
+
+        backend = ReferenceBackend()
+        sim = Simulation(periodic_box_mesh(2, 2), DEFAULT_TGV, backend=backend)
+        assert sim.operator.backend is backend
+
+    def test_blank_backend_argument_defers_to_env(self, monkeypatch):
+        from repro.mesh.hexmesh import periodic_box_mesh
+        from repro.physics.taylor_green import DEFAULT_TGV
+        from repro.solver.simulation import Simulation
+
+        monkeypatch.setenv(BACKEND_ENV_VAR, "fast")
+        sim = Simulation(periodic_box_mesh(2, 2), DEFAULT_TGV, backend="   ")
+        assert sim.backend_name == "fast"
+
+    def test_case_physics_reach_simulation(self):
+        """The simulation's gas comes from the case: viscosity (via the
+        Reynolds number), gamma, gas constant and Prandtl; cfl is the
+        constructor's."""
+        from repro.mesh.hexmesh import periodic_box_mesh
+        from repro.physics.taylor_green import TGVCase
+        from repro.solver.simulation import Simulation
+
+        case = TGVCase(reynolds=100.0, prandtl=0.9, gamma=1.3, gas_constant=250.0)
+        sim = Simulation(periodic_box_mesh(2, 2), case, cfl=0.4)
         assert sim.gas.viscosity == pytest.approx(0.01)
         assert sim.gas.prandtl == 0.9
         assert sim.gas.gamma == 1.3
         assert sim.gas.gas_constant == 250.0
         assert sim.cfl == 0.4
-        assert sim.case.reynolds == pytest.approx(100.0)
 
 
 class TestErrors:
     def test_unknown_backend_raises_config_error(self):
-        with pytest.raises(ConfigError) as excinfo:
+        with pytest.raises(ConfigurationError) as excinfo:
             get_backend("does-not-exist")
         message = str(excinfo.value)
         assert "does-not-exist" in message
         assert "reference" in message  # lists what IS available
         assert BACKEND_ENV_VAR in message  # tells the user how to select
 
-    def test_config_error_is_configuration_error(self):
-        assert ConfigError is ConfigurationError
+    def test_configuration_error_is_a_repro_error(self):
+        from repro import errors
+
+        assert issubclass(ConfigurationError, errors.ReproError)
+        assert not hasattr(errors, "ConfigError")  # one name per error
 
     def test_unknown_env_backend_raises(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigurationError):
             get_backend()
 
     def test_empty_name_rejected_at_registration(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigurationError):
             register_backend("  ", ReferenceBackend)
 
     def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigurationError):
             register_backend("reference", ReferenceBackend)
 
     def test_factory_must_return_kernel_backend(self, monkeypatch):
         monkeypatch.setitem(_REGISTRY, "broken", lambda: object())
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigurationError):
             get_backend("broken")
 
 
@@ -212,12 +220,6 @@ class TestRemovedWorkerPlumbing:
         get_backend("fast", num_workers=2)
 
     @staticmethod
-    def _solver_config():
-        from repro.config import SolverConfig
-
-        SolverConfig(num_workers=2)
-
-    @staticmethod
     def _operator():
         from repro.mesh.hexmesh import periodic_box_mesh
         from repro.physics.taylor_green import DEFAULT_TGV
@@ -247,7 +249,6 @@ class TestRemovedWorkerPlumbing:
         "entry",
         [
             "_get_backend",
-            "_solver_config",
             "_operator",
             "_evaluate_cosim",
             "_error_growth_report",

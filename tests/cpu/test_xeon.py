@@ -60,9 +60,11 @@ class TestStepTime:
         implied by the paper's Section IV-B arithmetic."""
         assert cpu_step_time(4_200_000) == pytest.approx(8.0, abs=1.0)
 
-    def test_rk_seconds_excludes_non_rk(self):
+    def test_phase_seconds_split_the_step(self):
+        """The RK phases and ``non_rk`` add up to the whole step."""
         w = workload_for_node_count(2_000_000)
-        total = XEON_SILVER_4210.step_seconds(w)
-        rk = XEON_SILVER_4210.rk_seconds(w)
-        non_rk = XEON_SILVER_4210.phase_seconds(w)["non_rk"]
-        assert rk == pytest.approx(total - non_rk)
+        phases = XEON_SILVER_4210.phase_seconds(w)
+        rk = sum(v for k, v in phases.items() if k != "non_rk")
+        assert rk + phases["non_rk"] == pytest.approx(
+            XEON_SILVER_4210.step_seconds(w)
+        )

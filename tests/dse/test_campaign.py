@@ -23,7 +23,6 @@ from repro.pipeline.navier_stokes import FUSIONS
 
 def test_default_point_is_feasible():
     point = DesignPoint()
-    assert point.is_feasible
     assert point.infeasibility() is None
 
 
@@ -59,21 +58,18 @@ def test_invalid_point_fields_raise(kwargs):
 
 def test_cu_ceiling_is_a_device_property():
     u200 = DesignPoint(num_cus=4, device="u200", elements_per_direction=2)
-    assert not u200.is_feasible
     assert "memory-attached" in u200.infeasibility()
     hbm = DesignPoint(num_cus=4, device="hbm", elements_per_direction=2)
-    assert hbm.is_feasible
+    assert hbm.infeasibility() is None
 
 
 def test_more_cus_than_elements_is_infeasible():
     point = DesignPoint(num_cus=2, device="u200", elements_per_direction=1)
-    assert not point.is_feasible
     assert "element" in point.infeasibility()
 
 
 def test_periodic_seam_minimum():
     point = DesignPoint(polynomial_order=1, elements_per_direction=1)
-    assert not point.is_feasible
     assert "nodes per direction" in point.infeasibility()
 
 

@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import SolverConfig
 from repro.dse.fingerprint import canonicalize, fingerprint
 from repro.dse.campaign import DesignPoint
 from repro.dse.tiers import TIERS
@@ -67,11 +66,18 @@ def test_bool_and_int_do_not_collide():
     assert fingerprint({"x": 1.0}) != fingerprint({"x": 1})
 
 
-def test_solver_config_fingerprints():
-    a = fingerprint(SolverConfig())
-    b = fingerprint(SolverConfig(polynomial_order=3))
+@dataclasses.dataclass(frozen=True)
+class _Settings:
+    polynomial_order: int = 2
+    cfl: float = 0.5
+    backend: str | None = None
+
+
+def test_frozen_dataclass_fingerprints():
+    a = fingerprint(_Settings())
+    b = fingerprint(_Settings(polynomial_order=3))
     assert a != b
-    assert a == fingerprint(SolverConfig())
+    assert a == fingerprint(_Settings())
 
 
 def test_sets_are_order_free():

@@ -216,7 +216,7 @@ MEMO_GRID = [
             ("float64", "float32"),
         )
     )
-    if point.is_feasible
+    if point.infeasibility() is None
 ]
 
 

@@ -17,7 +17,11 @@ def result():
 
 class TestFig2:
     def test_within_2_5_points_of_paper(self, result):
-        assert result.max_deviation_points() < 2.5
+        deviation = max(
+            abs(result.percentages[k] - PAPER_PERCENTAGES[k])
+            for k in PAPER_PERCENTAGES
+        )
+        assert deviation < 2.5
 
     def test_category_ordering_matches_paper(self, result):
         p = result.percentages

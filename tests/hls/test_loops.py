@@ -20,26 +20,27 @@ class TestLoopNest:
         )
         assert loop.estimated_depth() == 40
 
-    def test_total_ops(self):
-        loop = LoopNest(name="l", trip_count=5, ops_per_iter={"fmul": 3})
-        assert loop.total_ops() == {"fmul": 15}
-
-    def test_flops_exclude_glue(self):
+    def test_zero_count_ops_add_no_depth(self):
         loop = LoopNest(
-            name="l",
-            trip_count=1,
-            ops_per_iter={"fadd": 2, "int": 5, "mem": 3},
+            name="l", trip_count=10, ops_per_iter={"fadd": 2, "fmul": 0}
         )
-        assert loop.flops_per_iter() == 2
+        # chain = fadd(7) + 1 control; the absent fmul adds nothing
+        assert loop.estimated_depth() == 8
 
-    def test_access_lookup(self):
-        loop = LoopNest(
-            name="l",
-            trip_count=1,
-            accesses=[ArrayAccess("arr", reads_per_iter=2)],
-        )
-        assert loop.access_of("arr").reads_per_iter == 2
-        assert loop.access_of("missing") is None
+    def test_empty_body_depth_is_loop_control(self):
+        assert LoopNest(name="l", trip_count=3).estimated_depth() == 1
+
+    def test_access_total_per_iter(self):
+        acc = ArrayAccess("a", reads_per_iter=2, writes_per_iter=1)
+        assert acc.total_per_iter == 3
+
+    def test_unknown_op_rejected(self):
+        with pytest.raises(HLSError):
+            LoopNest(name="l", trip_count=1, ops_per_iter={"fbogus": 1})
+
+    def test_nonpositive_depth_rejected(self):
+        with pytest.raises(HLSError):
+            LoopNest(name="l", trip_count=1, depth=0)
 
     def test_duplicate_access_rejected(self):
         with pytest.raises(HLSError):

@@ -11,6 +11,7 @@ from repro.mesh.hexmesh import (
     box_mesh,
     periodic_box_mesh,
 )
+from repro.mesh.node_ordering import local_node_index
 
 
 class TestPeriodicMesh:
@@ -118,6 +119,35 @@ class TestBoxMesh:
     def test_validates(self, small_box_mesh):
         small_box_mesh.validate()
 
+    def test_corner_coords_in_vtk_order(self):
+        """``corner_coords`` are each element's extreme nodes in VTK
+        hexahedron order."""
+        mesh = box_mesh(2, 3)
+        m = 3
+        vtk = [
+            (0, 0, 0),
+            (m, 0, 0),
+            (m, m, 0),
+            (0, m, 0),
+            (0, 0, m),
+            (m, 0, m),
+            (m, m, m),
+            (0, m, m),
+        ]
+        corners = [local_node_index(*t, m + 1) for t in vtk]
+        coords = mesh.coords[mesh.connectivity[:, corners]]
+        assert np.allclose(coords, mesh.corner_coords)
+
+    @pytest.mark.parametrize("make", [box_mesh, periodic_box_mesh])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_corner_coords_span_one_element(self, make, order):
+        """Corners 0 and 6 are opposite: they differ by one element
+        width on every axis, also for wrapping periodic elements."""
+        k = 3
+        mesh = make(k, order)
+        span = mesh.corner_coords[:, 6] - mesh.corner_coords[:, 0]
+        assert np.allclose(span, 2 * np.pi / k)
+
 
 class TestCustomDomain:
     def test_unit_cube_domain(self):
@@ -159,11 +189,6 @@ class TestValidation:
                 corner_coords=small_periodic_mesh.corner_coords,
                 periodic=True,
             )
-
-    def test_checksum_stable(self, small_periodic_mesh):
-        assert small_periodic_mesh.checksum() == pytest.approx(
-            small_periodic_mesh.checksum()
-        )
 
 
 class TestElementsForNodeCount:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import MeshError
 from repro.mesh.node_ordering import (
-    corner_local_indices,
     local_node_index,
     local_node_triplet,
     nodes_per_direction,
@@ -36,31 +35,12 @@ class TestIndexing:
         for local, triplet in enumerate(zip(ix, iy, iz)):
             assert local_node_index(*map(int, triplet), n1) == local
 
+    @pytest.mark.parametrize("n1", [2, 3, 5])
+    def test_first_and_last_index_are_opposite_corners(self, n1):
+        assert local_node_triplet(0, n1) == (0, 0, 0)
+        assert local_node_triplet(n1**3 - 1, n1) == (n1 - 1,) * 3
+
     def test_nodes_per_direction(self):
         assert nodes_per_direction(2) == 3
         with pytest.raises(MeshError):
             nodes_per_direction(0)
-
-
-class TestCorners:
-    def test_vtk_corner_order(self):
-        corners = corner_local_indices(3)
-        triplets = [local_node_triplet(int(c), 3) for c in corners]
-        assert triplets == [
-            (0, 0, 0),
-            (2, 0, 0),
-            (2, 2, 0),
-            (0, 2, 0),
-            (0, 0, 2),
-            (2, 0, 2),
-            (2, 2, 2),
-            (0, 2, 2),
-        ]
-
-    @pytest.mark.parametrize("n1", [2, 3, 5])
-    def test_corners_sit_on_the_extreme_planes(self, n1):
-        for corner in corner_local_indices(n1):
-            assert set(local_node_triplet(int(corner), n1)) <= {0, n1 - 1}
-
-    def test_corners_distinct(self):
-        assert len(set(corner_local_indices(4).tolist())) == 8

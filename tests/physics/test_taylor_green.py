@@ -33,6 +33,19 @@ class TestCase:
             case.rho0 * case.gas_constant * case.temperature0
         )
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"reynolds": 0.0},
+            {"length": 0.0},
+            {"velocity": -1.0},
+            {"rho0": 0.0},
+        ],
+    )
+    def test_invalid_scales_rejected(self, kwargs):
+        with pytest.raises(PhysicsError):
+            TGVCase(**kwargs)
+
     @pytest.mark.parametrize("mach", [0.0, 1.0, 1.5])
     def test_invalid_mach_rejected(self, mach):
         with pytest.raises(PhysicsError):

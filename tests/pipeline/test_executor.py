@@ -134,7 +134,9 @@ class TestElementResiduals:
         state_elem = op._gather_state(stacked)
         conv = op.convection_element_residuals(state_elem)
         diff = op.diffusion_element_residuals(state_elem)
-        fused = op.fused_element_residuals(state_elem)
+        fused = element_residuals(
+            navier_stokes_pipeline("full"), op._ctx, state_elem
+        )
         scale = np.abs(fused).max()
         assert np.abs(conv + diff - fused).max() <= 1e-12 * scale
 

@@ -1,8 +1,8 @@
 """Unit tests of the precision-mode machinery (``repro.precision``).
 
 The resolution chain (argument > ``REPRO_DTYPE`` > float64), the
-policy table, mixed-mode scatter semantics, config validation, and
-the backend-registry / simulation plumbing.
+policy table, mixed-mode scatter semantics, and the backend-registry /
+simulation plumbing.
 """
 
 import argparse
@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.backend import get_backend
-from repro.config import RunConfig, SolverConfig
 from repro.errors import ConfigurationError
 from repro.fem.assembly import scatter_add
 from repro.precision import (
@@ -124,12 +123,6 @@ class TestScatterAccumulateSemantics:
 
 
 class TestConfigAndRegistryPlumbing:
-    def test_solver_config_accepts_and_validates_dtype(self):
-        assert SolverConfig().dtype is None
-        assert SolverConfig(dtype="float32").dtype == "float32"
-        with pytest.raises(ConfigurationError):
-            SolverConfig(dtype="quad")
-
     def test_get_backend_forwards_precision(self):
         policy = PrecisionPolicy.for_mode("float32")
         for name in ("reference", "fast"):
@@ -137,15 +130,41 @@ class TestConfigAndRegistryPlumbing:
             assert backend.precision.mode == "float32"
         assert get_backend("fast").precision.mode == "float64"
 
-    def test_simulation_from_run_config_dtype(self):
-        from repro.config import MeshSpec
+    def test_simulation_dtype_argument(self):
+        from repro.mesh.hexmesh import periodic_box_mesh
+        from repro.physics.taylor_green import DEFAULT_TGV
         from repro.solver.simulation import Simulation
 
-        config = RunConfig(mesh=MeshSpec(elements_per_direction=2))
-        sim = Simulation.from_run_config(config, dtype="float32")
+        sim = Simulation(periodic_box_mesh(2, 2), DEFAULT_TGV, dtype="float32")
         assert sim.precision.mode == "float32"
         sim.run(1)
         assert sim.state.as_stacked().dtype == np.float64  # FlowState stays f64
+
+    def test_simulation_rejects_unknown_dtype(self):
+        from repro.mesh.hexmesh import periodic_box_mesh
+        from repro.physics.taylor_green import DEFAULT_TGV
+        from repro.solver.simulation import Simulation
+
+        with pytest.raises(ConfigurationError, match="quad"):
+            Simulation(periodic_box_mesh(2, 2), DEFAULT_TGV, dtype="quad")
+
+    def test_simulation_dtype_defers_to_env(self, monkeypatch):
+        from repro.mesh.hexmesh import periodic_box_mesh
+        from repro.physics.taylor_green import DEFAULT_TGV
+        from repro.solver.simulation import Simulation
+
+        monkeypatch.setenv(DTYPE_ENV_VAR, "float32")
+        sim = Simulation(periodic_box_mesh(2, 2), DEFAULT_TGV)
+        assert sim.precision.mode == "float32"
+
+    def test_simulation_dtype_argument_beats_env(self, monkeypatch):
+        from repro.mesh.hexmesh import periodic_box_mesh
+        from repro.physics.taylor_green import DEFAULT_TGV
+        from repro.solver.simulation import Simulation
+
+        monkeypatch.setenv(DTYPE_ENV_VAR, "float32")
+        sim = Simulation(periodic_box_mesh(2, 2), DEFAULT_TGV, dtype="mixed")
+        assert sim.precision.mode == "mixed"
 
     def test_simulation_adopts_backend_instance_policy(self):
         from repro.mesh.hexmesh import periodic_box_mesh

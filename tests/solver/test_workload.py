@@ -87,11 +87,13 @@ class TestAggregates:
         )
         assert ratio == pytest.approx(2.0)
 
-    def test_rk_total_excludes_non_rk(self):
-        w = full_step_workload(512, 64, 2)
-        assert w.rk_ops().flops == pytest.approx(
-            w.total_ops().flops - w.phases["non_rk"].ops.flops
+    def test_non_rk_scales_with_nodes_only(self):
+        small = full_step_workload(512, 64, 2)
+        large = full_step_workload(1024, 64, 2)
+        assert large.phases["non_rk"].ops.flops == pytest.approx(
+            2 * small.phases["non_rk"].ops.flops
         )
+        assert large.phases["rk_diffusion"] == small.phases["rk_diffusion"]
 
     def test_node_count_mapping(self):
         w = workload_for_node_count(8_000, polynomial_order=2)

@@ -123,12 +123,17 @@ def test_seeded_contexts_deterministic_and_distinct():
         seeded_contexts(1, population=3, count=4)
 
 
-def test_seeded_plan_one_spec_per_context():
-    plan = FaultPlan.seeded(7, "dse.worker", "crash", population=30, count=3)
-    assert len(plan.specs) == 3
-    contexts = sorted(spec.at[0] for spec in plan.specs)
-    assert tuple(contexts) == seeded_contexts(7, 30, 3)
-    assert all(spec.times == 1 for spec in plan.specs)
+def test_seeded_contexts_place_one_fault_each():
+    """One single-shot spec per seeded context fires at exactly those
+    contexts of a sweep, once each."""
+    contexts = seeded_contexts(7, population=30, count=3)
+    plan = FaultPlan(
+        *(FaultSpec(site="s", kind="poison", at=(c,)) for c in contexts)
+    )
+    with injected_faults(plan):
+        fired = [i for i in range(30) for _ in range(2) if trip("s", context=i)]
+    assert tuple(fired) == contexts
+    assert plan.total_fired() == 3
 
 
 def _child_trips(spec, n, queue):

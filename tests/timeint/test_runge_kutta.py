@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import TimeIntegrationError
 from repro.timeint.butcher import FORWARD_EULER, HEUN2, RK4, RK4_38, SSP_RK3
-from repro.timeint.runge_kutta import integrate, rk_step
+from repro.timeint.runge_kutta import rk_step
 
 
 def decay(t, y):
@@ -21,6 +21,26 @@ class TestExactness:
     def test_euler_linear_rhs(self):
         y = rk_step(lambda t, y: np.array([2.0]), 0.0, np.array([1.0]), 0.5, FORWARD_EULER)
         assert y[0] == pytest.approx(2.0)
+
+
+    @pytest.mark.parametrize(
+        "tableau",
+        [FORWARD_EULER, HEUN2, SSP_RK3, RK4, RK4_38],
+        ids=lambda t: t.name,
+    )
+    def test_constant_rhs_exact(self, tableau):
+        """Consistency: the weights sum to one."""
+        y = rk_step(lambda t, y: np.array([2.0]), 0.0, np.array([1.0]), 0.5, tableau)
+        assert y[0] == pytest.approx(2.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "tableau", [HEUN2, SSP_RK3, RK4, RK4_38], ids=lambda t: t.name
+    )
+    def test_stage_times_reach_the_rhs(self, tableau):
+        """Second-order tableaus integrate y' = t (y = t^2 / 2) exactly,
+        which needs each stage's time ``t + c_i dt``."""
+        y = rk_step(lambda t, y: np.array([t]), 1.0, np.array([0.5]), 1.0, tableau)
+        assert y[0] == pytest.approx(2.0, abs=1e-14)
 
 
 class TestConvergenceOrder:
@@ -39,10 +59,11 @@ class TestConvergenceOrder:
         exact = np.exp(-1.0)
         errors = []
         for steps in (8, 16):
-            _, states = integrate(
-                decay, 0.0, np.array([1.0]), 1.0 / steps, steps, tableau
-            )
-            errors.append(abs(states[-1, 0] - exact))
+            dt = 1.0 / steps
+            y = np.array([1.0])
+            for step in range(steps):
+                y = rk_step(decay, step * dt, y, dt, tableau)
+            errors.append(abs(y[0] - exact))
         observed = np.log2(errors[0] / errors[1])
         assert observed == pytest.approx(expected_order, abs=0.35)
 
@@ -51,12 +72,6 @@ class TestMechanics:
     def test_invalid_dt(self):
         with pytest.raises(TimeIntegrationError):
             rk_step(decay, 0.0, np.array([1.0]), 0.0, RK4)
-
-    def test_integrate_records_every_step(self):
-        times, states = integrate(decay, 0.0, np.array([1.0]), 0.1, 5, RK4)
-        assert times.shape == (6,)
-        assert states.shape == (6, 1)
-        assert np.allclose(times, 0.1 * np.arange(6))
 
     def test_input_not_mutated(self):
         y0 = np.array([1.0, 2.0])
