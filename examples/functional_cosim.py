@@ -19,9 +19,9 @@ parallel compute-unit task graphs under one simulator clock, deriving
 the multi-CU timing from the same run.
 
 ``--engine`` selects the dataflow simulation engine: the per-token
-``event`` oracle, the ``vectorized`` schedule engine (array recurrences
-plus batched payload execution — the default via ``auto``), whose
-traces are identical.
+``event`` oracle or the ``vectorized`` schedule engine (array
+recurrences plus batched payload execution, the default), whose traces
+are identical.
 
 ``--no-verify`` skips the redundant functional verification solve: the
 streamed payloads compute identical values either way, so the fast path
@@ -32,7 +32,7 @@ Usage::
     python examples/functional_cosim.py [elements_per_direction] [order] \
         [--backend reference|fast] [--case tgv|channel] \
         [--block-size B] [--num-cus N] [--num-steps K] \
-        [--engine event|vectorized|auto] [--dtype float64|float32|mixed] \
+        [--engine event|vectorized] [--dtype float64|float32|mixed] \
         [--no-verify]
 """
 
@@ -84,10 +84,11 @@ def main() -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=("event", "vectorized", "auto"),
-        default="auto",
-        help="dataflow simulation engine: the per-token event oracle, "
-        "the vectorized schedule engine, or auto (default)",
+        choices=("event", "vectorized"),
+        default="vectorized",
+        help="dataflow simulation engine: the per-token event oracle or "
+        "the vectorized schedule engine, which runs the streamed "
+        "payloads in batch form (default)",
     )
     parser.add_argument(
         "--no-verify",

@@ -751,7 +751,7 @@ def streamed_residual(
     block_size: int = 1,
     num_cus: int | None = None,
     partitions=None,
-    engine: str = "auto",
+    engine: str = "vectorized",
 ) -> tuple[np.ndarray, SimulationTrace]:
     """One right-hand side evaluated *through* the cycle simulator.
 
@@ -796,9 +796,9 @@ def streamed_residual(
         cover every mesh element exactly once.
     engine:
         Simulation engine
-        (:meth:`~repro.dataflow.simulator.DataflowSimulator.run`);
-        the default ``"auto"`` resolves to the vectorized schedule
-        engine, since the streaming actions carry batched forms.
+        (:meth:`~repro.dataflow.simulator.DataflowSimulator.run`):
+        ``"vectorized"`` (default) runs the streaming actions' batched
+        forms; ``"event"`` is the per-token oracle.
 
     Returns
     -------
@@ -1155,7 +1155,7 @@ def cosimulate_rk_stage(
     node_block_size: int = 32,
     tableau: ButcherTableau = RK4,
     num_steps: int = 1,
-    engine: str = "auto",
+    engine: str = "vectorized",
     num_workers: int | None = None,
     dtype: str | None = None,
     verify: bool = True,
@@ -1219,8 +1219,9 @@ def cosimulate_rk_stage(
         the whole method (all steps use the first step's ``dt``).
     engine:
         Simulation engine
-        (:meth:`~repro.dataflow.simulator.DataflowSimulator.run`);
-        ``"auto"`` resolves to the vectorized schedule engine.
+        (:meth:`~repro.dataflow.simulator.DataflowSimulator.run`):
+        ``"vectorized"`` (default) runs the streaming actions' batched
+        forms; ``"event"`` is the per-token oracle.
     num_workers:
         Kept only so existing callers passing ``1`` keep working; any
         value but ``None``/``1`` raises (see :class:`Simulation`).

@@ -30,24 +30,25 @@ monotone (Kleene) sweeps to the least fixed point — each sweep
 propagates backpressure one graph level, and real graphs converge in a
 handful of sweeps.
 
-Payload execution is decoupled from timing: once the schedule is known,
-actions run in the computed start order (exactly the order the event
-engine interleaves them), or — when every action advertises a
-:attr:`batch <repro.pipeline.executor.streaming_actions>` form — one
-batched numpy call per task replaces the per-token callbacks entirely.
+Payload execution is decoupled from timing and runs only in batch form:
+every action must advertise a
+:attr:`batch <repro.pipeline.executor.streaming_actions>` form, and one
+batched numpy call per task, in buffer+dependency topological order,
+replaces the per-token callbacks. A graph whose payloads cannot run
+that way is refused with a :class:`~repro.errors.DataflowError`; the
+event engine runs per-token payloads.
 
 :meth:`DataflowSimulator.run <repro.dataflow.simulator.DataflowSimulator.run>`
-exposes this engine via ``engine="vectorized"`` (and picks it
-automatically under ``engine="auto"``); the event engine remains the
-oracle, and the two agree token-for-token on cycles, per-task stats and
-sink results — asserted by the randomized parity harness in
-``tests/dataflow/test_schedule_parity.py``.
+exposes this engine via ``engine="vectorized"``; the event engine
+remains the oracle, and the two agree token-for-token on cycles,
+per-task stats and sink results — asserted by the randomized parity
+harness in ``tests/dataflow/test_schedule_parity.py``.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -65,8 +66,6 @@ def normalize_iteration_counts(
     ``iterations`` is an int applied to every task or a mapping that
     must cover the whole graph; counts must be >= 1.
     """
-    from collections.abc import Mapping
-
     if isinstance(iterations, Mapping):
         missing = [n for n in graph.tasks if n not in iterations]
         if missing:
@@ -454,38 +453,31 @@ def compute_schedule(
 # ---------------------------------------------------------------------------
 
 
-def _batchable(graph: DataflowGraph, counts: dict[str, int]) -> bool:
-    """Whether every payload-carrying component can run batched.
+def _batch_obstacle(graph: DataflowGraph, counts: dict[str, int]) -> str | None:
+    """Why the graph's payloads cannot run batched; ``None`` if they can.
 
-    A weakly-connected component (via buffers) is batch-eligible when
-    every one of its tasks carries an action with a ``batch`` form and
-    all its tasks run the same iteration count — the contract of the
-    streaming lowerings. Components without any action carry no
-    payloads and are ignored.
+    Every action needs a ``batch`` form, and every buffer must join two
+    actionless tasks or two action tasks with equal iteration counts —
+    the contract of the streaming lowerings. Actionless components carry
+    no payloads and may run uneven counts.
     """
-    component: dict[str, str] = {name: name for name in graph.tasks}
-
-    def find(name: str) -> str:
-        while component[name] != name:
-            component[name] = component[component[name]]
-            name = component[name]
-        return name
-
+    for name, task in graph.tasks.items():
+        if task.action is not None and getattr(task.action, "batch", None) is None:
+            return f"task {name!r} has an action without a batch form"
     for buf in graph.buffers.values():
-        component[find(buf.producer)] = find(buf.consumer)
-    members: dict[str, list[str]] = {}
-    for name in graph.tasks:
-        members.setdefault(find(name), []).append(name)
-    for names in members.values():
-        if not any(graph.tasks[n].action is not None for n in names):
-            continue
-        if len({counts[n] for n in names}) != 1:
-            return False
-        for n in names:
-            action = graph.tasks[n].action
-            if action is None or getattr(action, "batch", None) is None:
-                return False
-    return True
+        producer, consumer = buf.producer, buf.consumer
+        has_action = graph.tasks[producer].action is not None
+        if has_action != (graph.tasks[consumer].action is not None):
+            return (
+                f"task {consumer!r} and its producer {producer!r} do not "
+                "both carry an action"
+            )
+        if has_action and counts[producer] != counts[consumer]:
+            return (
+                f"task {consumer!r} runs {counts[consumer]} iterations, "
+                f"its producer {producer!r} {counts[producer]}"
+            )
+    return None
 
 
 def _execute_batched(
@@ -527,61 +519,6 @@ def _execute_batched(
     return sink_results
 
 
-def _execute_in_start_order(
-    graph: DataflowGraph, counts: dict[str, int], schedule: GraphSchedule
-) -> dict[str, list]:
-    """Per-token actions replayed in the computed start order.
-
-    Token payloads travel FIFO through per-buffer queues exactly as in
-    the event engine; because every consumer start is scheduled at or
-    after its producers' finishes, replaying tokens sorted by start
-    cycle (ties broken by topological position) always finds the
-    consumed payloads already produced.
-    """
-    order = graph.topological_order()
-    position = {name: k for k, name in enumerate(order)}
-    names: list[str] = []
-    all_starts: list[np.ndarray] = []
-    all_pos: list[np.ndarray] = []
-    all_iter: list[np.ndarray] = []
-    for name in order:
-        sched = schedule.tasks[name]
-        names.append(name)
-        all_starts.append(sched.starts)
-        all_pos.append(np.full(sched.count, position[name], dtype=np.int64))
-        all_iter.append(np.arange(sched.count, dtype=np.int64))
-    starts = np.concatenate(all_starts)
-    pos = np.concatenate(all_pos)
-    iters = np.concatenate(all_iter)
-    run_order = np.lexsort((iters, pos, starts))
-
-    inputs_of = {name: graph.inputs_of(name) for name in order}
-    outputs_of = {name: graph.outputs_of(name) for name in order}
-    payloads: dict[str, deque] = {name: deque() for name in graph.buffers}
-    sink_results: dict[str, list] = {
-        name: []
-        for name, task in graph.tasks.items()
-        if task.action is not None and not outputs_of[name]
-    }
-    tasks = graph.tasks
-    for k in run_order:
-        name = names[pos[k]]
-        iteration = int(iters[k])
-        task = tasks[name]
-        args = tuple(payloads[buf.name].popleft() for buf in inputs_of[name])
-        if task.action is not None:
-            value = task.action(iteration, args)
-        elif len(args) == 1:
-            value = args[0]
-        else:
-            value = args if args else None
-        for buf in outputs_of[name]:
-            payloads[buf.name].append(value)
-        if name in sink_results:
-            sink_results[name].append(value)
-    return sink_results
-
-
 def run_vectorized(
     graph: DataflowGraph,
     counts: dict[str, int],
@@ -593,24 +530,26 @@ def run_vectorized(
     same run: total cycles, per-task stats (stall attribution included)
     and sink results. Raises :class:`~repro.errors.DeadlockError` on
     infeasible iteration counts and :class:`~repro.errors.DataflowError`
+    on payloads without a batch form (see :func:`_batch_obstacle`) or
     when the schedule exceeds ``max_cycles``.
     """
     from .simulator import SimulationTrace
 
     check_feasible(graph, counts)
+    payloads = any(task.action is not None for task in graph.tasks.values())
+    obstacle = _batch_obstacle(graph, counts) if payloads else None
+    if obstacle is not None:
+        raise DataflowError(
+            f"graph {graph.name!r}: {obstacle}; the vectorized engine runs "
+            'payloads only in batch form, use engine="event"'
+        )
     schedule = compute_schedule(graph, counts)
     total = schedule.total_cycles
     if max_cycles is not None and total > max_cycles:
         raise DataflowError(
             f"graph {graph.name!r}: exceeded max_cycles={max_cycles}"
         )
-    if any(task.action is not None for task in graph.tasks.values()):
-        if _batchable(graph, counts):
-            sink_results = _execute_batched(graph, counts)
-        else:
-            sink_results = _execute_in_start_order(graph, counts, schedule)
-    else:
-        sink_results = {}
+    sink_results = _execute_batched(graph, counts) if payloads else {}
     return SimulationTrace(
         graph_name=graph.name,
         iterations=max(counts.values()),

@@ -23,17 +23,13 @@ graph its timing model prices.
 
 Two engines produce the identical :class:`SimulationTrace`:
 
-- ``engine="event"`` — the per-token heap walk above, the oracle;
+- ``engine="event"`` — the per-token heap walk above, the oracle, and
+  the engine for payload actions without a batch form;
 - ``engine="vectorized"`` — the array-recurrence schedule engine
   (:mod:`repro.dataflow.schedule`), which computes all start/finish
-  times in bulk numpy passes and replays payload actions in the
-  computed start order (or as one batched call per task when the
-  actions advertise a batch form). This is what scales co-simulation
-  from toy meshes to paper-scale ones.
-
-``engine="auto"`` picks the vectorized engine whenever it can clearly
-win — no payloads, batch-capable payloads, or a token count large
-enough to amortize its setup — and the event engine otherwise.
+  times in bulk numpy passes and runs payloads as one batched call per
+  task (it refuses actions without a batch form). This is what scales
+  co-simulation from toy meshes to paper-scale ones.
 """
 
 from __future__ import annotations
@@ -46,18 +42,10 @@ from dataclasses import dataclass, field
 
 from ..errors import DataflowError, DeadlockError
 from .graph import DataflowGraph
-from .schedule import (
-    normalize_iteration_counts,
-    run_vectorized,
-)
+from .schedule import normalize_iteration_counts, run_vectorized
 from .task import TaskStats
 
-#: ``engine="auto"`` falls back to the event engine below this many
-#: total tokens when payload actions lack a batch form (the vectorized
-#: engine's compile/sort overhead only pays off in bulk).
-AUTO_TOKEN_THRESHOLD = 4096
-
-ENGINES = ("event", "vectorized", "auto")
+ENGINES = ("event", "vectorized")
 
 
 @dataclass
@@ -132,11 +120,9 @@ class DataflowSimulator:
         :class:`DataflowError`.
 
         ``engine`` selects the execution strategy: ``"event"`` (the
-        per-token oracle, the default), ``"vectorized"`` (the array
+        per-token oracle, the default) or ``"vectorized"`` (the array
         schedule engine of :mod:`repro.dataflow.schedule` — identical
-        trace, bulk numpy cost), or ``"auto"`` (vectorized whenever the
-        run has no payloads, batch-capable payloads, or at least
-        :data:`AUTO_TOKEN_THRESHOLD` total tokens).
+        trace, bulk numpy cost; payload actions need a batch form).
         """
         if engine not in ENGINES:
             raise DataflowError(
@@ -144,31 +130,9 @@ class DataflowSimulator:
             )
         graph = self.graph
         counts = normalize_iteration_counts(graph, iterations)
-        if engine == "auto":
-            engine = self._auto_engine(counts)
         if engine == "vectorized":
             return run_vectorized(graph, counts, max_cycles)
         return self._run_event(counts, max_cycles)
-
-    def _auto_engine(self, counts: Mapping[str, int]) -> str:
-        """Pick an engine: vectorized when it clearly wins.
-
-        The vectorized engine is exact on cycles, stats and payload
-        values, so the choice is purely about cost: without payloads or
-        with batch-capable payloads it beats the event loop at any size;
-        with per-token-only payloads its compile/sort overhead needs a
-        bulk run to amortize.
-        """
-        from .schedule import _batchable
-
-        graph = self.graph
-        if all(task.action is None for task in graph.tasks.values()):
-            return "vectorized"
-        if _batchable(graph, counts):
-            return "vectorized"
-        if sum(counts.values()) >= AUTO_TOKEN_THRESHOLD:
-            return "vectorized"
-        return "event"
 
     def _run_event(
         self,

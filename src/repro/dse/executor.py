@@ -200,8 +200,9 @@ def _evaluate_tier(
     if missing and tier == "cosim":
         # Whole-mesh numerics always run supervised: even at workers=1 a
         # crashing or hanging point must not take the caller down. One
-        # point per batch; a pool about to fork inherits the built
-        # designs, a reused one builds what it lacks.
+        # point per batch, with its cache key when there is a cache; a
+        # pool about to fork inherits the built designs, a reused one
+        # builds what it lacks.
         with shared_pool(workers, retry) as pool:
             if not pool.forked:
                 try:
@@ -212,7 +213,7 @@ def _evaluate_tier(
             try:
                 priced, failed = pool.run(
                     tier,
-                    [[item] for item in missing],
+                    [[(i, point, keys.get(i))] for i, point in missing],
                     options,
                     cache_dir=None if cache is None else cache.directory,
                 )

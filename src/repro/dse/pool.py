@@ -81,7 +81,7 @@ from ..backend import registry
 from ..dataflow import schedule
 from ..errors import DSEError
 from ..testing import faults
-from .cache import ResultCache, cache_key
+from .cache import ResultCache
 from .tiers import price_feasible
 
 #: Graceful close: seconds a worker gets to acknowledge ``("close",)``
@@ -189,11 +189,12 @@ def _pool_worker(channel) -> None:
     evaluation error becomes a structured ``("error", message)`` entry
     instead of killing the worker, so only genuine process faults
     (crash, hang, kill) ever cost the supervisor a retry. The batch's
-    successful results are persisted as one segment to the cache
-    directory its message names, before the reply, so a parent crash
-    after this batch loses nothing. Each batch writes through a fresh
-    :class:`~repro.dse.cache.ResultCache`: a reused worker keeps no
-    result in memory from one batch to the next.
+    successful results are persisted, under the keys the parent sent,
+    as one segment to the cache directory its message names, before
+    the reply, so a parent crash after this batch loses nothing. Each
+    batch writes through a fresh :class:`~repro.dse.cache.ResultCache`:
+    a reused worker keeps no result in memory from one batch to the
+    next.
 
     The at-fork hook has already closed this worker's copies of every
     pool's parent-side pipe ends, its own channel's included: a worker
@@ -222,7 +223,7 @@ def _pool_worker(channel) -> None:
             continue
         entries = []
         priced = []
-        for index, point in items:
+        for index, point, *key in items:
             try:
                 result = evaluate_one(index, point, tier, options)
             except Exception as exc:  # noqa: BLE001 - quarantined upstream
@@ -230,8 +231,8 @@ def _pool_worker(channel) -> None:
                     (index, "error", f"{type(exc).__name__}: {exc}")
                 )
             else:
-                if cache_dir is not None:
-                    priced.append((cache_key(point, tier), result))
+                if cache_dir is not None and key:
+                    priced.append((key[0], result))
                 entries.append((index, "ok", result))
         if priced:
             ResultCache(cache_dir).put_many(priced)
@@ -389,7 +390,8 @@ class SupervisedPool:
     ):
         """Price every ``(index, point)`` item of every batch.
 
-        Workers persist each batch's results as one segment in
+        An item may carry its cache key as a third entry; workers
+        persist each batch's keyed results as one segment in
         ``cache_dir`` (``None``: no worker-side persistence). The run
         uses one worker per non-empty batch, at most ``num_workers``,
         and forks any of them not yet started.
@@ -407,7 +409,7 @@ class SupervisedPool:
         results: dict[int, object] = {}
         failures: dict[int, tuple] = {}
         points_by_index = {
-            index: point for batch in batches for index, point in batch
+            index: point for batch in batches for index, point, *_ in batch
         }
         pending: deque[_Attempt] = deque(
             _Attempt(batch_id, list(items))
@@ -448,7 +450,7 @@ class SupervisedPool:
                     )
                     next_batch_id += 1
                 return
-            ((index, point),) = att.items
+            ((index, point, *_),) = att.items
             failures[index] = (point, reason)
             self.stats.quarantined += 1
 

@@ -6,16 +6,20 @@ the event engine *exactly* — total cycles, every per-task stat
 graphs: random DAGs (chains, forks/joins), mixed PIPO/FIFO buffer
 depths, uneven per-task iteration counts within buffer feasibility,
 ``depends_on`` edges across chains, constant / data-dependent /
-block-scaled latencies, and payload actions.
+block-scaled latencies, and payload actions. The vectorized engine runs
+payloads only in batch form, so the harness lifts each per-token action
+to one.
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.dataflow.buffer import fifo, pipo
 from repro.dataflow.graph import DataflowGraph, merge_graphs
+from repro.dataflow.schedule import normalize_iteration_counts
 from repro.dataflow.simulator import DataflowSimulator
 from repro.dataflow.task import BlockLatency, Task
 from repro.errors import DataflowError, DeadlockError
@@ -31,11 +35,55 @@ STAT_FIELDS = (
 )
 
 
-def assert_traces_identical(graph, counts):
-    """Run both engines and compare every observable, field by field."""
-    sim = DataflowSimulator(graph)
-    event = sim.run(counts, engine="event")
-    vectorized = sim.run(counts, engine="vectorized")
+def lift(action):
+    """``action`` with a batch form: the per-token calls in token order,
+    each fed the producers' values for its token."""
+
+    def lifted(iteration, args):
+        return action(iteration, args)
+
+    def batch(count, inputs):
+        return [
+            action(i, tuple(values[i] for values in inputs))
+            for i in range(count)
+        ]
+
+    lifted.batch = batch
+    return lifted
+
+
+def with_actions(graph, convert):
+    """A copy of ``graph`` with every action ``a`` replaced by
+    ``convert(a)``."""
+    copy = DataflowGraph(graph.name)
+    for task in graph.tasks.values():
+        action = None if task.action is None else convert(task.action)
+        copy.add_task(replace(task, action=action))
+    for buf in graph.buffers.values():
+        copy.add_buffer(buf)
+    return copy
+
+
+def batchable(graph, counts):
+    """Whether batch-form actions could run: every buffer-connected
+    component that carries an action is all action tasks at one count."""
+    component = {name: {name} for name in graph.tasks}
+    for buf in graph.buffers.values():
+        joined = component[buf.producer] | component[buf.consumer]
+        for name in joined:
+            component[name] = joined
+    for names in component.values():
+        actions = {graph.tasks[n].action is not None for n in names}
+        if True in actions and (
+            actions != {True} or len({counts[n] for n in names}) != 1
+        ):
+            return False
+    return True
+
+
+def assert_same_trace(event, vectorized, graph, payloads):
+    """Compare every observable field by field; sink values only when
+    the vectorized side ran the payloads."""
     assert event.total_cycles == vectorized.total_cycles
     assert event.iterations == vectorized.iterations
     assert set(event.task_stats) == set(vectorized.task_stats)
@@ -44,7 +92,30 @@ def assert_traces_identical(graph, counts):
             assert getattr(event.stats(name), field) == getattr(
                 vectorized.stats(name), field
             ), f"{name}.{field}"
-    assert event.sink_results == vectorized.sink_results
+    if payloads:
+        assert event.sink_results == vectorized.sink_results
+
+
+def assert_traces_identical(graph, counts):
+    """Run both engines and compare every observable, field by field.
+
+    The vectorized side runs the graph with each action lifted to a
+    batch form when its payloads can run batched, and must refuse them
+    otherwise; it then runs an actionless copy, since timing does not
+    depend on payloads.
+    """
+    event = DataflowSimulator(graph).run(counts, engine="event")
+    lifted = DataflowSimulator(with_actions(graph, lift))
+    payloads = batchable(graph, normalize_iteration_counts(graph, counts))
+    if payloads:
+        vectorized = lifted.run(counts, engine="vectorized")
+    else:
+        with pytest.raises(DataflowError, match="only in batch form"):
+            lifted.run(counts, engine="vectorized")
+        vectorized = DataflowSimulator(
+            with_actions(graph, lambda action: None)
+        ).run(counts, engine="vectorized")
+    assert_same_trace(event, vectorized, graph, payloads)
     return event
 
 
@@ -211,12 +282,117 @@ def test_dependency_gate_parity():
     )
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_batched_order_parity(seed):
+    """Every task carries a lifted batch action, so the vectorized side
+    runs the batched path on random fork/join components sequenced by
+    ``depends_on``. Each task logs its values on a board and records how
+    many values its dependencies had logged when it ran, so a batched
+    order that runs a task before a dependency changes the sink values."""
+    rng = random.Random(5000 + seed)
+    board: dict[str, list] = {}
+
+    def logged(name, depends_on):
+        def action(i, args):
+            seen = tuple(len(board.get(dep, ())) for dep in depends_on)
+            value = (name, i, repr(args), seen)
+            board.setdefault(name, []).append(value)
+            return value
+
+        return lift(action)
+
+    graphs, counts, sinks = [], {}, []
+    for c in range(rng.randint(2, 4)):
+        g = random_chain_graph(rng, f"c{c}")
+        order = g.topological_order()
+        g.tasks[order[0]].depends_on = tuple(
+            sink for sink in sinks if rng.random() < 0.6
+        )
+        for name, task in g.tasks.items():
+            task.action = logged(name, task.depends_on)
+        counts.update(dict.fromkeys(g.tasks, rng.randint(1, 12)))
+        sinks.append(order[-1])
+        graphs.append(g)
+    merged = merge_graphs("batched", graphs)
+    event = DataflowSimulator(merged).run(counts, engine="event")
+    logged_by_event = dict(board)
+    board.clear()
+    vectorized = DataflowSimulator(merged).run(counts, engine="vectorized")
+    assert board == logged_by_event
+    assert_same_trace(event, vectorized, merged, payloads=True)
+
+
+class TestBatchedPayloadContract:
+    """The vectorized engine runs payloads only in batch form."""
+
+    def test_per_token_payloads_need_the_event_engine(self):
+        g = DataflowGraph("per-token")
+        g.chain(
+            [
+                Task("a", 5, action=lambda i, args: i),
+                Task("b", 7, action=lambda i, args: args[0]),
+            ]
+        )
+        sim = DataflowSimulator(g)
+        with pytest.raises(
+            DataflowError, match=r"'per-token'.*task 'a'.*engine=\"event\""
+        ):
+            sim.run(3, engine="vectorized")
+        assert sim.run(3, engine="event").sink_results == {"b": [0, 1, 2]}
+
+    def test_component_mixing_action_and_actionless_tasks_raises(self):
+        g = DataflowGraph("mixed")
+        g.chain([Task("a", 5, action=lift(lambda i, args: i)), Task("b", 7)])
+        with pytest.raises(DataflowError, match="task 'b'"):
+            DataflowSimulator(g).run(3, engine="vectorized")
+
+    def test_uneven_counts_across_a_buffer_raise(self):
+        g = DataflowGraph("uneven")
+        g.add_task(Task("a", 5, action=lift(lambda i, args: i)))
+        g.add_task(Task("b", 7, action=lift(lambda i, args: args[0])))
+        g.add_buffer(fifo("ab", "a", "b", depth=2))
+        counts = {"a": 4, "b": 3}
+        with pytest.raises(DataflowError, match="task 'b' runs 3"):
+            DataflowSimulator(g).run(counts, engine="vectorized")
+        trace = DataflowSimulator(g).run(counts, engine="event")
+        assert trace.sink_results == {"b": [0, 1, 2]}
+
+    def test_actionless_chain_beside_batched_chain_runs(self):
+        g = DataflowGraph("beside")
+        g.add_task(Task("x", 3))
+        g.add_task(Task("y", 8))
+        g.add_buffer(fifo("xy", "x", "y", depth=2))
+        g.chain(
+            [
+                Task("a", 5, action=lift(lambda i, args: i)),
+                Task("b", 7, action=lift(lambda i, args: 10 * args[0])),
+            ],
+            buffer_prefix="ab",
+        )
+        counts = {"x": 5, "y": 3, "a": 4, "b": 4}
+        sim = DataflowSimulator(g)
+        vectorized = sim.run(counts, engine="vectorized")
+        assert vectorized.sink_results == {"b": [0, 10, 20, 30]}
+        assert_same_trace(
+            sim.run(counts, engine="event"), vectorized, g, payloads=True
+        )
+
+    def test_single_batch_form_task_runs(self):
+        g = DataflowGraph("single")
+        g.add_task(Task("only", 3, action=lift(lambda i, args: i * i)))
+        trace = DataflowSimulator(g).run(4, engine="vectorized")
+        assert trace.sink_results == {"only": [0, 1, 4, 9]}
+        assert trace.total_cycles == 12
+
+
 class TestVectorizedEngineBehaviour:
     def test_engine_argument_validated(self):
         g = DataflowGraph("one")
         g.add_task(Task("t", 1))
         with pytest.raises(DataflowError):
             DataflowSimulator(g).run(1, engine="warp")
+        with pytest.raises(DataflowError):
+            DataflowSimulator(g).run(1, engine="auto")
 
     def test_vectorized_detects_starving_consumer(self):
         g = DataflowGraph("dead")
@@ -235,56 +411,6 @@ class TestVectorizedEngineBehaviour:
         g.chain([Task("a", 100)])
         with pytest.raises(DataflowError):
             DataflowSimulator(g).run(50, max_cycles=10, engine="vectorized")
-
-    def test_auto_picks_vectorized_without_actions(self):
-        g = DataflowGraph("timing")
-        g.chain([Task("a", 5), Task("b", 7)])
-        sim = DataflowSimulator(g)
-        assert sim._auto_engine({"a": 3, "b": 3}) == "vectorized"
-
-    def test_auto_keeps_event_for_small_per_token_payloads(self):
-        g = DataflowGraph("payload")
-        g.chain(
-            [
-                Task("a", 5, action=lambda i, args: i),
-                Task("b", 7, action=lambda i, args: args[0]),
-            ]
-        )
-        sim = DataflowSimulator(g)
-        assert sim._auto_engine({"a": 3, "b": 3}) == "event"
-
-    def test_auto_vectorizes_bulk_per_token_payloads(self):
-        from repro.dataflow.simulator import AUTO_TOKEN_THRESHOLD
-
-        g = DataflowGraph("bulk")
-        g.chain(
-            [
-                Task("a", 5, action=lambda i, args: i),
-                Task("b", 7, action=lambda i, args: args[0]),
-            ]
-        )
-        sim = DataflowSimulator(g)
-        half = AUTO_TOKEN_THRESHOLD // 2 + 1
-        assert sim._auto_engine({"a": half, "b": half}) == "vectorized"
-
-    def test_auto_vectorizes_batched_payloads(self):
-        def make_action(value):
-            def action(i, args):
-                return value
-
-            def batch(count, inputs):
-                return [value] * count
-
-            action.batch = batch
-            return action
-
-        g = DataflowGraph("batched")
-        g.chain([Task("a", 5, action=make_action(1)),
-                 Task("b", 7, action=make_action(2))])
-        sim = DataflowSimulator(g)
-        assert sim._auto_engine({"a": 3, "b": 3}) == "vectorized"
-        trace = sim.run(3, engine="auto")
-        assert trace.sink_results == {"b": [2, 2, 2]}
 
     def test_batched_sink_length_validated(self):
         def action(i, args):

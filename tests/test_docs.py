@@ -244,3 +244,17 @@ def test_architecture_documents_the_step_plan():
         "`dse.tiers._shared_mesh`",
     ):
         assert needle in text, f"ARCHITECTURE.md lost its {needle!r} coverage"
+
+
+def test_architecture_documents_one_job_per_engine():
+    """Two engines, no automatic pick between them."""
+    text = " ".join((REPO_ROOT / "ARCHITECTURE.md").read_text().split())
+    for needle in (
+        'engine="event" | "vectorized"',
+        "every action has a `batch` form, and every buffer joins either "
+        "two actionless tasks or two action tasks with equal iteration "
+        "counts",
+    ):
+        assert needle in text, f"ARCHITECTURE.md lost its {needle!r} coverage"
+    for stale in ('"auto"', "4096 total tokens", "AUTO_TOKEN_THRESHOLD"):
+        assert stale not in text, f"ARCHITECTURE.md still mentions {stale!r}"
